@@ -175,11 +175,11 @@ class ChannelNormReport:
 
 
 def channel_norm_report(
-    ch: EquivariantChannel, restarts: int = 20, seed: int = 0
+    ch: EquivariantChannel, restarts: int = 20, seed: int = 0, tol: float = 1e-12
 ) -> ChannelNormReport:
     p, t = ch.params, ch.triple
     res = max_schmidt_optimizer(
-        p, t, restarts=restarts, seed=seed, max_dim=ch.max_dim
+        p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
     )
     value = res.value * res.value
     closed = math.exp(_lambda_log(p, t))
@@ -244,6 +244,7 @@ def moe_bracket(
     samples: int = 200,
     restarts: int = 20,
     seed: int = 0,
+    tol: float = 1e-12,
 ) -> MoeBracket:
     """Bracket the minimum output entropy of the channel.
 
@@ -269,7 +270,9 @@ def moe_bracket(
     xi_wit /= np.linalg.norm(xi_wit)
     witness_entropy = _entropy_from_lambdas(_pure_output_lambdas(ch, xi_wit))
 
-    res = max_schmidt_optimizer(p, t, restarts=restarts, seed=seed, max_dim=ch.max_dim)
+    res = max_schmidt_optimizer(
+        p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
+    )
     xi_opt = basis.columns.T @ res.xi.data
     xi_opt /= np.linalg.norm(xi_opt)
     optimizer_entropy = _entropy_from_lambdas(_pure_output_lambdas(ch, xi_opt))

@@ -112,6 +112,13 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
+    return value
+
+
 def _rank(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts", type=_positive_int, default=20, help="optimizer restarts"
     )
     common.add_argument(
-        "--tol", type=float, default=1e-12, help="optimizer convergence tolerance"
+        "--tol", type=_positive_float, default=1e-12, help="optimizer convergence tolerance"
     )
     common.add_argument(
         "--max-dim",
@@ -396,7 +403,7 @@ def _run_saturation(args: argparse.Namespace, cfg: JobConfig) -> dict:
 def _run_channel(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p, t = _params_and_triple(cfg)
     ch = channel(p, t, _direction(args), max_dim=cfg.max_dim)
-    rep = channel_norm_report(ch, restarts=cfg.restarts, seed=cfg.seed)
+    rep = channel_norm_report(ch, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol)
     return {
         "triple": _triple_dict(t),
         "direction": ch.direction,
@@ -416,7 +423,7 @@ def _run_moe(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p, t = _params_and_triple(cfg)
     ch = channel(p, t, _direction(args), max_dim=cfg.max_dim)
     bracket = moe_bracket(
-        ch, samples=cfg.samples, restarts=cfg.restarts, seed=cfg.seed
+        ch, samples=cfg.samples, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol
     )
     scale = cfg.log_scale
     return {
@@ -484,6 +491,7 @@ def _sweep_row(
         samples=cfg.samples,
         restarts=cfg.restarts,
         seed=cfg.seed,
+        tol=cfg.tol,
     )
     scale = cfg.log_scale
     family = (n - 2) * (n - 1) ** (t.r - 1) if t.r >= 1 and n >= 3 else 0

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +148,12 @@ def rd_certificate(
 
 @dataclass(frozen=True)
 class MaxSchmidtResult:
-    """Best value of sup |<alpha(xi)|eta (x) zeta>| found over all restarts."""
+    """Best value of sup |<alpha(xi)|eta (x) zeta>| found over all restarts.
+
+    `converged` and `sweeps` belong to the winning restart;
+    `restart_sweeps` and `restart_converged` record every restart, in
+    restart order, so a losing restart that never converged is visible.
+    """
 
     value: float
     xi: TensorVector
@@ -158,42 +161,17 @@ class MaxSchmidtResult:
     zeta: TensorVector
     converged: bool
     sweeps: int
+    restart_sweeps: tuple[int, ...]
+    restart_converged: tuple[bool, ...]
 
 
-def _one_restart(
-    reduced: np.ndarray,
-    nl: int,
-    nm: int,
-    rng: np.random.Generator,
-    tol: float,
-    max_iters: int,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool, int]:
-    d = reduced.shape[1]
-
-    def normalized(vec: np.ndarray) -> np.ndarray:
-        nrm = np.linalg.norm(vec)
-        if nrm < 1e-300:  # degenerate contraction; restart direction
-            vec = rng.standard_normal(vec.shape)
-            nrm = np.linalg.norm(vec)
-        return vec / nrm
-
-    xi = normalized(rng.standard_normal(d))
-    eta = normalized(rng.standard_normal(nl))
-    zeta = normalized(rng.standard_normal(nm))
-    prev = -1.0
-    outer = np.empty((nl, nm))
-    for sweep in range(1, max_iters + 1):
-        mat = (reduced @ xi).reshape(nl, nm)
-        eta = normalized(mat @ zeta)
-        zeta = normalized(mat.T @ eta)
-        np.outer(eta, zeta, out=outer)
-        raw = reduced.T @ outer.reshape(-1)
-        obj = float(np.linalg.norm(raw))
-        xi = normalized(raw)
-        if abs(obj - prev) <= tol * max(1.0, obj):
-            return obj, xi, eta, zeta, True, sweep
-        prev = obj
-    return prev, xi, eta, zeta, False, max_iters
+def _unit_rows(rows: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Normalize each row; a degenerate row i restarts its direction from rngs[i]."""
+    norms = np.linalg.norm(rows, axis=1)
+    for i in np.flatnonzero(norms < 1e-300):
+        rows[i] = rngs[i].standard_normal(rows.shape[1])
+        norms[i] = np.linalg.norm(rows[i])
+    return rows / norms[:, None]
 
 
 def max_schmidt_optimizer(
@@ -204,45 +182,63 @@ def max_schmidt_optimizer(
     seed: int = 0,
     max_iters: int = 1000,
     max_dim: int = DEFAULT_DIM_CAP,
-    workers: int | None = None,
 ) -> MaxSchmidtResult:
     """Trilinear alternating power iteration for sup lambda_1^{1/2}.
 
     Each sweep replaces one argument of <alpha(xi)|eta (x) zeta> by the
     normalized contraction of the other two, so the objective is
-    monotone per restart.  Restarts draw independent Gaussian starts
-    from a split seed and run in a thread pool; the reduction keeps the
-    best value, ties broken by lowest restart index, so the result does
-    not depend on completion order.
+    monotone per restart.  Every restart draws its Gaussian start from
+    its own generator of a split seed, and all restarts advance together:
+    one sweep is two matrix-matrix products with `reduced` over the
+    restarts still running.  A restart leaves the batch at the first
+    sweep whose objective moved by at most tol * max(1, objective); one
+    that never does reports its last value.  The best value wins, ties
+    broken by lowest restart index.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     iso = isometry(p, t, max_dim=max_dim)
+    reduced = iso.reduced
     nl, nm = p.n**t.l, p.n**t.m
-    seqs = np.random.SeedSequence(seed).spawn(restarts)
-
-    def task(idx: int):
-        rng = np.random.default_rng(seqs[idx])
-        return (idx, *_one_restart(iso.reduced, nl, nm, rng, tol, max_iters))
-
-    if workers is None:
-        workers = min(restarts, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, range(restarts)))
-    else:
-        results = [task(i) for i in range(restarts)]
-    idx, value, xi_red, eta, zeta, converged, sweeps = max(
-        results, key=lambda row: (row[1], -row[0])
-    )
-    xi_ambient = iso.basis.columns @ xi_red
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
+    draws = [[rng.standard_normal(size) for size in (reduced.shape[1], nl, nm)] for rng in rngs]
+    xi, eta, zeta = (_unit_rows(np.array(vecs), rngs) for vecs in zip(*draws))
+    last_xi, last_eta, last_zeta = xi.copy(), eta.copy(), zeta.copy()
+    value = np.full(restarts, -1.0)  # each restart's latest objective
+    sweeps = np.full(restarts, max_iters)
+    converged = np.zeros(restarts, dtype=bool)
+    live = np.arange(restarts)  # restart index of each row still iterating
+    for sweep in range(1, max_iters + 1):
+        live_rngs = [rngs[i] for i in live]
+        mats = (xi @ reduced.T).reshape(-1, nl, nm)
+        eta = _unit_rows((mats @ zeta[:, :, None])[:, :, 0], live_rngs)
+        zeta = _unit_rows((eta[:, None, :] @ mats)[:, 0, :], live_rngs)
+        raw = (eta[:, :, None] * zeta[:, None, :]).reshape(len(live), -1) @ reduced
+        obj = np.linalg.norm(raw, axis=1)
+        xi = _unit_rows(raw, live_rngs)
+        done = np.abs(obj - value[live]) <= tol * np.maximum(1.0, obj)
+        value[live] = obj
+        last_xi[live], last_eta[live], last_zeta[live] = xi, eta, zeta
+        sweeps[live[done]] = sweep
+        converged[live[done]] = True
+        keep = ~done
+        live, xi, eta, zeta = live[keep], xi[keep], eta[keep], zeta[keep]
+        if not live.size:
+            break
+    win = int(np.argmax(value))
     return MaxSchmidtResult(
-        value=value,
-        xi=TensorVector(TensorShape(p.n, t.k), xi_ambient),
-        eta=TensorVector(TensorShape(p.n, t.l), eta),
-        zeta=TensorVector(TensorShape(p.n, t.m), zeta),
-        converged=converged,
-        sweeps=sweeps,
+        value=float(value[win]),
+        xi=TensorVector(TensorShape(p.n, t.k), iso.basis.columns @ last_xi[win]),
+        eta=TensorVector(TensorShape(p.n, t.l), last_eta[win]),
+        zeta=TensorVector(TensorShape(p.n, t.m), last_zeta[win]),
+        converged=bool(converged[win]),
+        sweeps=int(sweeps[win]),
+        restart_sweeps=tuple(int(s) for s in sweeps),
+        restart_converged=tuple(bool(c) for c in converged),
     )
 
 

@@ -3,6 +3,7 @@ and the Choi-matrix d-positivity witness machinery."""
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -25,6 +26,9 @@ from wenzl_lab.channel import (
 )
 from wenzl_lab.errors import InvariantViolation
 from wenzl_lab.qnum import AdmissibleTriple, quantum_parameter, rd_constant
+
+# the package re-exports the function `channel`, which shadows the submodule
+channel_module = importlib.import_module("wenzl_lab.channel")
 
 P3 = quantum_parameter(3)
 P4 = quantum_parameter(4)
@@ -172,6 +176,22 @@ def test_norm_report_brackets_highest_weight():
     assert rep.bracket_lower_printed == pytest.approx(1.0)
     assert rep.in_printed_bracket
     assert rep.in_sharp_bracket
+
+
+@pytest.mark.parametrize(
+    "report", [channel_norm_report, lambda ch, tol: moe_bracket(ch, samples=4, tol=tol)]
+)
+def test_tol_reaches_optimizer(monkeypatch, report):
+    seen = []
+    real = channel_module.max_schmidt_optimizer
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channel_module, "max_schmidt_optimizer", recording)
+    report(channel(P3, MIDDLE), tol=1e-6)
+    assert seen == [1e-6]
 
 
 # ---------------------------------------------------------------------------

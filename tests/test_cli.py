@@ -4,6 +4,7 @@ format switches, exit codes, and byte-level determinism."""
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -14,6 +15,10 @@ import pytest
 
 from wenzl_lab import cli
 from wenzl_lab.errors import InvariantViolation
+
+
+# the package re-exports the function `channel`, which shadows the submodule
+channel_module = importlib.import_module("wenzl_lab.channel")
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -238,6 +243,39 @@ def test_exit_4_on_bad_flags(capsys):
     assert run_cli(capsys, "dims", "--n", "3")[0] == 4  # missing --max-k
     assert run_cli(capsys, "choi", "--n", "3", "--k", "0", "--l", "1", "--m", "1",
                    "--d", "0", "--scale", "1.0")[0] == 4
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
+def test_exit_4_on_bad_tol(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "max-schmidt", "--n", "3", "--k", "1", "--l", "1", "--m", "2", "--tol", tol
+    )
+    assert code == 4
+    assert out == ""
+    assert "tol" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["channel", "--n", "3", "--k", "1", "--l", "1", "--m", "2"],
+        ["moe", "--n", "3", "--k", "1", "--l", "1", "--m", "2", "--samples", "4"],
+        ["sweep", "--n-min", "3", "--n-max", "3", "--max-l", "1", "--max-m", "1",
+         "--samples", "4"],
+    ],
+)
+def test_tol_flag_reaches_optimizer(capsys, monkeypatch, argv):
+    seen = []
+    real = channel_module.max_schmidt_optimizer
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(channel_module, "max_schmidt_optimizer", recording)
+    report = run_json(capsys, *argv, "--tol", "1e-6")
+    assert report["config"]["tol"] == 1e-6
+    assert seen and all(tol == 1e-6 for tol in seen)
 
 
 def test_exit_3_on_dimension_cap(capsys):

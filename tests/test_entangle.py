@@ -184,13 +184,100 @@ def test_optimizer_unit_vectors():
     assert res.zeta.norm() == pytest.approx(1.0, rel=1e-10)
 
 
-def test_optimizer_parallel_matches_serial():
+def _serial_restart(reduced, nl, nm, rng, tol, max_iters):
+    """One restart of the alternating power iteration, one vector at a time.
+
+    The reference the batched optimizer is checked against: the same
+    draws from the same generator, GEMVs instead of GEMMs.
+    """
+    d = reduced.shape[1]
+
+    def normalized(vec):
+        nrm = np.linalg.norm(vec)
+        if nrm < 1e-300:  # degenerate contraction; restart direction
+            vec = rng.standard_normal(vec.shape)
+            nrm = np.linalg.norm(vec)
+        return vec / nrm
+
+    xi = normalized(rng.standard_normal(d))
+    eta = normalized(rng.standard_normal(nl))
+    zeta = normalized(rng.standard_normal(nm))
+    prev = -1.0
+    outer = np.empty((nl, nm))
+    for sweep in range(1, max_iters + 1):
+        mat = (reduced @ xi).reshape(nl, nm)
+        eta = normalized(mat @ zeta)
+        zeta = normalized(mat.T @ eta)
+        np.outer(eta, zeta, out=outer)
+        raw = reduced.T @ outer.reshape(-1)
+        obj = float(np.linalg.norm(raw))
+        xi = normalized(raw)
+        if abs(obj - prev) <= tol * max(1.0, obj):
+            return obj, True, sweep
+        prev = obj
+    return prev, False, max_iters
+
+
+def _serial_optimizer(p, t, restarts, seed, tol=1e-12, max_iters=1000):
+    """Per-restart (value, converged, sweeps) and the winning index."""
+    reduced = isometry(p, t).reduced
+    rows = [
+        _serial_restart(
+            reduced, p.n**t.l, p.n**t.m, np.random.default_rng(seq), tol, max_iters
+        )
+        for seq in np.random.SeedSequence(seed).spawn(restarts)
+    ]
+    winner = max(range(restarts), key=lambda i: (rows[i][0], -i))
+    return rows, winner
+
+
+@pytest.mark.parametrize("n,k,l,m", [(3, 1, 1, 2), (3, 2, 2, 2), (4, 2, 3, 3)])
+def test_optimizer_matches_serial_oracle(n, k, l, m):
+    p = quantum_parameter(n)
+    t = AdmissibleTriple(k, l, m)
+    res = max_schmidt_optimizer(p, t, restarts=20, seed=0)
+    rows, winner = _serial_optimizer(p, t, restarts=20, seed=0)
+    value, converged, _ = rows[winner]
+    assert res.converged == converged
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert res.restart_converged == tuple(row[1] for row in rows)
+
+
+def test_optimizer_restart_record():
     p = quantum_parameter(3)
     t = AdmissibleTriple(1, 1, 2)
-    serial = max_schmidt_optimizer(p, t, restarts=6, seed=3, workers=1)
-    threaded = max_schmidt_optimizer(p, t, restarts=6, seed=3, workers=3)
-    assert serial.value == threaded.value
-    np.testing.assert_array_equal(serial.xi.data, threaded.xi.data)
+    res = max_schmidt_optimizer(p, t, restarts=7, seed=3)
+    _, winner = _serial_optimizer(p, t, restarts=7, seed=3)
+    assert len(res.restart_sweeps) == len(res.restart_converged) == 7
+    assert res.restart_sweeps[winner] == res.sweeps
+    assert res.restart_converged[winner] == res.converged
+
+
+def test_optimizer_unconverged_restarts_report_last_value():
+    p = quantum_parameter(3)
+    t = AdmissibleTriple(2, 2, 2)
+    res = max_schmidt_optimizer(p, t, restarts=4, seed=1, max_iters=2)
+    rows, _ = _serial_optimizer(p, t, restarts=4, seed=1, max_iters=2)
+    assert res.restart_sweeps == (2, 2, 2, 2)
+    assert res.restart_converged == (False,) * 4
+    assert not res.converged
+    assert res.value == pytest.approx(max(row[0] for row in rows), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": -1.0},
+        {"tol": 0.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"max_iters": 0},
+        {"restarts": 0},
+    ],
+)
+def test_optimizer_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        max_schmidt_optimizer(quantum_parameter(3), AdmissibleTriple(1, 1, 2), **kwargs)
 
 
 # ---------------------------------------------------------------------------
