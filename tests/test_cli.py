@@ -8,6 +8,8 @@ import importlib
 import io
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -123,6 +125,59 @@ def test_log_base_two_scales_entropies(capsys):
     assert nats["entropy"] == pytest.approx(math.log(3.0), rel=1e-12)
     assert bits["entropy"] == pytest.approx(math.log2(3.0), rel=1e-12)
     assert bits["log_base"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# golden command set
+# ---------------------------------------------------------------------------
+
+# Captured from the CLI before the report dataclasses became the payload
+# schema.  Values are compared to 1e-9 relative (1e-12 absolute near 0),
+# never byte for byte: the last bits can differ across BLAS builds.
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text()
+)
+
+
+def _cell_kind(text: str) -> str:
+    if re.fullmatch(r"-?\d+", text):
+        return "int"
+    try:
+        float(text)
+    except ValueError:
+        return "str"
+    return "float"
+
+
+def _assert_matches(got, want, path: str) -> None:
+    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), f"{path}: key set differs"
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{path}: length differs"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), f"{path}: {got} != {want}"
+    elif isinstance(want, str) and _cell_kind(want) == "float":
+        assert _cell_kind(got) == "float", f"{path}: {got!r} is not a float cell"
+        assert math.isclose(float(got), float(want), rel_tol=1e-9, abs_tol=1e-12), path
+    else:
+        assert got == want, f"{path}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[f"{c['argv'][0]}-n{c['argv'][2]}" for c in GOLDEN])
+def test_golden_command(capsys, case):
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert code == case["exit"]
+    if "csv" in case["argv"]:
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        got = {"header": header, "rows": rows}
+    else:
+        got = json.loads(out)
+    _assert_matches(got, case["stdout"], case["argv"][0])
 
 
 # ---------------------------------------------------------------------------
