@@ -43,6 +43,8 @@ from .entangle import (
     schmidt_spectrum,
     separability_witness_highest_weight,
     verify_saturation,
+    witness_image,
+    witness_family_size,
 )
 from .errors import DimensionCapError, InvariantViolation, WenzlLabError
 from .jones_wenzl import (
@@ -59,6 +61,8 @@ from .qnum import (
     QParams,
     admissible_triples,
     dim_irrep,
+    lambda_log,
+    log_dim,
     q_factorial_log,
     q_int,
     quantum_parameter,

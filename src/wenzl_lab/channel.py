@@ -22,18 +22,15 @@ import numpy as np
 
 from .entangle import (
     PLATEAU_RTOL,
+    _entropy_from_lambdas,
     max_schmidt_optimizer,
     saturation_witness,
+    schmidt_spectrum,
+    witness_image,
 )
 from .errors import InvariantViolation
 from .jones_wenzl import jw_projection, onb_of_irrep
-from .qnum import (
-    AdmissibleTriple,
-    QParams,
-    q_factorial_log,
-    rd_constant,
-    theta_net_log,
-)
+from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound, rd_constant
 from .tensor_core import DEFAULT_DIM_CAP, TensorOperator, TensorShape
 from .vertex import EquivariantIsometry, isometry
 
@@ -48,17 +45,6 @@ CHOI_SAMPLE_TOL = 1e-6
 TRACE_FIRST = "trace-first-l"
 TRACE_LAST = "trace-last-m"
 _DIRECTIONS = (TRACE_FIRST, TRACE_LAST)
-
-
-def _lambda_log(p: QParams, t: AdmissibleTriple) -> float:
-    """log([k+1]_q / theta_q(k, l, m)), the top Schmidt coefficient."""
-    log_dim = q_factorial_log(p, t.k + 1) - q_factorial_log(p, t.k)
-    return log_dim - theta_net_log(p, t)
-
-
-def _entropy_from_lambdas(lam: np.ndarray) -> float:
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log(lam)))
 
 
 @dataclass(frozen=True)
@@ -106,6 +92,8 @@ def _check_state(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(rho, dtype=np.float64)
     if arr.shape != (dim, dim):
         raise ValueError(f"{what} must be a {dim} x {dim} matrix, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
     if np.max(np.abs(arr - arr.T)) > INPUT_PSD_TOL:
         raise ValueError(f"{what} is not symmetric")
     if abs(np.trace(arr) - 1.0) > INPUT_PSD_TOL:
@@ -163,7 +151,7 @@ class ChannelNormReport:
     """
 
     triple: AdmissibleTriple
-    value: float
+    norm_1_to_inf: float
     closed_form: float
     residual: float
     bracket_lower_printed: float
@@ -182,14 +170,13 @@ def channel_norm_report(
         p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
     )
     value = res.value * res.value
-    closed = math.exp(_lambda_log(p, t))
+    closed, hi = rd_bound(p, t)
     q = p.q
     lo_printed = q ** t.r
     lo_sharp = lo_printed * (1.0 - q * q)
-    hi = rd_constant(p) ** 2 * lo_printed
     return ChannelNormReport(
         triple=t,
-        value=value,
+        norm_1_to_inf=value,
         closed_form=closed,
         residual=value - closed,
         bracket_lower_printed=lo_printed,
@@ -210,7 +197,7 @@ def channel_norm_1_to_inf(
         raise InvariantViolation(
             f"norm optimizer did not converge on {ch.triple} with {restarts} restarts"
         )
-    return rep.value
+    return rep.norm_1_to_inf
 
 
 @dataclass(frozen=True)
@@ -235,10 +222,6 @@ class MoeBracket:
     samples: int
 
 
-def _alternating_word(count: int) -> list[int]:
-    return [1 if i % 2 == 0 else 2 for i in range(count)]
-
-
 def moe_bracket(
     ch: EquivariantChannel,
     samples: int = 200,
@@ -254,26 +237,16 @@ def moe_bracket(
     Schmidt optimizer, and `samples` Haar-ish random pure inputs.
     """
     p, t = ch.params, ch.triple
-    lower = -_lambda_log(p, t)
+    lower = -lambda_log(p, t)
     coarse_lower = -t.r * p.log_q - 2.0 * math.log(rd_constant(p))
     dim_k = ch.input_dim
 
-    basis = ch.iso.basis
-    if t.k == 0:
-        xi_wit = np.ones(1)
-    else:
-        word = _alternating_word(t.k)
-        flat = 0
-        for letter in word:
-            flat = flat * p.n + (letter - 1)
-        xi_wit = basis.columns[flat, :].copy()
-    xi_wit /= np.linalg.norm(xi_wit)
-    witness_entropy = _entropy_from_lambdas(_pure_output_lambdas(ch, xi_wit))
+    witness_entropy = schmidt_spectrum(witness_image(ch.iso), t.l).entropy
 
     res = max_schmidt_optimizer(
         p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
     )
-    xi_opt = basis.columns.T @ res.xi.data
+    xi_opt = ch.iso.basis.columns.T @ res.xi.data
     xi_opt /= np.linalg.norm(xi_opt)
     optimizer_entropy = _entropy_from_lambdas(_pure_output_lambdas(ch, xi_opt))
 
@@ -335,7 +308,7 @@ def d_positivity_threshold(p: QParams, t: AdmissibleTriple, d: int) -> float:
     """theta_q(k,l,m) / (d [k+1]_q): the largest scale kept d-positive."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"Schmidt-rank parameter d must be a positive integer, got {d}")
-    return math.exp(-_lambda_log(p, t)) / d
+    return math.exp(-lambda_log(p, t)) / d
 
 
 @dataclass(frozen=True)
@@ -390,9 +363,8 @@ def _witness_pairs(
 
     iso = isometry(p, t, max_dim=max_dim)
     n = p.n
-    coords = iso.basis.columns.T @ wit.xi.data
-    mat = (iso.reduced @ coords).reshape(n ** t.l, n ** t.m)
-    root = math.exp(0.5 * _lambda_log(p, t))
+    mat = witness_image(iso).data.reshape(n ** t.l, n ** t.m)
+    root = math.exp(0.5 * lambda_log(p, t))
     for eta, zeta in zip(etas, zetas):
         mat = mat - root * np.outer(eta, zeta)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
@@ -424,8 +396,7 @@ def choi_witness_value(
     negative); the random sampling is a falsification attempt below it,
     never a proof of positivity.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"Schmidt-rank parameter d must be a positive integer, got {d}")
+    threshold = d_positivity_threshold(p, t, d)
     if t.r < 1:
         raise ValueError(
             f"triple {t} is highest weight: the Choi witness needs r >= 1"
@@ -440,9 +411,7 @@ def choi_witness_value(
     for eta, zeta in zip(etas, zetas):
         x += np.outer(eta, zeta).ravel()
     witness_value = _choi_qform(pl, pm, reduced, scale, x)
-    lam = math.exp(_lambda_log(p, t))
-    predicted = d * (1.0 - scale * d * lam)
-    threshold = math.exp(-_lambda_log(p, t)) / d
+    predicted = d * (1.0 - scale * d * math.exp(lambda_log(p, t)))
 
     basis_l = onb_of_irrep(p, t.l, max_dim=max_dim)
     basis_m = onb_of_irrep(p, t.m, max_dim=max_dim)
@@ -479,13 +448,7 @@ def choi_witness_value(
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """-sum lambda log lambda over the spectrum, with 0 log 0 = 0."""
     arr = np.asarray(rho, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"state must be a square matrix, got shape {arr.shape}")
-    if np.max(np.abs(arr - arr.T)) > INPUT_PSD_TOL:
-        raise ValueError("state is not symmetric")
-    if abs(np.trace(arr) - 1.0) > INPUT_PSD_TOL:
-        raise ValueError(f"state trace {np.trace(arr):.3e} is not 1")
-    w = np.linalg.eigvalsh(0.5 * (arr + arr.T))
+    w = np.linalg.eigvalsh(_check_state(arr, arr.shape[0] if arr.ndim else 0, "state"))
     if w[0] < -INPUT_PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
     return _entropy_from_lambdas(np.clip(w, 0.0, None))

@@ -3,8 +3,9 @@
 Reports are emitted to standard output as JSON (or flattened CSV) with a
 versioned schema; diagnostics and wall time go to the error stream so
 repeated runs with the same configuration are byte-identical.  Exit
-codes: 0 success, 2 violated mathematical invariant, 3 dimension cap
-exceeded, 4 bad arguments.
+codes: 0 success, 2 violated mathematical invariant (including a NaN or
+infinite report value), 3 dimension cap exceeded or out of memory,
+4 bad arguments.
 """
 
 from __future__ import annotations
@@ -23,25 +24,30 @@ import numpy as np
 from .channel import (
     TRACE_FIRST,
     TRACE_LAST,
+    EquivariantChannel,
     channel,
     channel_norm_report,
     choi_witness_value,
-    d_positivity_threshold,
     moe_bracket,
 )
-from .entangle import schmidt_spectrum, max_schmidt_optimizer, verify_saturation
+from .entangle import (
+    max_schmidt_optimizer,
+    schmidt_spectrum,
+    verify_saturation,
+    witness_family_size,
+    witness_image,
+)
 from .errors import DimensionCapError, InvariantViolation
-from .jones_wenzl import jw_projection, onb_of_irrep, verify_jw
+from .jones_wenzl import jw_projection, verify_jw
 from .qnum import (
     AdmissibleTriple,
     QParams,
     dim_irrep,
-    q_factorial_log,
+    lambda_log,
     quantum_parameter,
-    rd_constant,
-    theta_net_log,
+    rd_bound,
 )
-from .tensor_core import DEFAULT_DIM_CAP, TensorShape, TensorVector, basis_vector
+from .tensor_core import DEFAULT_DIM_CAP
 from .vertex import isometry, verify_equivariance_proxy
 
 SCHEMA = "wenzl-lab/1"
@@ -109,6 +115,13 @@ def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
     return value
 
 
@@ -225,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "choi", parents=[common, triple], help="Choi-matrix d-positivity witness"
     )
     p_choi.add_argument("--d", type=_positive_int, required=True)
-    p_choi.add_argument("--scale", type=float, required=True)
+    p_choi.add_argument("--scale", type=_finite_float, required=True)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -255,22 +268,33 @@ def _jsonable(value):
     return value
 
 
-def _triple_dict(t: AdmissibleTriple) -> dict:
-    return {"k": t.k, "l": t.l, "m": t.m, "r": t.r}
-
-
 def _params_and_triple(cfg: JobConfig) -> tuple[QParams, AdmissibleTriple]:
     p = quantum_parameter(cfg.n)
     return p, AdmissibleTriple(cfg.k, cfg.l, cfg.m)
 
 
-def _lambda_exact(p: QParams, t: AdmissibleTriple) -> float:
-    log_dim = q_factorial_log(p, t.k + 1) - q_factorial_log(p, t.k)
-    return math.exp(log_dim - theta_net_log(p, t))
-
-
 def _direction(args: argparse.Namespace) -> str:
     return TRACE_FIRST if args.direction == "first" else TRACE_LAST
+
+
+# natural-log fields of report payloads, rescaled to --log-base
+_ENTROPY_FIELDS = (
+    "entropy",
+    "lower",
+    "upper",
+    "coarse_lower",
+    "witness_entropy",
+    "optimizer_entropy",
+    "sampled_entropy",
+)
+
+
+def _in_log_base(payload: dict, cfg: JobConfig) -> dict:
+    for key in _ENTROPY_FIELDS:
+        if key in payload:
+            payload[key] *= cfg.log_scale
+    payload["log_base"] = cfg.log_base
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +315,7 @@ def _run_theta(args: argparse.Namespace, cfg: JobConfig) -> dict:
     iso = isometry(p, t, max_dim=cfg.max_dim)
     closed, trace = iso.theta_closed, iso.theta_trace
     return {
-        "triple": _triple_dict(t),
+        "triple": asdict(t),
         "theta_closed": closed,
         "theta_trace": trace,
         "residual": trace - closed,
@@ -302,16 +326,7 @@ def _run_theta(args: argparse.Namespace, cfg: JobConfig) -> dict:
 def _run_jw_verify(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p = quantum_parameter(cfg.n)
     report = verify_jw(jw_projection(p, args.k, max_dim=cfg.max_dim))
-    return {
-        "n": report.n,
-        "k": report.k,
-        "dim": int(round(dim_irrep(p, args.k))),
-        "idempotence": report.idempotence,
-        "symmetry": report.symmetry,
-        "trace_rel": report.trace_rel,
-        "cap_annihilation": report.cap_annihilation,
-        "ok": report.ok,
-    }
+    return {**asdict(report), "dim": int(round(dim_irrep(p, args.k)))}
 
 
 def _run_isometry(args: argparse.Namespace, cfg: JobConfig) -> dict:
@@ -320,7 +335,7 @@ def _run_isometry(args: argparse.Namespace, cfg: JobConfig) -> dict:
     gram = iso.reduced.T @ iso.reduced
     ortho = float(np.abs(gram - np.eye(gram.shape[0])).max())
     return {
-        "triple": _triple_dict(t),
+        "triple": asdict(t),
         "scale": iso.scale,
         "theta_closed": iso.theta_closed,
         "theta_trace": iso.theta_trace,
@@ -329,37 +344,20 @@ def _run_isometry(args: argparse.Namespace, cfg: JobConfig) -> dict:
     }
 
 
-def _witness_reduced(p: QParams, t: AdmissibleTriple, max_dim: int) -> np.ndarray:
-    """IrrepBasis coordinates of the alternating-word state eta_k(1,2)."""
-    if t.k == 0:
-        return np.ones(1)
-    word = [1 if i % 2 == 0 else 2 for i in range(t.k)]
-    xi = basis_vector(TensorShape(p.n, t.k), word, max_dim=max_dim)
-    basis = onb_of_irrep(p, t.k, max_dim=max_dim)
-    coords = basis.columns.T @ xi.data
-    return coords / np.linalg.norm(coords)
-
-
 def _run_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p, t = _params_and_triple(cfg)
     iso = isometry(p, t, max_dim=cfg.max_dim)
-    coords = _witness_reduced(p, t, cfg.max_dim)
-    image = TensorVector(TensorShape(p.n, t.l + t.m), iso.reduced @ coords)
-    report = schmidt_spectrum(image, split=t.l)
-    lam = _lambda_exact(p, t)
-    scale = cfg.log_scale
-    coeffs = report.coefficients[report.coefficients > 1e-14]
-    return {
-        "triple": _triple_dict(t),
+    report = schmidt_spectrum(witness_image(iso), split=t.l)
+    lam = math.exp(lambda_log(p, t))
+    payload = {
+        **asdict(report),
+        "triple": asdict(t),
         "input": "alternating-word",
-        "coefficients": coeffs,
-        "entropy": report.entropy * scale,
-        "max": report.max,
-        "numerical_rank": report.numerical_rank,
+        "coefficients": report.coefficients[report.coefficients > 1e-14],
         "closed_form_max": lam,
         "residual": report.max - lam,
-        "log_base": cfg.log_base,
     }
+    return _in_log_base(payload, cfg)
 
 
 def _run_max_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
@@ -372,9 +370,9 @@ def _run_max_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
         seed=cfg.seed,
         max_dim=cfg.max_dim,
     )
-    closed = math.sqrt(_lambda_exact(p, t))
+    closed = math.sqrt(math.exp(lambda_log(p, t)))
     return {
-        "triple": _triple_dict(t),
+        "triple": asdict(t),
         "value": res.value,
         "value_squared": res.value * res.value,
         "closed_form": closed,
@@ -386,59 +384,26 @@ def _run_max_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
 
 def _run_saturation(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p, t = _params_and_triple(cfg)
-    report = verify_saturation(p, t, max_dim=cfg.max_dim)
-    return {
-        "triple": _triple_dict(t),
-        "family_size": report.family_size,
-        "lambda_expected": report.lambda_expected,
-        "top_values": report.top_values,
-        "max_rel_err": report.max_rel_err,
-        "plateau_ok": report.plateau_ok,
-        "boundary_separated": report.boundary_separated,
-        "observed_plateau_size": report.observed_plateau_size,
-        "mass": report.mass,
-    }
+    return asdict(verify_saturation(p, t, max_dim=cfg.max_dim))
 
 
 def _run_channel(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p, t = _params_and_triple(cfg)
     ch = channel(p, t, _direction(args), max_dim=cfg.max_dim)
     rep = channel_norm_report(ch, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol)
-    return {
-        "triple": _triple_dict(t),
-        "direction": ch.direction,
-        "norm_1_to_inf": rep.value,
-        "closed_form": rep.closed_form,
-        "residual": rep.residual,
-        "bracket_lower_printed": rep.bracket_lower_printed,
-        "bracket_lower_sharp": rep.bracket_lower_sharp,
-        "bracket_upper": rep.bracket_upper,
-        "in_printed_bracket": rep.in_printed_bracket,
-        "in_sharp_bracket": rep.in_sharp_bracket,
-        "converged": rep.converged,
-    }
+    return {**asdict(rep), "direction": ch.direction}
+
+
+def _moe_payload(ch: EquivariantChannel, cfg: JobConfig) -> dict:
+    bracket = moe_bracket(
+        ch, samples=cfg.samples, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol
+    )
+    return _in_log_base(asdict(bracket), cfg)
 
 
 def _run_moe(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p, t = _params_and_triple(cfg)
-    ch = channel(p, t, _direction(args), max_dim=cfg.max_dim)
-    bracket = moe_bracket(
-        ch, samples=cfg.samples, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol
-    )
-    scale = cfg.log_scale
-    return {
-        "triple": _triple_dict(t),
-        "direction": bracket.direction,
-        "lower": bracket.lower * scale,
-        "upper": bracket.upper * scale,
-        "coarse_lower": bracket.coarse_lower * scale,
-        "witness_entropy": bracket.witness_entropy * scale,
-        "optimizer_entropy": bracket.optimizer_entropy * scale,
-        "sampled_entropy": bracket.sampled_entropy * scale,
-        "argmin": bracket.argmin,
-        "samples": bracket.samples,
-        "log_base": cfg.log_base,
-    }
+    return _moe_payload(channel(p, t, _direction(args), max_dim=cfg.max_dim), cfg)
 
 
 def _run_choi(args: argparse.Namespace, cfg: JobConfig) -> dict:
@@ -452,49 +417,26 @@ def _run_choi(args: argparse.Namespace, cfg: JobConfig) -> dict:
         seed=cfg.seed,
         max_dim=cfg.max_dim,
     )
-    return {
-        "triple": _triple_dict(t),
-        "d": rep.d,
-        "scale": rep.scale,
-        "threshold": rep.threshold,
-        "witness_value": rep.witness_value,
-        "predicted_value": rep.predicted_value,
-        "prediction_residual": rep.witness_value - rep.predicted_value,
-        "sampled_min": rep.sampled_min,
-        "family_size": rep.family_size,
-        "witness_rank": rep.witness_rank,
-    }
+    return {**asdict(rep), "prediction_residual": rep.witness_value - rep.predicted_value}
 
 
 def _sweep_row(
     p: QParams, t: AdmissibleTriple, cfg: JobConfig
 ) -> dict:
-    n = p.n
     row = {
-        "n": n,
-        "k": t.k,
-        "l": t.l,
-        "m": t.m,
-        "r": t.r,
+        "n": p.n,
+        **asdict(t),
         "skipped": False,
         "skip_reason": "",
     }
-    if n ** (t.l + t.m) > cfg.max_dim or n**t.k > cfg.max_dim:
+    if p.n ** (t.l + t.m) > cfg.max_dim or p.n**t.k > cfg.max_dim:
         row["skipped"] = True
         row["skip_reason"] = f"ambient dimension exceeds cap {cfg.max_dim}"
         return row
     iso = isometry(p, t, max_dim=cfg.max_dim)
-    lam = _lambda_exact(p, t)
-    coarse = rd_constant(p) ** 2 * p.q**t.r
-    bracket = moe_bracket(
-        channel(p, t, max_dim=cfg.max_dim),
-        samples=cfg.samples,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        tol=cfg.tol,
-    )
-    scale = cfg.log_scale
-    family = (n - 2) * (n - 1) ** (t.r - 1) if t.r >= 1 and n >= 3 else 0
+    lam, coarse = rd_bound(p, t)
+    moe = _moe_payload(channel(p, t, max_dim=cfg.max_dim), cfg)
+    family = witness_family_size(p, t)
     row.update(
         {
             "dim_k": int(round(dim_irrep(p, t.k))),
@@ -502,9 +444,9 @@ def _sweep_row(
             "theta_trace": iso.theta_trace,
             "lambda_exact": lam,
             "lambda_coarse": coarse,
-            "moe_lower": bracket.lower * scale,
-            "moe_upper": bracket.upper * scale,
-            "moe_coarse_lower": bracket.coarse_lower * scale,
+            "moe_lower": moe["lower"],
+            "moe_upper": moe["upper"],
+            "moe_coarse_lower": moe["coarse_lower"],
             "family_size": family,
             "mass": family * lam if family else None,
         }
@@ -584,12 +526,18 @@ def _emit_csv(report: dict, stream) -> None:
 
 
 def emit(report: dict, fmt: str, stream=None) -> None:
+    """Write the report; a NaN or infinite value raises before any output."""
     stream = stream or sys.stdout
+    report = _jsonable(report)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantViolation(f"report holds a non-finite number: {exc}") from None
     if fmt == "json":
-        stream.write(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        stream.write(text)
         stream.write("\n")
     else:
-        _emit_csv(_jsonable(report), stream)
+        _emit_csv(report, stream)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -598,7 +546,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = JobConfig.from_args(args)
-        payload = _RUNNERS[args.command](args, cfg)
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "config": asdict(cfg),
+        }
+        report.update(_RUNNERS[args.command](args, cfg))
+        emit(report, cfg.format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -608,16 +562,12 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionCapError as exc:
         print(f"dimension cap: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except MemoryError as exc:
+        print(f"dimension cap: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "config": asdict(cfg),
-    }
-    report.update(payload)
-    emit(report, cfg.format)
     elapsed = time.perf_counter() - started
     print(f"wall_time_s {elapsed:.3f}", file=sys.stderr)
     return EXIT_OK

@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .jones_wenzl import jw_fixes, jw_projection
-from .qnum import (
-    AdmissibleTriple,
-    QParams,
-    q_factorial_log,
-    rd_bound,
-    theta_net_log,
-)
+from .qnum import AdmissibleTriple, QParams, lambda_log, log_dim, rd_bound
 from .tensor_core import DEFAULT_DIM_CAP, TensorShape, TensorVector, basis_vector
 from .vertex import EquivariantIsometry, isometry
 
@@ -40,6 +34,8 @@ __all__ = [
     "schmidt_spectrum",
     "rd_certificate",
     "max_schmidt_optimizer",
+    "witness_family_size",
+    "witness_image",
     "saturation_witness",
     "verify_saturation",
     "higher_rank_value",
@@ -54,6 +50,7 @@ WITNESS_FIX_TOL = 1e-9
 
 
 def _entropy_from_lambdas(lambdas: np.ndarray) -> float:
+    """Entropy (natural log) of a nonnegative spectrum, normalized to sum 1."""
     total = float(lambdas.sum())
     probs = lambdas[lambdas > 0.0] / total
     return float(-(probs * np.log(probs)).sum())
@@ -250,6 +247,25 @@ def _alternating_letters(count: int, first: int = 1, second: int = 2) -> list[in
     return [first if s % 2 == 0 else second for s in range(count)]
 
 
+def witness_family_size(p: QParams, t: AdmissibleTriple) -> int:
+    """|A| = (N-2)(N-1)^{r-1}, the size of the witness index family; 0 at r = 0."""
+    return (p.n - 2) * (p.n - 1) ** (t.r - 1) if t.r >= 1 else 0
+
+
+def witness_image(iso: EquivariantIsometry) -> TensorVector:
+    """alpha(xi) for the unit alternating word xi = eta_k(1,2) of H_k.
+
+    xi enters through its IrrepBasis coordinates, renormalized so the
+    image has unit norm to rounding.
+    """
+    n, t = iso.params.n, iso.triple
+    shape = TensorShape(n, t.k)
+    word = basis_vector(shape, _alternating_letters(t.k), max_dim=shape.dim)
+    coords = iso.basis.columns.T @ word.data
+    image = iso.reduced @ (coords / np.linalg.norm(coords))
+    return TensorVector(TensorShape(n, t.l + t.m), image)
+
+
 @dataclass(frozen=True)
 class SaturationWitness:
     """The alternating-word input xi and the orthonormal output families.
@@ -291,7 +307,7 @@ def saturation_witness(
         for idx in itertools.product(range(1, n + 1), repeat=r)
         if idx[0] >= 3 and all(idx[s] != idx[s + 1] for s in range(r - 1))
     ]
-    want = (n - 2) * (n - 1) ** (r - 1)
+    want = witness_family_size(p, t)
     if len(indices) != want:
         raise InvariantViolation(
             f"witness family size {len(indices)} != (N-2)(N-1)^(r-1) = {want}"
@@ -309,19 +325,6 @@ def saturation_witness(
         etas.append(eta)
         zetas.append(zeta)
     return SaturationWitness(t, xi, len(indices), tuple(etas), tuple(zetas))
-
-
-def _lambda_top_expected(p: QParams, t: AdmissibleTriple) -> float:
-    log_dim = q_factorial_log(p, t.k + 1) - q_factorial_log(p, t.k)
-    return math.exp(log_dim - theta_net_log(p, t))
-
-
-def _image_of(iso: EquivariantIsometry, v: TensorVector) -> TensorVector:
-    coords = iso.basis.columns.T @ v.data
-    t = iso.triple
-    return TensorVector(
-        TensorShape(iso.params.n, t.l + t.m), iso.reduced @ coords
-    )
 
 
 @dataclass(frozen=True)
@@ -350,9 +353,9 @@ def verify_saturation(
     """
     wit = saturation_witness(p, t, max_dim=max_dim)
     iso = isometry(p, t, max_dim=max_dim)
-    spec = schmidt_spectrum(_image_of(iso, wit.xi), t.l)
+    spec = schmidt_spectrum(witness_image(iso), t.l)
     lam = spec.coefficients
-    expected = _lambda_top_expected(p, t)
+    expected = math.exp(lambda_log(p, t))
     d = wit.family_size
     top = lam[:d]
     max_rel = float(np.abs(top - expected).max() / expected)
@@ -400,7 +403,7 @@ def higher_rank_value(
     for eta, zeta in zip(wit.eta_family, wit.zeta_family):
         total += np.kron(eta.data, zeta.data)
     lhs = float(np.linalg.norm(iso.reduced.T @ total))
-    rhs_exact = wit.family_size * math.sqrt(_lambda_top_expected(p, t))
+    rhs_exact = wit.family_size * math.sqrt(math.exp(lambda_log(p, t)))
     rhs_floor = wit.family_size * p.q ** ((t.l + t.m - t.k) / 4.0)
     return HigherRankReport(
         triple=t,
@@ -479,11 +482,8 @@ class EntropyDimTradeoff:
 def entropy_dim_tradeoff(p: QParams, t: AdmissibleTriple, mu: float) -> EntropyDimTradeoff:
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must be in (0, 1), got {mu}")
-    def log_dim(level: int) -> float:
-        return q_factorial_log(p, level + 1) - q_factorial_log(p, level)
-
-    entropy_lower = theta_net_log(p, t) - log_dim(t.k)
-    dim_term = log_dim(t.k) - log_dim(t.l) - log_dim(t.m)
+    entropy_lower = -lambda_log(p, t)
+    dim_term = log_dim(p, t.k) - log_dim(p, t.l) - log_dim(p, t.m)
     return EntropyDimTradeoff(
         mu=mu,
         entropy_lower=entropy_lower,

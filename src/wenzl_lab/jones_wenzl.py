@@ -10,13 +10,12 @@ Because the middle factor is the rank-N^{k-2} Gram matrix U U^T of the
 cup columns, the sandwich collapses to a low-rank update
 X - c (XU)(XU)^T, which is the only matrix work per level.
 
-Projections and extracted orthonormal bases are cached per (N, k); an
-optional on-disk cache (WENZL_LAB_CACHE_DIR) stores the JSON form.
+Projections and extracted orthonormal bases are cached per (N, k) in
+memory.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
@@ -36,8 +35,6 @@ __all__ = [
     "jw_fixes",
     "clear_caches",
 ]
-
-CACHE_DIR_ENV = "WENZL_LAB_CACHE_DIR"
 
 IDEMPOTENCE_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -91,45 +88,6 @@ def clear_caches() -> None:
         _basis_cache.clear()
 
 
-def _disk_path(n: int, k: int) -> str | None:
-    root = os.environ.get(CACHE_DIR_ENV)
-    if not root:
-        return None
-    return os.path.join(root, f"jw_n{n}_k{k}.json")
-
-
-def _disk_load(p: QParams, k: int) -> TensorOperator | None:
-    path = _disk_path(p.n, k)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            op = TensorOperator.from_json(fh.read())
-        dim = p.n**k
-        if op.data.shape != (dim, dim):
-            return None
-        # cheap corruption check before trusting a cached projector
-        if abs(np.trace(op.data) - dim_irrep(p, k)) > 1e-6 * dim_irrep(p, k):
-            return None
-        return op
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _disk_store(n: int, k: int, op: TensorOperator) -> None:
-    path = _disk_path(n, k)
-    if path is None:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(op.to_json())
-        os.replace(tmp, path)
-    except OSError:
-        pass  # the disk cache is best-effort only
-
-
 def _wenzl_step(p: QParams, k: int, prev: np.ndarray) -> np.ndarray:
     """One recursion level: p_k from p_{k-1} as a low-rank update."""
     n = p.n
@@ -172,11 +130,8 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> JwProje
             elif level == 1:
                 op = TensorOperator(shape, shape, np.eye(p.n))
             else:
-                op = _disk_load(p, level)
-                if op is None:
-                    prev = _jw_cache[(p.n, level - 1)].op.data
-                    op = TensorOperator(shape, shape, _wenzl_step(p, level, prev))
-                    _disk_store(p.n, level, op)
+                prev = _jw_cache[(p.n, level - 1)].op.data
+                op = TensorOperator(shape, shape, _wenzl_step(p, level, prev))
             _jw_cache[lk] = JwProjection(p, level, op)
         return _jw_cache[key]
 

@@ -29,8 +29,10 @@ __all__ = [
     "q_int",
     "q_factorial_log",
     "dim_irrep",
+    "log_dim",
     "theta_net",
     "theta_net_log",
+    "lambda_log",
     "rd_constant",
     "rd_bound",
     "theta_bound_ratio",
@@ -170,6 +172,11 @@ def dim_irrep(p: QParams, k: int) -> float:
     return q_int(p, k + 1)
 
 
+def log_dim(p: QParams, k: int) -> float:
+    """log [k+1]_q = log dim H_k; finite far beyond the float range of [k+1]_q."""
+    return q_factorial_log(p, k + 1) - q_factorial_log(p, k)
+
+
 def theta_net_log(p: QParams, t: AdmissibleTriple) -> float:
     """log theta(k, l, m); always finite for admissible input."""
     k, l, m, r = t.k, t.l, t.m, t.r
@@ -198,6 +205,12 @@ def theta_net(p: QParams, t: AdmissibleTriple) -> float:
     return math.exp(lg)
 
 
+def lambda_log(p: QParams, t: AdmissibleTriple) -> float:
+    """log([k+1]_q / theta(k, l, m)), the log of the top squared Schmidt
+    coefficient of alpha(H_k) and of the channel norm S1 -> Sinf."""
+    return log_dim(p, t.k) - theta_net_log(p, t)
+
+
 def rd_constant(p: QParams) -> float:
     """Rapid-decay constant C(q) = (1-q^2)^{-1/2} prod_{s>=1} (1-q^{2s})^{-3/2}.
 
@@ -221,9 +234,7 @@ def rd_bound(p: QParams, t: AdmissibleTriple) -> tuple[float, float]:
     coarse = C(q)^2 q^r.  Every unit vector xi in H_k satisfies
     lambda_1(alpha xi) <= exact <= coarse.
     """
-    exact = math.exp(
-        q_factorial_log(p, t.k + 1) - q_factorial_log(p, t.k) - theta_net_log(p, t)
-    )
+    exact = math.exp(lambda_log(p, t))
     c = rd_constant(p)
     coarse = c * c * p.q ** t.r
     if exact > coarse * (1.0 + 1e-12):
@@ -239,13 +250,7 @@ def theta_bound_ratio(p: QParams, t: AdmissibleTriple) -> float:
     The numerator dominates theta, which pins the vertex operator norm:
     ||A||^2 = [r+1]_q [k+1]_q / theta <= [r+1]_q.
     """
-    lg = (
-        math.log(q_int(p, t.r + 1))
-        + q_factorial_log(p, t.k + 1)
-        - q_factorial_log(p, t.k)
-        - theta_net_log(p, t)
-    )
-    return math.exp(lg)
+    return math.exp(log_dim(p, t.r) + lambda_log(p, t))
 
 
 def admissible_triples(l: int, m: int) -> list[AdmissibleTriple]:

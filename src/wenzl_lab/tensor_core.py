@@ -13,7 +13,6 @@ check it and raise DimensionCapError.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,23 +81,6 @@ class TensorVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "tensor_vector",
-                "n": self.shape.n,
-                "legs": self.shape.legs,
-                "data": self.data.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TensorVector":
-        obj = json.loads(text)
-        if obj.get("kind") != "tensor_vector":
-            raise ValueError("not a serialized tensor vector")
-        return cls(TensorShape(obj["n"], obj["legs"]), np.array(obj["data"]))
-
 
 @dataclass(frozen=True)
 class TensorOperator:
@@ -116,29 +98,6 @@ class TensorOperator:
         if arr.shape != want:
             raise ValueError(f"data shape {arr.shape} does not match {want}")
         object.__setattr__(self, "data", arr)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": "tensor_operator",
-                "n": self.out_shape.n,
-                "out_legs": self.out_shape.legs,
-                "in_legs": self.in_shape.legs,
-                "data": self.data.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TensorOperator":
-        obj = json.loads(text)
-        if obj.get("kind") != "tensor_operator":
-            raise ValueError("not a serialized tensor operator")
-        n = obj["n"]
-        return cls(
-            TensorShape(n, obj["out_legs"]),
-            TensorShape(n, obj["in_legs"]),
-            np.array(obj["data"]),
-        )
 
 
 def identity_operator(shape: TensorShape, max_dim: int = DEFAULT_DIM_CAP) -> TensorOperator:

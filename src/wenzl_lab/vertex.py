@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .jones_wenzl import IrrepBasis, jw_projection, onb_of_irrep
-from .qnum import AdmissibleTriple, QParams, q_factorial_log, theta_net_log
+from .qnum import AdmissibleTriple, QParams, lambda_log, theta_net_log
 from .tensor_core import (
     DEFAULT_DIM_CAP,
     TensorOperator,
@@ -173,15 +173,13 @@ def isometry(
     basis = onb_of_irrep(p, t.k, max_dim=max_dim)
     raw = _vertex_columns(p, t, basis.columns)
     # the trace over range(p_k) equals the ambient trace since A = A p_k
-    theta_log = theta_net_log(p, t)
-    theta_closed = math.exp(theta_log)
+    theta_closed = math.exp(theta_net_log(p, t))
     theta_trace = float(np.einsum("ij,ij->", raw, raw))
     if abs(theta_trace - theta_closed) > THETA_AGREEMENT_RTOL * theta_closed:
         raise InvariantViolation(
             f"theta mismatch at {t}: closed form {theta_closed}, trace {theta_trace}"
         )
-    log_dim = q_factorial_log(p, t.k + 1) - q_factorial_log(p, t.k)
-    scale = math.exp(0.5 * (log_dim - theta_log))
+    scale = math.exp(0.5 * lambda_log(p, t))
     iso = EquivariantIsometry(
         t, p, basis, scale * raw, scale, theta_closed, theta_trace
     )

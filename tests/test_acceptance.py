@@ -232,10 +232,10 @@ def test_criterion_07_channel_norm():
     for p, t in SWEEP_SMALL:
         rep = channel_norm_report(channel(p, t), restarts=20, seed=0)
         assert rep.converged, (p.n, t)
-        worst_rel = max(worst_rel, abs(rep.value - rep.closed_form) / rep.closed_form)
+        worst_rel = max(worst_rel, abs(rep.norm_1_to_inf - rep.closed_form) / rep.closed_form)
         assert rep.in_sharp_bracket, (p.n, t, rep)
-        assert rep.value >= rep.bracket_lower_sharp - 1e-8, (p.n, t, rep)
-        assert rep.value <= rep.bracket_upper * (1 + 1e-9) + 1e-12, (p.n, t, rep)
+        assert rep.norm_1_to_inf >= rep.bracket_lower_sharp - 1e-8, (p.n, t, rep)
+        assert rep.norm_1_to_inf <= rep.bracket_upper * (1 + 1e-9) + 1e-12, (p.n, t, rep)
     assert worst_rel <= NORM_REL_TOL, f"worst rel err {worst_rel:.3e}"
     return (
         f"{len(SWEEP_SMALL)} triples, worst rel err {worst_rel:.2e}; "

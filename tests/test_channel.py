@@ -123,6 +123,10 @@ def test_channel_rejects_bad_inputs():
     skew[0, 1] = 0.2
     with pytest.raises(ValueError):
         channel_apply(ch, skew)  # not symmetric
+    nan_state = np.eye(3) / 3.0
+    nan_state[2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        channel_apply(ch, nan_state)
 
 
 def test_channel_rejects_bad_direction():
@@ -395,3 +399,5 @@ def test_von_neumann_entropy_rejects_bad_states():
     skew[0, 1] = 1e-3
     with pytest.raises(ValueError):
         von_neumann_entropy(skew)  # not symmetric
+    with pytest.raises(ValueError, match="non-finite"):
+        von_neumann_entropy(np.array([[np.nan]]))

@@ -333,6 +333,38 @@ def test_tol_flag_reaches_optimizer(capsys, monkeypatch, argv):
     assert seen and all(tol == 1e-6 for tol in seen)
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_exit_4_on_non_finite_scale(capsys, scale):
+    code, out, err = run_cli(
+        capsys, "choi", "--n", "3", "--k", "0", "--l", "1", "--m", "1",
+        "--d", "2", "--scale", scale,
+    )
+    assert code == 4
+    assert out == ""
+    assert "scale" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_exit_2_on_non_finite_report_value(capsys, monkeypatch, fmt, bad):
+    monkeypatch.setitem(cli._RUNNERS, "dims", lambda args, cfg: {"dims": [1.0, bad]})
+    code, out, err = run_cli(capsys, "dims", "--n", "3", "--max-k", "2", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_exit_3_on_memory_error(capsys, monkeypatch):
+    def exhausted(args, cfg):
+        raise MemoryError("Unable to allocate 2.9 GiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "dims", exhausted)
+    code, out, err = run_cli(capsys, "dims", "--n", "3", "--max-k", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("dimension cap: ")
+
+
 def test_exit_3_on_dimension_cap(capsys):
     code, out, err = run_cli(capsys, "theta", "--n", "3", "--k", "2", "--l", "9", "--m", "9")
     assert code == 3

@@ -228,27 +228,3 @@ def test_fixes_shape_mismatch_rejected():
     v = basis_vector(TensorShape(3, 3), (1, 2, 1))
     with pytest.raises(ValueError):
         jw_fixes(jw_projection(p, 2), v)
-
-
-# ---------------------------------------------------------------------------
-# disk cache
-# ---------------------------------------------------------------------------
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv(jwmod.CACHE_DIR_ENV, str(tmp_path))
-    p = quantum_parameter(3)
-    want = jw_projection(p, 3).op.data.copy()
-    assert (tmp_path / "jw_n3_k3.json").exists()
-    clear_caches()
-    got = jw_projection(p, 3).op.data
-    np.testing.assert_array_equal(got, want)
-
-
-def test_disk_cache_rejects_corrupt_file(tmp_path, monkeypatch):
-    monkeypatch.setenv(jwmod.CACHE_DIR_ENV, str(tmp_path))
-    p = quantum_parameter(3)
-    want = jw_projection(p, 2).op.data.copy()
-    (tmp_path / "jw_n3_k2.json").write_text("{not json")
-    clear_caches()
-    got = jw_projection(p, 2).op.data
-    np.testing.assert_allclose(got, want, atol=1e-12)

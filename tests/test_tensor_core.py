@@ -293,32 +293,3 @@ def test_matricize_preserves_norm(seed, split):
     sh = TensorShape(2, 4)
     v = TensorVector(sh, rng.standard_normal(sh.dim))
     assert np.linalg.norm(matricize(v, split)) == pytest.approx(v.norm(), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_vector_json_roundtrip():
-    p = quantum_parameter(3)
-    v = cup_vector(p, 2)
-    back = TensorVector.from_json(v.to_json())
-    assert back.shape == v.shape
-    np.testing.assert_array_equal(back.data, v.data)
-
-
-def test_operator_json_roundtrip():
-    rng = np.random.default_rng(3)
-    sh_out = TensorShape(2, 2)
-    sh_in = TensorShape(2, 1)
-    op = TensorOperator(sh_out, sh_in, rng.standard_normal((4, 2)))
-    back = TensorOperator.from_json(op.to_json())
-    assert back.out_shape == op.out_shape
-    assert back.in_shape == op.in_shape
-    np.testing.assert_array_equal(back.data, op.data)
-
-
-def test_json_kind_mismatch_rejected():
-    p = quantum_parameter(3)
-    with pytest.raises(ValueError):
-        TensorOperator.from_json(cup_vector(p, 1).to_json())
