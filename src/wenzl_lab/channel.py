@@ -30,7 +30,7 @@ from .entangle import (
 )
 from .errors import InvariantViolation
 from .jones_wenzl import jw_projection, onb_of_irrep
-from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound, rd_constant
+from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
 from .tensor_core import DEFAULT_DIM_CAP, TensorOperator, TensorShape
 from .vertex import EquivariantIsometry, isometry
 
@@ -205,9 +205,9 @@ class MoeBracket:
     """Bracket on the minimum output entropy (natural log).
 
     lower = log(theta/[k+1]) is the provable floor; upper is the best
-    (smallest) sampled output entropy; coarse_lower = -r log q - 2 log C
-    is the weaker closed-form floor.  Whether lower = MOE exactly is
-    open, so the two ends are reported, never equated.
+    (smallest) sampled output entropy; coarse_lower = -log(C^2 q^r), from
+    `rd_bound`, is the weaker closed-form floor.  Whether lower = MOE
+    exactly is open, so the two ends are reported, never equated.
     """
 
     triple: AdmissibleTriple
@@ -238,7 +238,7 @@ def moe_bracket(
     """
     p, t = ch.params, ch.triple
     lower = -lambda_log(p, t)
-    coarse_lower = -t.r * p.log_q - 2.0 * math.log(rd_constant(p))
+    coarse_lower = -math.log(rd_bound(p, t)[1])
     dim_k = ch.input_dim
 
     witness_entropy = schmidt_spectrum(witness_image(ch.iso), t.l).entropy

@@ -429,9 +429,12 @@ def _sweep_row(
         "skipped": False,
         "skip_reason": "",
     }
-    if p.n ** (t.l + t.m) > cfg.max_dim or p.n**t.k > cfg.max_dim:
-        row["skipped"] = True
+    if p.n < 3:
+        row["skip_reason"] = "rapid-decay constant requires rank >= 3 (q < 1)"
+    elif p.n ** (t.l + t.m) > cfg.max_dim or p.n**t.k > cfg.max_dim:
         row["skip_reason"] = f"ambient dimension exceeds cap {cfg.max_dim}"
+    if row["skip_reason"]:
+        row["skipped"] = True
         return row
     iso = isometry(p, t, max_dim=cfg.max_dim)
     lam, coarse = rd_bound(p, t)

@@ -10,8 +10,12 @@ Because the middle factor is the rank-N^{k-2} Gram matrix U U^T of the
 cup columns, the sandwich collapses to a low-rank update
 X - c (XU)(XU)^T, which is the only matrix work per level.
 
-Projections and extracted orthonormal bases are cached per (N, k) in
-memory.
+The orthonormal basis B_k of H_k = range(p_k) comes from the fusion rule
+H_1 (x) H_{k-1} = H_k (+) H_{k-2} (Wenzl 1987) without forming p_k:
+B_k = (I_N (x) B_{k-1}) W, W spanning the complement of the embedded H_{k-2}.
+The dense p_k stays the oracle that B_k B_k^T is checked against.
+
+Projections and bases are cached per (N, k) in memory.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ IDEMPOTENCE_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 TRACE_RTOL = 1e-8
 CAP_ANNIHILATION_TOL = 1e-9
+FUSION_GRAM_TOL = 1e-9
 
 _lock = threading.Lock()
 _jw_cache: dict[tuple[int, int], "JwProjection"] = {}
@@ -173,34 +178,46 @@ def verify_jw(jw: JwProjection) -> JwVerification:
     return JwVerification(p.n, k, idem, sym, trace_rel, cap, ok)
 
 
-def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBasis:
-    """Orthonormal basis of H_k = range(p_k) from a symmetric eigensolve.
+def _fusion_step(p: QParams, k: int, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """B_k from B_{k-1} (up) and B_{k-2} (down) via H_1 (x) H_{k-1} = H_k + H_{k-2}.
 
-    The spectrum must cluster at {0, 1}: any eigenvalue inside the guard
-    band (0.25, 0.75) signals accumulated error and raises.
+    M holds the coordinates of the embedded H_{k-2}, (iota (x) p_{k-1})
+    (T_1 (x) B_{k-2}), in the basis I_N (x) B_{k-1}; B_k spans the rest.
     """
-    key = (p.n, k)
-    hit = _basis_cache.get(key)
-    if hit is not None:
-        return hit
-    jw = jw_projection(p, k, max_dim=max_dim)
-    vals, vecs = np.linalg.eigh(jw.op.data)
-    if bool(np.any((vals > 0.25) & (vals < 0.75))):
-        raise InvariantViolation(
-            f"JW spectrum at (n={p.n}, k={k}) has eigenvalues inside the "
-            f"guard band (0.25, 0.75): numerical failure"
-        )
-    keep = vals > 0.5
+    n, d_up, d_down = p.n, up.shape[1], down.shape[1]
+    cube = up.reshape(n, n ** (k - 2), d_up)
+    m = (cube.transpose(0, 2, 1) @ down).reshape(n * d_up, d_down)
+    gram = m.T @ m
+    gram[np.diag_indices_from(gram)] -= q_int(p, k) / q_int(p, k - 1)
     want = round(dim_irrep(p, k))
-    got = int(np.count_nonzero(keep))
-    if got != want:
+    if float(np.abs(gram).max()) > FUSION_GRAM_TOL or n * d_up - d_down != want:
         raise InvariantViolation(
-            f"range(p_{k}) at n={p.n} has numerical rank {got}, expected {want}"
+            f"fusion step at (n={p.n}, k={k}): M^T M != [{k}]/[{k - 1}] I or not {want} columns"
         )
-    basis = IrrepBasis(p, k, np.ascontiguousarray(vecs[:, keep]))
+    w = np.linalg.qr(m, mode="complete")[0][:, d_down:]
+    return (up @ w.reshape(n, d_up, want)).reshape(n**k, want)
+
+
+def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBasis:
+    """Orthonormal basis of H_k = range(p_k), built (and cached) bottom-up.
+
+    B_0 = [[1]], B_1 = I_N and B_k from `_fusion_step`; no dense p_k is formed.
+    """
+    if k < 0:
+        raise ValueError(f"level must be >= 0, got {k}")
+    _check_cap(p.n, k, max_dim)
     with _lock:
-        _basis_cache.setdefault(key, basis)
-    return _basis_cache[key]
+        for level in range(k + 1):
+            if (p.n, level) in _basis_cache:
+                continue
+            if level < 2:
+                cols = np.eye(p.n**level)
+            else:
+                up = _basis_cache[(p.n, level - 1)].columns
+                down = _basis_cache[(p.n, level - 2)].columns
+                cols = _fusion_step(p, level, up, down)
+            _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)
+        return _basis_cache[(p.n, k)]
 
 
 def jw_fixes(jw: JwProjection, v: TensorVector) -> float:

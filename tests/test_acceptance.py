@@ -135,8 +135,13 @@ def test_criterion_02_jones_wenzl():
             assert rep.cap_annihilation <= JW_RESIDUAL_TOL, (p.n, k, rep)
             assert rep.trace_rel <= JW_TRACE_REL_TOL, (p.n, k, rep)
             assert rep.ok
-            basis = onb_of_irrep(p, k)
-            assert basis.columns.shape[1] == round(dim_irrep(p, k)), (p.n, k)
+            cols = onb_of_irrep(p, k).columns
+            assert cols.shape[1] == round(dim_irrep(p, k)), (p.n, k)
+            fixed = float(np.abs(jw_projection(p, k).op.data @ cols - cols).max())
+            assert fixed <= JW_RESIDUAL_TOL, (p.n, k, fixed)
+            gram = cols.T @ cols
+            gram[np.diag_indices_from(gram)] -= 1.0
+            assert float(np.abs(gram).max()) <= JW_RESIDUAL_TOL, (p.n, k)
             checked += 1
             k += 1
     return f"{checked} projections, ranks up to k=7"

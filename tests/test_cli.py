@@ -212,6 +212,30 @@ def test_sweep_marks_capped_rows_skipped(capsys):
     assert all(row["l"] + row["m"] <= 2 for row in live)
 
 
+def test_sweep_marks_rank_two_rows_skipped(capsys):
+    report = run_json(
+        capsys,
+        "sweep", "--n-min", "2", "--n-max", "3", "--max-l", "1", "--max-m", "1",
+        "--samples", "5", "--restarts", "2",
+    )
+    by_rank = {n: [row for row in report["rows"] if row["n"] == n] for n in (2, 3)}
+    assert len(by_rank[2]) == len(by_rank[3]) == 2
+    assert all(row["skipped"] for row in by_rank[2])
+    assert all("rank >= 3" in row["skip_reason"] for row in by_rank[2])
+    assert not any(row["skipped"] for row in by_rank[3])
+    assert report["skipped_count"] == 2
+
+
+@pytest.mark.parametrize("command", ["channel", "moe"])
+def test_rank_two_channel_commands_exit_4(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--n", "2", "--k", "2", "--l", "1", "--m", "1", "--samples", "4"
+    )
+    assert code == 4
+    assert out == ""
+    assert "rank >= 3" in err
+
+
 def test_sweep_rows_ordered_deterministically(capsys):
     report = run_json(
         capsys,

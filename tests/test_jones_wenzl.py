@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wenzl_lab import jones_wenzl as jwmod
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.jones_wenzl import (
+    IrrepBasis,
     JwProjection,
     clear_caches,
     jw_fixes,
@@ -175,14 +176,24 @@ def test_onb_level_zero():
     np.testing.assert_array_equal(basis.columns, [[1.0]])
 
 
-def test_onb_guard_band_rejects_bad_matrix():
+def test_onb_fusion_step_rejects_non_orthonormal_basis():
     p = quantum_parameter(3)
-    jw_projection(p, 2)
-    sh = TensorShape(3, 2)
-    half = type(jw_projection(p, 2).op)(sh, sh, np.eye(9) * 0.5)
-    jwmod._jw_cache[(3, 2)] = JwProjection(p, 2, half)
-    with pytest.raises(InvariantViolation):
-        onb_of_irrep(p, 2)
+    good = onb_of_irrep(p, 2)
+    jwmod._basis_cache[(3, 2)] = IrrepBasis(p, 2, 1.01 * good.columns)
+    with pytest.raises(InvariantViolation, match="fusion step"):
+        onb_of_irrep(p, 3)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(n, k) for n in (2, 3, 4, 5) for k in range(11) if n**k <= 1024]
+)
+def test_onb_spans_range_of_projection(n, k):
+    p = quantum_parameter(n)
+    cols = onb_of_irrep(p, k).columns
+    assert cols.shape == (n**k, round(dim_irrep(p, k)))
+    pk = jw_projection(p, k).op.data
+    np.testing.assert_allclose(cols @ cols.T, pk, atol=RESIDUAL_TOL)
+    np.testing.assert_allclose(cols.T @ cols, np.eye(cols.shape[1]), atol=RESIDUAL_TOL)
 
 
 # ---------------------------------------------------------------------------
