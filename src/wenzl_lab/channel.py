@@ -236,6 +236,8 @@ def moe_bracket(
     and exactly separable on highest-weight triples), the argmax of the
     Schmidt optimizer, and `samples` Haar-ish random pure inputs.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     p, t = ch.params, ch.triple
     lower = -lambda_log(p, t)
     coarse_lower = -math.log(rd_bound(p, t)[1])
@@ -396,6 +398,8 @@ def choi_witness_value(
     negative); the random sampling is a falsification attempt below it,
     never a proof of positivity.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     threshold = d_positivity_threshold(p, t, d)
     if t.r < 1:
         raise ValueError(

@@ -6,6 +6,12 @@ supremum is [k+1]_q/theta_q(k,l,m), certified from above by the
 rapid-decay bound and attained on the alternating-word witness family,
 whose top Schmidt values form a flat plateau of size
 |A| = (N-2)(N-1)^{r-1}.
+
+The optimizer that attains it iterates on (eta, zeta) alone, through
+the range projector alpha alpha^*.  alpha(H_k) is one summand of
+H_l (x) H_m = (+)_r H_{l+m-2r}, so near highest weight, where it fills
+almost all of H_l (x) H_m, the projector is applied as 1 - C C^T over
+the other summands, in the leg coordinates of the irrep bases.
 """
 
 from __future__ import annotations
@@ -17,8 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .jones_wenzl import jw_fixes, jw_projection
-from .qnum import AdmissibleTriple, QParams, lambda_log, log_dim, rd_bound
+from .jones_wenzl import jw_fixes, jw_projection, onb_of_irrep
+from .qnum import (
+    AdmissibleTriple,
+    QParams,
+    admissible_triples,
+    dim_irrep,
+    lambda_log,
+    log_dim,
+    rd_bound,
+)
 from .tensor_core import DEFAULT_DIM_CAP, TensorShape, TensorVector, basis_vector
 from .vertex import EquivariantIsometry, isometry
 
@@ -47,6 +61,7 @@ RANK_TOL = 1e-8
 PLATEAU_RTOL = 1e-8
 PLATEAU_GAP = 1e-10
 WITNESS_FIX_TOL = 1e-9
+SIDE_AGREEMENT_TOL = 1e-9
 
 
 def _entropy_from_lambdas(lambdas: np.ndarray) -> float:
@@ -118,6 +133,8 @@ def rd_certificate(
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     iso = isometry(p, t, max_dim=max_dim)
     d = iso.reduced.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -171,6 +188,40 @@ def _unit_rows(rows: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     return rows / norms[:, None]
 
 
+def _leg_coordinates(iso: EquivariantIsometry, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """alpha in the product basis B_l (x) B_m: a (d_l d_m) x [k+1]_q isometry."""
+    p, t = iso.params, iso.triple
+    bl = onb_of_irrep(p, t.l, max_dim=max_dim).columns
+    bm = onb_of_irrep(p, t.m, max_dim=max_dim).columns
+    partial = (bl.T @ iso.reduced.reshape(bl.shape[0], -1)).reshape(bl.shape[1], bm.shape[0], -1)
+    return (bm.T @ partial).reshape(-1, partial.shape[2])
+
+
+def _complement_legs(p: QParams, t: AdmissibleTriple, max_dim: int) -> np.ndarray | None:
+    """Leg coordinates of every alpha_{k'}, k' != k, side by side, or None
+    when the complement has at least as many columns as alpha itself.
+
+    By the fusion rule H_l (x) H_m = (+)_r H_{l+m-2r} their columns span
+    the orthogonal complement of alpha(H_k) and number d_l d_m - [k+1]_q;
+    a wrong count is an InvariantViolation.
+    """
+    d_l, d_m, d_k = (round(dim_irrep(p, j)) for j in (t.l, t.m, t.k))
+    if d_l * d_m - d_k >= d_k:
+        return None
+    parts = [
+        _leg_coordinates(isometry(p, other, max_dim=max_dim), max_dim)
+        for other in admissible_triples(t.l, t.m)
+        if other.k != t.k
+    ]
+    comp = np.hstack([np.empty((d_l * d_m, 0)), *parts])
+    if comp.shape[1] != d_l * d_m - d_k:
+        raise InvariantViolation(
+            f"fusion rule at {t}: complement has {comp.shape[1]} columns, "
+            f"not d_l d_m - [k+1] = {d_l * d_m - d_k}"
+        )
+    return comp
+
+
 def max_schmidt_optimizer(
     p: QParams,
     t: AdmissibleTriple,
@@ -180,17 +231,29 @@ def max_schmidt_optimizer(
     max_iters: int = 1000,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> MaxSchmidtResult:
-    """Trilinear alternating power iteration for sup lambda_1^{1/2}.
+    """Alternating power iteration for sup lambda_1^{1/2} = sup |<alpha(xi)|eta (x) zeta>|.
 
-    Each sweep replaces one argument of <alpha(xi)|eta (x) zeta> by the
-    normalized contraction of the other two, so the objective is
-    monotone per restart.  Every restart draws its Gaussian start from
-    its own generator of a split seed, and all restarts advance together:
-    one sweep is two matrix-matrix products with `reduced` over the
-    restarts still running.  A restart leaves the batch at the first
-    sweep whose objective moved by at most tol * max(1, objective); one
-    that never does reports its last value.  The best value wins, ties
-    broken by lowest restart index.
+    The optimal xi for fixed (eta, zeta) is alpha^*(eta (x) zeta), normalized,
+    so xi is eliminated: each sweep replaces eta, then zeta, by the normalized
+    contraction of P(eta (x) zeta) with the other, where P = alpha alpha^*
+    is the range projector, and the objective ||alpha^*(eta (x) zeta)||
+    is monotone per restart.  P is applied from the cheaper side:
+
+    * ambient: eta, zeta live on N^l, N^m and P = `reduced` `reduced`^T;
+    * complement, when c = d_l d_m - [k+1]_q < [k+1]_q: eta, zeta are
+      coordinates in B_l, B_m, so they stay exactly inside H_l, H_m, and
+      P = 1 - C C^T with C the leg coordinates of every other summand
+      alpha_{k'}(H_{k'}) of H_l (x) H_m.  C must have exactly c columns.
+
+    Every restart draws its Gaussian start from its own generator of a
+    split seed, and all restarts advance together as matrix-matrix
+    products over the restarts still running.  A restart leaves the
+    batch at the first sweep whose objective moved by at most
+    tol * max(1, objective); one that never does reports its last value.
+    The best value wins, ties broken by lowest restart index.  The
+    winner's xi and the reported value come from one direct product
+    with `reduced`, which must agree with the iterated value to
+    SIDE_AGREEMENT_TOL, else InvariantViolation.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -203,35 +266,55 @@ def max_schmidt_optimizer(
     nl, nm = p.n**t.l, p.n**t.m
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
     draws = [[rng.standard_normal(size) for size in (reduced.shape[1], nl, nm)] for rng in rngs]
-    xi, eta, zeta = (_unit_rows(np.array(vecs), rngs) for vecs in zip(*draws))
-    last_xi, last_eta, last_zeta = xi.copy(), eta.copy(), zeta.copy()
+    xi, _, zeta = (_unit_rows(np.array(vecs), rngs) for vecs in zip(*draws))
+    mats = (xi @ reduced.T).reshape(restarts, nl, nm)
+    comp = _complement_legs(p, t, max_dim)
+    if comp is not None:
+        bl = onb_of_irrep(p, t.l, max_dim=max_dim).columns
+        bm = onb_of_irrep(p, t.m, max_dim=max_dim).columns
+        mats, zeta = bl.T @ mats @ bm, zeta @ bm
     value = np.full(restarts, -1.0)  # each restart's latest objective
     sweeps = np.full(restarts, max_iters)
     converged = np.zeros(restarts, dtype=bool)
+    last_eta = np.empty((restarts, mats.shape[1]))
+    last_zeta = np.empty((restarts, mats.shape[2]))
     live = np.arange(restarts)  # restart index of each row still iterating
     for sweep in range(1, max_iters + 1):
         live_rngs = [rngs[i] for i in live]
-        mats = (xi @ reduced.T).reshape(-1, nl, nm)
         eta = _unit_rows((mats @ zeta[:, :, None])[:, :, 0], live_rngs)
         zeta = _unit_rows((eta[:, None, :] @ mats)[:, 0, :], live_rngs)
-        raw = (eta[:, :, None] * zeta[:, None, :]).reshape(len(live), -1) @ reduced
-        obj = np.linalg.norm(raw, axis=1)
-        xi = _unit_rows(raw, live_rngs)
+        outer = (eta[:, :, None] * zeta[:, None, :]).reshape(live.size, -1)
+        if comp is None:
+            y = outer @ reduced  # alpha^*(eta (x) zeta)
+        else:
+            y = outer - (outer @ comp) @ comp.T  # P(eta (x) zeta) in leg coordinates
+        obj = np.linalg.norm(y, axis=1)
+        y = _unit_rows(y, live_rngs)  # xi, or alpha(xi) in leg coordinates
         done = np.abs(obj - value[live]) <= tol * np.maximum(1.0, obj)
         value[live] = obj
-        last_xi[live], last_eta[live], last_zeta[live] = xi, eta, zeta
+        last_eta[live], last_zeta[live] = eta, zeta
         sweeps[live[done]] = sweep
         converged[live[done]] = True
         keep = ~done
-        live, xi, eta, zeta = live[keep], xi[keep], eta[keep], zeta[keep]
+        live, zeta, y = live[keep], zeta[keep], y[keep]
         if not live.size:
             break
+        mats = (y if comp is not None else y @ reduced.T).reshape(live.size, *mats.shape[1:])
     win = int(np.argmax(value))
+    eta, zeta = last_eta[win], last_zeta[win]
+    if comp is not None:
+        eta, zeta = bl @ eta, bm @ zeta
+    raw = np.kron(eta, zeta) @ reduced
+    direct = float(np.linalg.norm(raw))
+    if abs(direct - value[win]) > SIDE_AGREEMENT_TOL:
+        raise InvariantViolation(
+            f"optimizer at {t}: direct value {direct!r} != iterated value {float(value[win])!r}"
+        )
     return MaxSchmidtResult(
-        value=float(value[win]),
-        xi=TensorVector(TensorShape(p.n, t.k), iso.basis.columns @ last_xi[win]),
-        eta=TensorVector(TensorShape(p.n, t.l), last_eta[win]),
-        zeta=TensorVector(TensorShape(p.n, t.m), last_zeta[win]),
+        value=direct,
+        xi=TensorVector(TensorShape(p.n, t.k), iso.basis.columns @ (raw / direct)),
+        eta=TensorVector(TensorShape(p.n, t.l), eta),
+        zeta=TensorVector(TensorShape(p.n, t.m), zeta),
         converged=bool(converged[win]),
         sweeps=int(sweeps[win]),
         restart_sweeps=tuple(int(s) for s in sweeps),

@@ -241,6 +241,12 @@ def test_moe_bracket_ordering_small_sweep():
                     assert b.coarse_lower <= b.lower + 1e-8
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_moe_rejects_too_few_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        moe_bracket(channel(P3, MIDDLE), samples=samples)
+
+
 def test_moe_deterministic():
     a = moe_bracket(channel(P3, MIDDLE), samples=30, seed=42)
     b = moe_bracket(channel(P3, MIDDLE), samples=30, seed=42)
@@ -357,6 +363,9 @@ def test_witness_rejects_unusable_parameters():
         choi_witness_value(P3, HIGHEST, 1, 1.0)
     with pytest.raises(ValueError, match="index family size"):
         choi_witness_value(P3, BELL, 4, 1.0)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            choi_witness_value(P3, BELL, 1, 1.0, samples=samples)
 
 
 def test_sampled_min_respects_positivity_below_threshold():

@@ -7,8 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from test_acceptance import SWEEP_SMALL
 
+from wenzl_lab import vertex
 from wenzl_lab.entangle import (
+    _leg_coordinates,
     entropy_dim_tradeoff,
     higher_rank_value,
     max_schmidt_optimizer,
@@ -18,8 +21,9 @@ from wenzl_lab.entangle import (
     separability_witness_highest_weight,
     verify_saturation,
 )
+from wenzl_lab.errors import InvariantViolation
 from wenzl_lab.jones_wenzl import jw_projection
-from wenzl_lab.qnum import AdmissibleTriple, q_int, quantum_parameter
+from wenzl_lab.qnum import AdmissibleTriple, admissible_triples, q_int, quantum_parameter
 from wenzl_lab.tensor_core import (
     TensorShape,
     TensorVector,
@@ -27,7 +31,7 @@ from wenzl_lab.tensor_core import (
     basis_vector,
     tensor_product,
 )
-from wenzl_lab.vertex import isometry
+from wenzl_lab.vertex import EquivariantIsometry, isometry
 
 
 def _image(p, t, v):
@@ -133,6 +137,12 @@ def test_rd_certificate_deterministic():
     assert a.max_observed == b.max_observed
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_rd_certificate_rejects_too_few_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        rd_certificate(quantum_parameter(3), AdmissibleTriple(1, 1, 2), samples=samples)
+
+
 def test_rd_certificate_highest_weight_attains_one():
     p = quantum_parameter(3)
     cert = rd_certificate(p, AdmissibleTriple(2, 1, 1), samples=100, seed=3)
@@ -188,7 +198,8 @@ def _serial_restart(reduced, nl, nm, rng, tol, max_iters):
     """One restart of the alternating power iteration, one vector at a time.
 
     The reference the batched optimizer is checked against: the same
-    draws from the same generator, GEMVs instead of GEMMs.
+    draws from the same generator, with an explicit xi step and ambient
+    GEMVs through `reduced` on either side of the fusion rule.
     """
     d = reduced.shape[1]
 
@@ -231,7 +242,20 @@ def _serial_optimizer(p, t, restarts, seed, tol=1e-12, max_iters=1000):
     return rows, winner
 
 
-@pytest.mark.parametrize("n,k,l,m", [(3, 1, 1, 2), (3, 2, 2, 2), (4, 2, 3, 3)])
+@pytest.mark.parametrize(
+    "n,k,l,m",
+    [
+        (3, 1, 1, 2),
+        (3, 2, 2, 2),
+        (4, 2, 3, 3),
+        # complement side: d_l d_m - [k+1] < [k+1]
+        (3, 4, 2, 2),
+        (4, 5, 3, 2),
+        (5, 4, 3, 1),
+        (3, 2, 0, 2),  # empty complement
+        (2, 2, 1, 1),
+    ],
+)
 def test_optimizer_matches_serial_oracle(n, k, l, m):
     p = quantum_parameter(n)
     t = AdmissibleTriple(k, l, m)
@@ -241,6 +265,49 @@ def test_optimizer_matches_serial_oracle(n, k, l, m):
     assert res.converged == converged
     assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
     assert res.restart_converged == tuple(row[1] for row in rows)
+    assert res.restart_sweeps == tuple(row[2] for row in rows)
+
+
+FUSION_LEGS = sorted({(p.n, t.l, t.m) for p, t in SWEEP_SMALL})
+
+
+@pytest.mark.parametrize("n,l,m", FUSION_LEGS)
+def test_fusion_rule_leg_coordinates_are_orthogonal(n, l, m):
+    # H_l (x) H_m = (+)_r H_{l+m-2r}: the alpha_{k'} fill the product space
+    p = quantum_parameter(n)
+    stack = np.hstack([_leg_coordinates(isometry(p, t)) for t in admissible_triples(l, m)])
+    assert stack.shape[0] == stack.shape[1]
+    gram = stack.T @ stack
+    gram[np.diag_indices_from(gram)] -= 1.0
+    assert np.abs(gram).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda cols: 3.0 * cols, "direct value"),
+        (lambda cols: cols[:, 1:], "fusion rule"),
+    ],
+    ids=["scaled", "missing-column"],
+)
+def test_optimizer_rejects_broken_complement(monkeypatch, corrupt, message):
+    # (4, 2, 2) is highest weight, so its optimum has no weight on alpha_2
+    # and a mild rescaling of alpha_2 goes unseen; at 3x, 1 - C C^T
+    # stretches the alpha_2 block enough to pull the iteration away.
+    p = quantum_parameter(3)
+    other = isometry(p, AdmissibleTriple(2, 2, 2))
+    bad = EquivariantIsometry(
+        other.triple,
+        p,
+        other.basis,
+        corrupt(other.reduced),
+        other.scale,
+        other.theta_closed,
+        other.theta_trace,
+    )
+    monkeypatch.setitem(vertex._iso_cache, (3, 2, 2, 2), bad)
+    with pytest.raises(InvariantViolation, match=message):
+        max_schmidt_optimizer(p, AdmissibleTriple(4, 2, 2), restarts=4, seed=0)
 
 
 def test_optimizer_restart_record():
