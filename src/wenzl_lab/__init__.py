@@ -2,8 +2,8 @@
 
 Subpackages build on each other in this order: qnum (scalar quantum
 arithmetic), tensor_core (dense tensor-leg plumbing), jones_wenzl
-(projections and irrep bases), vertex (trivalent vertices and
-equivariant isometries), entangle (Schmidt analysis and witnesses),
+(projections and irrep bases), vertex (equivariant isometries
+in leg coordinates), entangle (Schmidt analysis and witnesses),
 channel (equivariant quantum channels and Choi diagnostics), cli.
 """
 
@@ -88,10 +88,7 @@ from .tensor_core import (
 )
 from .vertex import (
     EquivariantIsometry,
-    ThreeVertex,
     isometry,
-    theta_by_trace,
-    three_vertex,
     verify_equivariance_proxy,
 )
 

@@ -7,10 +7,10 @@ their S1 -> Sinf norms, minimum-output-entropy brackets, and the
 Choi-matrix machinery that turns the same isometry into d-positive but
 not completely positive maps.
 
-Input states live in IrrepBasis coordinates of H_k (dimension [k+1]_q);
-channel outputs are returned on the ambient kept tensor factor, whose
-extra dimensions carry exactly zero spectrum, so traces and entropies
-are unaffected.
+Everything runs on alpha's leg coordinates (`EquivariantIsometry.legs`).
+Input states live in IrrepBasis coordinates of H_k (dimension [k+1]_q)
+and outputs in those of the kept factor H_l or H_m (d_l or d_m), where
+the identity on H_l (x) H_m is the identity matrix.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import numpy as np
 from .entangle import (
     PLATEAU_RTOL,
     _entropy_from_lambdas,
+    _witness_legs,
     max_schmidt_optimizer,
     saturation_witness,
     schmidt_spectrum,
     witness_image,
 )
 from .errors import InvariantViolation
-from .jones_wenzl import jw_projection, onb_of_irrep
 from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
 from .tensor_core import DEFAULT_DIM_CAP, TensorOperator, TensorShape
 from .vertex import EquivariantIsometry, isometry
@@ -74,7 +74,8 @@ class EquivariantChannel:
 
     @property
     def output_dim(self) -> int:
-        return self.params.n ** self.kept_legs
+        kept = self.iso.basis_m if self.direction == TRACE_FIRST else self.iso.basis_l
+        return kept.dim
 
 
 def channel(
@@ -101,24 +102,25 @@ def _check_state(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
+def _leg_matrices(ch: EquivariantChannel, cols: np.ndarray) -> np.ndarray:
+    """alpha applied to coordinate columns, as d_l x d_m matrices stacked on axis 2."""
+    return (ch.iso.legs @ cols).reshape(ch.iso.basis_l.dim, ch.iso.basis_m.dim, -1)
+
+
 def channel_apply(ch: EquivariantChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel to a state in IrrepBasis coordinates of H_k.
 
-    Conjugation by alpha and the partial trace are fused: rho is
-    eigendecomposed (it is at most [k+1]_q square), each eigenvector is
-    pushed through the reduced isometry, and the kept-factor Gram matrix
-    is accumulated with the eigenvalue weights.  The ambient operator
-    alpha rho alpha^* is never materialized.
+    The output is in IrrepBasis coordinates of the kept factor, so it is
+    output_dim square.  Conjugation by alpha and the partial trace are
+    fused: rho is eigendecomposed (it is at most [k+1]_q square), each
+    eigenvector is pushed through alpha, and the kept-factor Gram matrix
+    is accumulated with the eigenvalue weights.
     """
     arr = _check_state(rho, ch.input_dim, "input state")
     w, u = np.linalg.eigh(arr)
     if w[0] < -INPUT_PSD_TOL:
         raise ValueError(f"input state has negative eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    n = ch.params.n
-    t = ch.triple
-    cols = ch.iso.reduced @ (u * np.sqrt(w))
-    stack = cols.reshape(n ** t.l, n ** t.m, cols.shape[1])
+    stack = _leg_matrices(ch, u * np.sqrt(np.clip(w, 0.0, None)))
     if ch.direction == TRACE_FIRST:
         out = np.einsum("abj,acj->bc", stack, stack)
     else:
@@ -129,14 +131,6 @@ def channel_apply(ch: EquivariantChannel, rho: np.ndarray) -> np.ndarray:
             f"channel output trace {np.trace(out):.12e} drifted from 1"
         )
     return out
-
-
-def _pure_output_lambdas(ch: EquivariantChannel, xi_reduced: np.ndarray) -> np.ndarray:
-    """Output spectrum on a pure input = Schmidt coefficients of alpha(xi)."""
-    n, t = ch.params.n, ch.triple
-    mat = (ch.iso.reduced @ xi_reduced).reshape(n ** t.l, n ** t.m)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return svals * svals
 
 
 @dataclass(frozen=True)
@@ -249,19 +243,16 @@ def moe_bracket(
         p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
     )
     xi_opt = ch.iso.basis.columns.T @ res.xi.data
-    xi_opt /= np.linalg.norm(xi_opt)
-    optimizer_entropy = _entropy_from_lambdas(_pure_output_lambdas(ch, xi_opt))
-
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((samples, dim_k))
-    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
-    n = p.n
-    stack = (ch.iso.reduced @ draws.T).reshape(n ** t.l, n ** t.m, samples)
-    svals = np.linalg.svd(np.moveaxis(stack, 2, 0), compute_uv=False)
-    lambdas = svals * svals
-    sampled_entropy = float(
-        np.min([_entropy_from_lambdas(row) for row in lambdas])
-    )
+    # column 0 is the optimizer's argmax, the rest are the random inputs
+    cols = np.column_stack([xi_opt, draws.T])
+    cols /= np.linalg.norm(cols, axis=0)
+    stack = np.moveaxis(_leg_matrices(ch, cols), 2, 0)
+    svals = np.linalg.svd(stack, compute_uv=False)
+    entropies = [_entropy_from_lambdas(row * row) for row in svals]
+    optimizer_entropy = entropies[0]
+    sampled_entropy = float(np.min(entropies[1:]))
 
     entries = [
         ("saturation-witness", witness_entropy),
@@ -297,13 +288,13 @@ def choi_matrix(
     scale: float,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> TensorOperator:
-    """identity of H_l (x) H_m minus scale times alpha alpha^*, ambient."""
+    """identity of H_l (x) H_m minus scale times alpha alpha^*, lifted to the
+    ambient N^{l+m} x N^{l+m} (the identity of H_l (x) H_m becomes p_l (x) p_m)."""
     iso = isometry(p, t, max_dim=max_dim)
-    pl = jw_projection(p, t.l, max_dim=max_dim).op.data
-    pm = jw_projection(p, t.m, max_dim=max_dim).op.data
-    data = np.kron(pl, pm) - scale * (iso.reduced @ iso.reduced.T)
+    form = np.eye(iso.legs.shape[0]) - scale * (iso.legs @ iso.legs.T)
+    half = iso.lift(form)  # (B_l (x) B_m) form
     shape = TensorShape(p.n, t.l + t.m)
-    return TensorOperator(shape, shape, data)
+    return TensorOperator(shape, shape, iso.lift(half.T))
 
 
 def d_positivity_threshold(p: QParams, t: AdmissibleTriple, d: int) -> float:
@@ -335,37 +326,30 @@ class ChoiReport:
     witness_rank: int
 
 
-def _choi_qform(
-    pl: np.ndarray,
-    pm: np.ndarray,
-    reduced: np.ndarray,
-    scale: float,
-    x: np.ndarray,
-) -> float:
-    mat = x.reshape(pl.shape[0], pm.shape[0])
-    quad = float(x @ (pl @ mat @ pm).ravel())
-    pulled = reduced.T @ x
-    return quad - scale * float(pulled @ pulled)
+def _choi_qform(legs: np.ndarray, scale: float, x: np.ndarray) -> float:
+    """<x|(1 - scale alpha alpha^*) x> for x in leg coordinates."""
+    pulled = legs.T @ x
+    return float(x @ x) - scale * float(pulled @ pulled)
 
 
 def _witness_pairs(
-    p: QParams, t: AdmissibleTriple, d: int, max_dim: int
+    iso: EquivariantIsometry, d: int, max_dim: int
 ) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    """First d orthonormal witness pairs: index family, then plateau pairs.
+    """First d orthonormal witness pairs in leg coordinates: index family,
+    then plateau pairs.
 
     Pairs beyond the family come from the Schmidt plateau of the image
     of the alternating word, after deflating the family block; the two
     sides stay orthonormal, so the combined vector has Schmidt rank d.
     """
+    p, t = iso.params, iso.triple
     wit = saturation_witness(p, t, max_dim=max_dim)
-    etas = [v.data for v in wit.eta_family[:d]]
-    zetas = [v.data for v in wit.zeta_family[:d]]
+    etas = [iso.basis_l.columns.T @ v.data for v in wit.eta_family[:d]]
+    zetas = [iso.basis_m.columns.T @ v.data for v in wit.zeta_family[:d]]
     if d <= wit.family_size:
         return etas, zetas, wit.family_size
 
-    iso = isometry(p, t, max_dim=max_dim)
-    n = p.n
-    mat = witness_image(iso).data.reshape(n ** t.l, n ** t.m)
+    mat = _witness_legs(iso).reshape(iso.basis_l.dim, iso.basis_m.dim)
     root = math.exp(0.5 * lambda_log(p, t))
     for eta, zeta in zip(etas, zetas):
         mat = mat - root * np.outer(eta, zeta)
@@ -405,32 +389,23 @@ def choi_witness_value(
         raise ValueError(
             f"triple {t} is highest weight: the Choi witness needs r >= 1"
         )
-    etas, zetas, family_size = _witness_pairs(p, t, d, max_dim)
     iso = isometry(p, t, max_dim=max_dim)
-    pl = jw_projection(p, t.l, max_dim=max_dim).op.data
-    pm = jw_projection(p, t.m, max_dim=max_dim).op.data
-    reduced = iso.reduced
-
-    x = np.zeros(pl.shape[0] * pm.shape[0])
-    for eta, zeta in zip(etas, zetas):
-        x += np.outer(eta, zeta).ravel()
-    witness_value = _choi_qform(pl, pm, reduced, scale, x)
+    etas, zetas, family_size = _witness_pairs(iso, d, max_dim)
+    x = sum(np.outer(eta, zeta) for eta, zeta in zip(etas, zetas)).ravel()
+    witness_value = _choi_qform(iso.legs, scale, x)
     predicted = d * (1.0 - scale * d * math.exp(lambda_log(p, t)))
 
-    basis_l = onb_of_irrep(p, t.l, max_dim=max_dim)
-    basis_m = onb_of_irrep(p, t.m, max_dim=max_dim)
-    rank = min(d, basis_l.dim, basis_m.dim)
+    d_l, d_m = iso.basis_l.dim, iso.basis_m.dim
+    rank = min(d, d_l, d_m)
     sampled_min = math.inf
     for child in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(child)
-        qu, _ = np.linalg.qr(rng.standard_normal((basis_l.dim, rank)))
-        qv, _ = np.linalg.qr(rng.standard_normal((basis_m.dim, rank)))
+        qu, _ = np.linalg.qr(rng.standard_normal((d_l, rank)))
+        qv, _ = np.linalg.qr(rng.standard_normal((d_m, rank)))
         weights = rng.standard_normal(rank)
         weights /= np.linalg.norm(weights)
-        u_side = basis_l.columns @ (qu * weights)
-        v_side = basis_m.columns @ qv
-        sample = np.einsum("ar,br->ab", u_side, v_side).ravel()
-        sampled_min = min(sampled_min, _choi_qform(pl, pm, reduced, scale, sample))
+        sample = ((qu * weights) @ qv.T).ravel()
+        sampled_min = min(sampled_min, _choi_qform(iso.legs, scale, sample))
     if scale <= threshold and sampled_min < -CHOI_SAMPLE_TOL:
         raise InvariantViolation(
             f"random rank-{d} input drove <Cx|x> to {sampled_min:.3e} at scale "

@@ -7,11 +7,14 @@ rapid-decay bound and attained on the alternating-word witness family,
 whose top Schmidt values form a flat plateau of size
 |A| = (N-2)(N-1)^{r-1}.
 
-The optimizer that attains it iterates on (eta, zeta) alone, through
-the range projector alpha alpha^*.  alpha(H_k) is one summand of
+Every step works on alpha's leg coordinates (`EquivariantIsometry.legs`),
+where H_l and H_m are R^{d_l} and R^{d_m} and Schmidt spectra across
+the l|m cut are singular values of d_l x d_m matrices.  The optimizer
+that attains the supremum iterates on (eta, zeta) alone, through the
+range projector alpha alpha^*.  alpha(H_k) is one summand of
 H_l (x) H_m = (+)_r H_{l+m-2r}, so near highest weight, where it fills
 almost all of H_l (x) H_m, the projector is applied as 1 - C C^T over
-the other summands, in the leg coordinates of the irrep bases.
+the other summands.  Result vectors are lifted to the ambient spaces.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .jones_wenzl import jw_fixes, jw_projection, onb_of_irrep
+from .jones_wenzl import jw_fixes, jw_projection
 from .qnum import (
     AdmissibleTriple,
     QParams,
@@ -136,13 +139,12 @@ def rd_certificate(
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     iso = isometry(p, t, max_dim=max_dim)
-    d = iso.reduced.shape[1]
+    d = iso.legs.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal((d, samples))
     x /= np.linalg.norm(x, axis=0)
-    images = iso.reduced @ x  # ambient vectors, one per sample
-    nl = p.n**t.l
-    stack = images.T.reshape(samples, nl, -1)
+    images = iso.legs @ x  # leg coordinates, one column per sample
+    stack = images.T.reshape(samples, iso.basis_l.dim, iso.basis_m.dim)
     sigma = np.linalg.svd(stack, compute_uv=False)
     max_observed = float((sigma[:, 0] ** 2).max())
     exact, coarse = rd_bound(p, t)
@@ -188,36 +190,30 @@ def _unit_rows(rows: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _leg_coordinates(iso: EquivariantIsometry, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """alpha in the product basis B_l (x) B_m: a (d_l d_m) x [k+1]_q isometry."""
-    p, t = iso.params, iso.triple
-    bl = onb_of_irrep(p, t.l, max_dim=max_dim).columns
-    bm = onb_of_irrep(p, t.m, max_dim=max_dim).columns
-    partial = (bl.T @ iso.reduced.reshape(bl.shape[0], -1)).reshape(bl.shape[1], bm.shape[0], -1)
-    return (bm.T @ partial).reshape(-1, partial.shape[2])
-
-
 def _complement_legs(p: QParams, t: AdmissibleTriple, max_dim: int) -> np.ndarray | None:
     """Leg coordinates of every alpha_{k'}, k' != k, side by side, or None
     when the complement has at least as many columns as alpha itself.
 
-    By the fusion rule H_l (x) H_m = (+)_r H_{l+m-2r} their columns span
-    the orthogonal complement of alpha(H_k) and number d_l d_m - [k+1]_q;
-    a wrong count is an InvariantViolation.
+    By the fusion rule H_l (x) H_m = (+)_r H_{l+m-2r} their columns are
+    orthonormal, span the orthogonal complement of alpha(H_k) and number
+    d_l d_m - [k+1]_q; a wrong count or C^T C != I is an InvariantViolation.
     """
     d_l, d_m, d_k = (round(dim_irrep(p, j)) for j in (t.l, t.m, t.k))
     if d_l * d_m - d_k >= d_k:
         return None
     parts = [
-        _leg_coordinates(isometry(p, other, max_dim=max_dim), max_dim)
+        isometry(p, other, max_dim=max_dim).legs
         for other in admissible_triples(t.l, t.m)
         if other.k != t.k
     ]
     comp = np.hstack([np.empty((d_l * d_m, 0)), *parts])
-    if comp.shape[1] != d_l * d_m - d_k:
+    gram = comp.T @ comp
+    gram[np.diag_indices_from(gram)] -= 1.0
+    off = float(np.abs(gram).max()) if gram.size else 0.0
+    if comp.shape[1] != d_l * d_m - d_k or not off <= SIDE_AGREEMENT_TOL:
         raise InvariantViolation(
-            f"fusion rule at {t}: complement has {comp.shape[1]} columns, "
-            f"not d_l d_m - [k+1] = {d_l * d_m - d_k}"
+            f"fusion rule at {t}: complement has {comp.shape[1]} columns "
+            f"(d_l d_m - [k+1] = {d_l * d_m - d_k}) and |C^T C - I| = {off:.3e}"
         )
     return comp
 
@@ -236,14 +232,12 @@ def max_schmidt_optimizer(
     The optimal xi for fixed (eta, zeta) is alpha^*(eta (x) zeta), normalized,
     so xi is eliminated: each sweep replaces eta, then zeta, by the normalized
     contraction of P(eta (x) zeta) with the other, where P = alpha alpha^*
-    is the range projector, and the objective ||alpha^*(eta (x) zeta)||
-    is monotone per restart.  P is applied from the cheaper side:
-
-    * ambient: eta, zeta live on N^l, N^m and P = `reduced` `reduced`^T;
-    * complement, when c = d_l d_m - [k+1]_q < [k+1]_q: eta, zeta are
-      coordinates in B_l, B_m, so they stay exactly inside H_l, H_m, and
-      P = 1 - C C^T with C the leg coordinates of every other summand
-      alpha_{k'}(H_{k'}) of H_l (x) H_m.  C must have exactly c columns.
+    is the range projector, and the objective ||P(eta (x) zeta)||
+    = ||alpha^*(eta (x) zeta)|| is monotone per restart.  eta and zeta are
+    coordinates in B_l, B_m, so they stay exactly inside H_l, H_m, and
+    P = F F^T or 1 - F F^T with F the narrower of `legs` and C, the leg
+    coordinates of every other summand alpha_{k'}(H_{k'}) of H_l (x) H_m
+    (C must be orthonormal with d_l d_m - [k+1]_q columns).
 
     Every restart draws its Gaussian start from its own generator of a
     split seed, and all restarts advance together as matrix-matrix
@@ -252,8 +246,9 @@ def max_schmidt_optimizer(
     tol * max(1, objective); one that never does reports its last value.
     The best value wins, ties broken by lowest restart index.  The
     winner's xi and the reported value come from one direct product
-    with `reduced`, which must agree with the iterated value to
-    SIDE_AGREEMENT_TOL, else InvariantViolation.
+    with `legs`, which must agree with the iterated value to
+    SIDE_AGREEMENT_TOL, else InvariantViolation.  xi, eta and zeta are
+    returned on the ambient spaces.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -262,17 +257,15 @@ def max_schmidt_optimizer(
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     iso = isometry(p, t, max_dim=max_dim)
-    reduced = iso.reduced
-    nl, nm = p.n**t.l, p.n**t.m
+    legs, bl, bm = iso.legs, iso.basis_l.columns, iso.basis_m.columns
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
-    draws = [[rng.standard_normal(size) for size in (reduced.shape[1], nl, nm)] for rng in rngs]
+    sizes = (legs.shape[1], bl.shape[0], bm.shape[0])
+    draws = [[rng.standard_normal(size) for size in sizes] for rng in rngs]
     xi, _, zeta = (_unit_rows(np.array(vecs), rngs) for vecs in zip(*draws))
-    mats = (xi @ reduced.T).reshape(restarts, nl, nm)
+    mats = (xi @ legs.T).reshape(restarts, bl.shape[1], bm.shape[1])
+    zeta = zeta @ bm
     comp = _complement_legs(p, t, max_dim)
-    if comp is not None:
-        bl = onb_of_irrep(p, t.l, max_dim=max_dim).columns
-        bm = onb_of_irrep(p, t.m, max_dim=max_dim).columns
-        mats, zeta = bl.T @ mats @ bm, zeta @ bm
+    f = legs if comp is None else comp
     value = np.full(restarts, -1.0)  # each restart's latest objective
     sweeps = np.full(restarts, max_iters)
     converged = np.zeros(restarts, dtype=bool)
@@ -284,12 +277,11 @@ def max_schmidt_optimizer(
         eta = _unit_rows((mats @ zeta[:, :, None])[:, :, 0], live_rngs)
         zeta = _unit_rows((eta[:, None, :] @ mats)[:, 0, :], live_rngs)
         outer = (eta[:, :, None] * zeta[:, None, :]).reshape(live.size, -1)
-        if comp is None:
-            y = outer @ reduced  # alpha^*(eta (x) zeta)
-        else:
-            y = outer - (outer @ comp) @ comp.T  # P(eta (x) zeta) in leg coordinates
-        obj = np.linalg.norm(y, axis=1)
-        y = _unit_rows(y, live_rngs)  # xi, or alpha(xi) in leg coordinates
+        y = (outer @ f) @ f.T
+        if comp is not None:
+            y = outer - y
+        obj = np.linalg.norm(y, axis=1)  # ||P(eta (x) zeta)||
+        y = _unit_rows(y, live_rngs)  # alpha(xi)
         done = np.abs(obj - value[live]) <= tol * np.maximum(1.0, obj)
         value[live] = obj
         last_eta[live], last_zeta[live] = eta, zeta
@@ -299,12 +291,10 @@ def max_schmidt_optimizer(
         live, zeta, y = live[keep], zeta[keep], y[keep]
         if not live.size:
             break
-        mats = (y if comp is not None else y @ reduced.T).reshape(live.size, *mats.shape[1:])
+        mats = y.reshape(live.size, *mats.shape[1:])
     win = int(np.argmax(value))
     eta, zeta = last_eta[win], last_zeta[win]
-    if comp is not None:
-        eta, zeta = bl @ eta, bm @ zeta
-    raw = np.kron(eta, zeta) @ reduced
+    raw = np.kron(eta, zeta) @ legs
     direct = float(np.linalg.norm(raw))
     if abs(direct - value[win]) > SIDE_AGREEMENT_TOL:
         raise InvariantViolation(
@@ -313,8 +303,8 @@ def max_schmidt_optimizer(
     return MaxSchmidtResult(
         value=direct,
         xi=TensorVector(TensorShape(p.n, t.k), iso.basis.columns @ (raw / direct)),
-        eta=TensorVector(TensorShape(p.n, t.l), eta),
-        zeta=TensorVector(TensorShape(p.n, t.m), zeta),
+        eta=TensorVector(TensorShape(p.n, t.l), bl @ eta),
+        zeta=TensorVector(TensorShape(p.n, t.m), bm @ zeta),
         converged=bool(converged[win]),
         sweeps=int(sweeps[win]),
         restart_sweeps=tuple(int(s) for s in sweeps),
@@ -335,18 +325,22 @@ def witness_family_size(p: QParams, t: AdmissibleTriple) -> int:
     return (p.n - 2) * (p.n - 1) ** (t.r - 1) if t.r >= 1 else 0
 
 
-def witness_image(iso: EquivariantIsometry) -> TensorVector:
-    """alpha(xi) for the unit alternating word xi = eta_k(1,2) of H_k.
+def _witness_legs(iso: EquivariantIsometry) -> np.ndarray:
+    """alpha(xi) in leg coordinates for the unit alternating word xi = eta_k(1,2).
 
     xi enters through its IrrepBasis coordinates, renormalized so the
     image has unit norm to rounding.
     """
-    n, t = iso.params.n, iso.triple
-    shape = TensorShape(n, t.k)
-    word = basis_vector(shape, _alternating_letters(t.k), max_dim=shape.dim)
+    shape = TensorShape(iso.params.n, iso.triple.k)
+    word = basis_vector(shape, _alternating_letters(shape.legs), max_dim=shape.dim)
     coords = iso.basis.columns.T @ word.data
-    image = iso.reduced @ (coords / np.linalg.norm(coords))
-    return TensorVector(TensorShape(n, t.l + t.m), image)
+    return iso.legs @ (coords / np.linalg.norm(coords))
+
+
+def witness_image(iso: EquivariantIsometry) -> TensorVector:
+    """alpha(xi) for the unit alternating word xi = eta_k(1,2) of H_k, ambient."""
+    t = iso.triple
+    return TensorVector(TensorShape(iso.params.n, t.l + t.m), iso.lift(_witness_legs(iso)))
 
 
 @dataclass(frozen=True)

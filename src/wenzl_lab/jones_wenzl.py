@@ -20,7 +20,6 @@ Projections and bases are cached per (N, k) in memory.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ TRACE_RTOL = 1e-8
 CAP_ANNIHILATION_TOL = 1e-9
 FUSION_GRAM_TOL = 1e-9
 
-_lock = threading.Lock()
 _jw_cache: dict[tuple[int, int], "JwProjection"] = {}
 _basis_cache: dict[tuple[int, int], "IrrepBasis"] = {}
 
@@ -88,9 +86,8 @@ class IrrepBasis:
 
 def clear_caches() -> None:
     """Drop all cached projections and bases (memory pressure relief)."""
-    with _lock:
-        _jw_cache.clear()
-        _basis_cache.clear()
+    _jw_cache.clear()
+    _basis_cache.clear()
 
 
 def _wenzl_step(p: QParams, k: int, prev: np.ndarray) -> np.ndarray:
@@ -118,27 +115,20 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> JwProje
     hit = _jw_cache.get(key)
     if hit is not None:
         return hit
-    with _lock:
-        hit = _jw_cache.get(key)
-        if hit is not None:
-            return hit
-        start = k
-        while start > 1 and (p.n, start - 1) not in _jw_cache:
-            start -= 1
-        for level in range(start, k + 1):
-            lk = (p.n, level)
-            if lk in _jw_cache:
-                continue
-            shape = TensorShape(p.n, level)
-            if level == 0:
-                op = TensorOperator(shape, shape, np.ones((1, 1)))
-            elif level == 1:
-                op = TensorOperator(shape, shape, np.eye(p.n))
-            else:
-                prev = _jw_cache[(p.n, level - 1)].op.data
-                op = TensorOperator(shape, shape, _wenzl_step(p, level, prev))
-            _jw_cache[lk] = JwProjection(p, level, op)
-        return _jw_cache[key]
+    start = k
+    while start > 1 and (p.n, start - 1) not in _jw_cache:
+        start -= 1
+    for level in range(start, k + 1):
+        shape = TensorShape(p.n, level)
+        if level == 0:
+            op = TensorOperator(shape, shape, np.ones((1, 1)))
+        elif level == 1:
+            op = TensorOperator(shape, shape, np.eye(p.n))
+        else:
+            prev = _jw_cache[(p.n, level - 1)].op.data
+            op = TensorOperator(shape, shape, _wenzl_step(p, level, prev))
+        _jw_cache[(p.n, level)] = JwProjection(p, level, op)
+    return _jw_cache[key]
 
 
 def _cap_annihilation_residual(data: np.ndarray, n: int, k: int) -> float:
@@ -206,18 +196,17 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
     _check_cap(p.n, k, max_dim)
-    with _lock:
-        for level in range(k + 1):
-            if (p.n, level) in _basis_cache:
-                continue
-            if level < 2:
-                cols = np.eye(p.n**level)
-            else:
-                up = _basis_cache[(p.n, level - 1)].columns
-                down = _basis_cache[(p.n, level - 2)].columns
-                cols = _fusion_step(p, level, up, down)
-            _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)
-        return _basis_cache[(p.n, k)]
+    for level in range(k + 1):
+        if (p.n, level) in _basis_cache:
+            continue
+        if level < 2:
+            cols = np.eye(p.n**level)
+        else:
+            up = _basis_cache[(p.n, level - 1)].columns
+            down = _basis_cache[(p.n, level - 2)].columns
+            cols = _fusion_step(p, level, up, down)
+        _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)
+    return _basis_cache[(p.n, k)]
 
 
 def jw_fixes(jw: JwProjection, v: TensorVector) -> float:

@@ -17,7 +17,6 @@ integers degenerate to ordinary ones, [n]_1 = n.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
@@ -44,19 +43,16 @@ class QParams:
     """Rank N together with its quantum parameter and growable value caches.
 
     Instances are cheap to create but are meant to be shared: the quantum
-    integer and log-factorial tables grow on demand and are reused by every
-    module downstream.  Reads of already-filled entries are lock-free;
-    table extension happens under a lock and is append-only, so concurrent
-    callers never observe a partially written entry.
+    integer and log-factorial tables grow on demand, append-only, and are
+    reused by every module downstream.
     """
 
-    __slots__ = ("n", "q", "log_q", "_lock", "_qint", "_qfact_log")
+    __slots__ = ("n", "q", "log_q", "_qint", "_qfact_log")
 
     def __init__(self, n: int, q: float):
         self.n = n
         self.q = q
         self.log_q = math.log(q)
-        self._lock = threading.Lock()
         self._qint = [0.0, 1.0]  # _qint[m] == [m]_q
         self._qfact_log = [0.0, 0.0]  # _qfact_log[m] == log([m]_q!)
 
@@ -81,22 +77,19 @@ class QParams:
 
     def _ensure(self, m: int) -> None:
         """Grow both tables so that index m is valid."""
-        if m < len(self._qint):
-            return
-        with self._lock:
-            while len(self._qint) <= m:
-                s = len(self._qint)
-                lg = self._log_qint(s)
-                if lg < 36.0:
-                    # [s] is an integer for integer rank; the three-term
-                    # recursion keeps it bit-exact while it fits in float
-                    value = self.n * self._qint[s - 1] - self._qint[s - 2]
-                elif lg < 709.0:
-                    value = math.exp(lg)
-                else:
-                    value = math.inf
-                self._qint.append(value)
-                self._qfact_log.append(self._qfact_log[s - 1] + lg)
+        while len(self._qint) <= m:
+            s = len(self._qint)
+            lg = self._log_qint(s)
+            if lg < 36.0:
+                # [s] is an integer for integer rank; the three-term
+                # recursion keeps it bit-exact while it fits in float
+                value = self.n * self._qint[s - 1] - self._qint[s - 2]
+            elif lg < 709.0:
+                value = math.exp(lg)
+            else:
+                value = math.inf
+            self._qint.append(value)
+            self._qfact_log.append(self._qfact_log[s - 1] + lg)
 
 
 @dataclass(frozen=True)
@@ -197,7 +190,7 @@ def theta_net(p: QParams, t: AdmissibleTriple) -> float:
 
     theta = [r]! [l-r]! [m-r]! [k+r+1]! / ([l]! [m]! [k]!), evaluated in
     log space.  Equals the squared ambient Frobenius norm of the vertex
-    map, which vertex.theta_by_trace recomputes independently.
+    map, which vertex.isometry recomputes independently as a trace.
     """
     lg = theta_net_log(p, t)
     if lg > 709.0:

@@ -1,4 +1,4 @@
-"""Trivalent vertex intertwiners A_k^{l,m} and equivariant isometries.
+"""Equivariant isometries alpha_k^{l,m}: H_k -> H_l (x) H_m.
 
 The canonical vertex is the composition
 
@@ -9,16 +9,19 @@ is the theta-net theta_q(k,l,m), which gives a brute-force oracle for
 the closed form, and alpha = ([k+1]_q/theta)^{1/2} A is an isometric
 embedding H_k -> H_l (x) H_m.
 
-Nothing here ever materializes p_l (x) p_m: the cup insertion is a
-single fancy-indexed scatter and the two projections act leg-wise, so
-the heavy objects stay N^{l+m} x (number of columns).
+alpha is stored once, in leg coordinates: `legs` is
+(B_l^T (x) B_m^T) alpha B_k, a (d_l d_m) x [k+1]_q isometry in the
+irrep bases of `jones_wenzl.onb_of_irrep` (the recoupling picture of
+Kauffman-Lins on Wenzl's fusion bases).  Since B_l B_l^T = p_l, the
+projections p_l, p_m are never formed: the cup is a row gather of B_m
+and two matmuls do the rest.  The ambient N^{l+m} x [k+1]_q `reduced`
+is a lift built on first use, for the checks that need it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +37,7 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "ThreeVertex",
     "EquivariantIsometry",
-    "three_vertex",
-    "theta_by_trace",
     "isometry",
     "verify_equivariance_proxy",
     "clear_caches",
@@ -45,30 +45,20 @@ __all__ = [
 
 THETA_AGREEMENT_RTOL = 1e-6
 
-_lock = threading.Lock()
 _iso_cache: dict[tuple[int, int, int, int], "EquivariantIsometry"] = {}
 
 
 def clear_caches() -> None:
-    with _lock:
-        _iso_cache.clear()
-
-
-@dataclass(frozen=True)
-class ThreeVertex:
-    """The unnormalized vertex A_k^{l,m} as an ambient dense operator."""
-
-    triple: AdmissibleTriple
-    op: TensorOperator
+    _iso_cache.clear()
 
 
 class EquivariantIsometry:
     """alpha_k^{l,m}: H_k -> H_l (x) H_m with alpha^* alpha = identity.
 
-    `reduced` maps IrrepBasis(k) coordinates (dimension [k+1]_q) to the
-    ambient N^{l+m} product space; `ambient` is the same map precomposed
-    with the basis projection, assembled lazily because it is only
-    needed for whole-space diagnostics.
+    `legs` maps IrrepBasis(k) coordinates to B_l (x) B_m coordinates;
+    `reduced` is the same map lifted to the ambient N^{l+m} product
+    space and `ambient` additionally precomposes B_k^T.  Both lifts are
+    built on first access and cached, because only checks read them.
     """
 
     def __init__(
@@ -76,7 +66,9 @@ class EquivariantIsometry:
         triple: AdmissibleTriple,
         params: QParams,
         basis: IrrepBasis,
-        reduced: np.ndarray,
+        basis_l: IrrepBasis,
+        basis_m: IrrepBasis,
+        legs: np.ndarray,
         scale: float,
         theta_closed: float,
         theta_trace: float,
@@ -84,76 +76,47 @@ class EquivariantIsometry:
         self.triple = triple
         self.params = params
         self.basis = basis
-        self.reduced = reduced
+        self.basis_l = basis_l
+        self.basis_m = basis_m
+        self.legs = legs
         self.scale = scale
         self.theta_closed = theta_closed
         self.theta_trace = theta_trace
-        self._ambient: TensorOperator | None = None
 
-    @property
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """(B_l (x) B_m) x: leg coordinates (d_l d_m[, c]) to the ambient N^{l+m}[, c]."""
+        bl, bm = self.basis_l.columns, self.basis_m.columns
+        half = bl @ x.reshape(bl.shape[1], -1)
+        half = half.reshape(bl.shape[0], bm.shape[1], -1)
+        return (bm @ half).reshape(bl.shape[0] * bm.shape[0], *x.shape[1:])
+
+    @cached_property
+    def reduced(self) -> np.ndarray:
+        return self.lift(self.legs)
+
+    @cached_property
     def ambient(self) -> TensorOperator:
-        if self._ambient is None:
-            n = self.params.n
-            t = self.triple
-            out_shape = TensorShape(n, t.l + t.m)
-            in_shape = TensorShape(n, t.k)
-            self._ambient = TensorOperator(
-                out_shape, in_shape, self.reduced @ self.basis.columns.T
-            )
-        return self._ambient
+        n, t = self.params.n, self.triple
+        return TensorOperator(
+            TensorShape(n, t.l + t.m), TensorShape(n, t.k), self.reduced @ self.basis.columns.T
+        )
 
 
-def _insert_cup(cols: np.ndarray, n: int, l: int, m: int, r: int) -> np.ndarray:
-    """Apply iota^{(x) l-r} (x) T_r (x) iota^{(x) m-r} to N^k-leg columns.
+def _leg_vertex(
+    n: int, t: AdmissibleTriple, bk: np.ndarray, bl: np.ndarray, bm: np.ndarray
+) -> np.ndarray:
+    """(B_l^T (x) B_m^T)(iota^{(x) l-r} (x) T_r (x) iota^{(x) m-r}) B_k, (d_l d_m) x d_k.
 
-    T_r has one unit entry per pair (i, i-reversed), so the insertion is
-    a pure scatter of the existing entries; no arithmetic happens.
+    raw[x, y, c] = sum_{a,i,b} B_l[(a,i),x] B_m[(rev i,b),y] B_k[(a,b),c]
+    over a in N^{l-r}, i in N^r, b in N^{m-r}: T_r pairs each i with its
+    leg reversal, so the cup is a row gather of B_m.
     """
-    if r == 0:
-        return cols
-    dl, dm = n ** (l - r), n ** (m - r)
-    dr = n**r
-    c = cols.shape[1]
-    cols3 = cols.reshape(dl, dm, c)
-    out = np.zeros((dl, dr, dr, dm, c))
-    out[:, np.arange(dr), reversal_permutation(n, r), :, :] = cols3[:, None, :, :]
-    return out.reshape(dl * dr * dr * dm, c)
-
-
-def _project_sides(x: np.ndarray, pl: np.ndarray, pm: np.ndarray) -> np.ndarray:
-    """Apply p_l (x) p_m leg-wise to columns living on l+m legs."""
-    nl, nm = pl.shape[0], pm.shape[0]
-    c = x.shape[1]
-    t = (pl @ x.reshape(nl, nm * c)).reshape(nl, nm, c)
-    t = np.tensordot(pm, t, axes=(1, 1)).transpose(1, 0, 2)
-    return np.ascontiguousarray(t.reshape(nl * nm, c))
-
-
-def _vertex_columns(p: QParams, t: AdmissibleTriple, cols: np.ndarray) -> np.ndarray:
-    mid = _insert_cup(cols, p.n, t.l, t.m, t.r)
-    pl = jw_projection(p, t.l).op.data
-    pm = jw_projection(p, t.m).op.data
-    return _project_sides(mid, pl, pm)
-
-
-def three_vertex(
-    p: QParams, t: AdmissibleTriple, max_dim: int = DEFAULT_DIM_CAP
-) -> ThreeVertex:
-    """The dense ambient vertex A_k^{l,m}: N^k -> N^{l+m}."""
-    _check_cap(p.n, max(t.k, t.l + t.m), max_dim)
-    pk = jw_projection(p, t.k, max_dim=max_dim).op.data
-    data = _vertex_columns(p, t, pk)
-    if not np.any(data):
-        raise InvariantViolation(f"vertex {t} collapsed to zero")
-    return ThreeVertex(
-        t, TensorOperator(TensorShape(p.n, t.l + t.m), TensorShape(p.n, t.k), data)
-    )
-
-
-def theta_by_trace(v: ThreeVertex) -> float:
-    """Tr(A^* A) = squared Frobenius norm; brute-force route to the theta-net."""
-    data = v.op.data
-    return float(np.einsum("ij,ij->", data, data))
+    a, i, b = n ** (t.l - t.r), n**t.r, n ** (t.m - t.r)
+    dl, dm, dk = bl.shape[1], bm.shape[1], bk.shape[1]
+    left = bl.reshape(a, i, dl).transpose(2, 1, 0).reshape(dl * i, a)
+    inner = (left @ bk.reshape(a, b * dk)).reshape(dl, i * b, dk)  # [x, (i, b), c]
+    flipped = bm.reshape(i, b, dm)[reversal_permutation(n, t.r)].reshape(i * b, dm)
+    return (flipped.T @ inner).reshape(dl * dm, dk)  # one product per x
 
 
 def isometry(
@@ -170,9 +133,9 @@ def isometry(
     if hit is not None:
         return hit
     _check_cap(p.n, max(t.k, t.l + t.m), max_dim)
-    basis = onb_of_irrep(p, t.k, max_dim=max_dim)
-    raw = _vertex_columns(p, t, basis.columns)
-    # the trace over range(p_k) equals the ambient trace since A = A p_k
+    bases = [onb_of_irrep(p, j, max_dim=max_dim) for j in (t.k, t.l, t.m)]
+    raw = _leg_vertex(p.n, t, *(b.columns for b in bases))
+    # B_l (x) B_m is an isometry on range(p_l (x) p_m), so this is Tr(A^* A)
     theta_closed = math.exp(theta_net_log(p, t))
     theta_trace = float(np.einsum("ij,ij->", raw, raw))
     if abs(theta_trace - theta_closed) > THETA_AGREEMENT_RTOL * theta_closed:
@@ -180,12 +143,19 @@ def isometry(
             f"theta mismatch at {t}: closed form {theta_closed}, trace {theta_trace}"
         )
     scale = math.exp(0.5 * lambda_log(p, t))
-    iso = EquivariantIsometry(
-        t, p, basis, scale * raw, scale, theta_closed, theta_trace
-    )
-    with _lock:
-        _iso_cache.setdefault(key, iso)
-    return _iso_cache[key]
+    raw *= scale
+    iso = EquivariantIsometry(t, p, *bases, raw, scale, theta_closed, theta_trace)
+    _iso_cache[key] = iso
+    return iso
+
+
+def _project_sides(x: np.ndarray, pl: np.ndarray, pm: np.ndarray) -> np.ndarray:
+    """Apply p_l (x) p_m leg-wise to columns living on l+m legs."""
+    nl, nm = pl.shape[0], pm.shape[0]
+    c = x.shape[1]
+    t = (pl @ x.reshape(nl, nm * c)).reshape(nl, nm, c)
+    t = np.tensordot(pm, t, axes=(1, 1)).transpose(1, 0, 2)
+    return np.ascontiguousarray(t.reshape(nl * nm, c))
 
 
 def verify_equivariance_proxy(iso: EquivariantIsometry) -> float:

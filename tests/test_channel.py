@@ -111,6 +111,24 @@ def test_complementary_outputs_share_nonzero_spectrum(seed):
     np.testing.assert_allclose(s_first, s_last, atol=1e-9)
 
 
+@pytest.mark.parametrize("direction", [TRACE_FIRST, TRACE_LAST])
+def test_output_is_in_kept_basis_coordinates(direction):
+    # d_kept square, and B_kept out B_kept^T is the ambient partial trace
+    ch = channel(P3, MIDDLE, direction)
+    rho = random_state(np.random.default_rng(4), ch.input_dim)
+    out = channel_apply(ch, rho)
+    iso = ch.iso
+    kept = iso.basis_m if direction == TRACE_FIRST else iso.basis_l
+    assert out.shape == (ch.output_dim, ch.output_dim) == (kept.dim, kept.dim)
+    full = iso.reduced @ rho @ iso.reduced.T
+    blocks = full.reshape(3, 9, 3, 9)
+    want = (
+        np.einsum("abad->bd", blocks) if direction == TRACE_FIRST
+        else np.einsum("abcb->ac", blocks)
+    )
+    np.testing.assert_allclose(kept.columns @ out @ kept.columns.T, want, atol=1e-12)
+
+
 def test_channel_rejects_bad_inputs():
     ch = channel(P3, MIDDLE)
     with pytest.raises(ValueError):

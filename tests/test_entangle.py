@@ -11,7 +11,6 @@ from test_acceptance import SWEEP_SMALL
 
 from wenzl_lab import vertex
 from wenzl_lab.entangle import (
-    _leg_coordinates,
     entropy_dim_tradeoff,
     higher_rank_value,
     max_schmidt_optimizer,
@@ -275,7 +274,7 @@ FUSION_LEGS = sorted({(p.n, t.l, t.m) for p, t in SWEEP_SMALL})
 def test_fusion_rule_leg_coordinates_are_orthogonal(n, l, m):
     # H_l (x) H_m = (+)_r H_{l+m-2r}: the alpha_{k'} fill the product space
     p = quantum_parameter(n)
-    stack = np.hstack([_leg_coordinates(isometry(p, t)) for t in admissible_triples(l, m)])
+    stack = np.hstack([isometry(p, t).legs for t in admissible_triples(l, m)])
     assert stack.shape[0] == stack.shape[1]
     gram = stack.T @ stack
     gram[np.diag_indices_from(gram)] -= 1.0
@@ -285,29 +284,37 @@ def test_fusion_rule_leg_coordinates_are_orthogonal(n, l, m):
 @pytest.mark.parametrize(
     "corrupt,message",
     [
-        (lambda cols: 3.0 * cols, "direct value"),
-        (lambda cols: cols[:, 1:], "fusion rule"),
+        (lambda cols, top: 3.0 * cols, "fusion rule"),
+        (lambda cols, top: 2.0 * cols, "fusion rule"),
+        (lambda cols, top: 1.5 * cols, "fusion rule"),
+        (lambda cols, top: cols[:, 1:], "fusion rule"),
+        (lambda cols, top: top[:, : cols.shape[1]].copy(), "direct value"),
     ],
-    ids=["scaled", "missing-column"],
+    ids=["scaled", "scaled-2", "scaled-1.5", "missing-column", "inside-range"],
 )
 def test_optimizer_rejects_broken_complement(monkeypatch, corrupt, message):
     # (4, 2, 2) is highest weight, so its optimum has no weight on alpha_2
-    # and a mild rescaling of alpha_2 goes unseen; at 3x, 1 - C C^T
-    # stretches the alpha_2 block enough to pull the iteration away.
+    # and the iteration alone would not see a rescaled alpha_2; the
+    # complement's C^T C = I check and column count catch it up front.
+    # Orthonormal columns taken from alpha_4's own range pass that check
+    # but leave the wrong projector, which the direct value exposes.
     p = quantum_parameter(3)
+    t = AdmissibleTriple(4, 2, 2)
     other = isometry(p, AdmissibleTriple(2, 2, 2))
     bad = EquivariantIsometry(
         other.triple,
         p,
         other.basis,
-        corrupt(other.reduced),
+        other.basis_l,
+        other.basis_m,
+        corrupt(other.legs, isometry(p, t).legs),
         other.scale,
         other.theta_closed,
         other.theta_trace,
     )
     monkeypatch.setitem(vertex._iso_cache, (3, 2, 2, 2), bad)
     with pytest.raises(InvariantViolation, match=message):
-        max_schmidt_optimizer(p, AdmissibleTriple(4, 2, 2), restarts=4, seed=0)
+        max_schmidt_optimizer(p, t, restarts=4, seed=0)
 
 
 def test_optimizer_restart_record():

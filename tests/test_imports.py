@@ -1,7 +1,8 @@
-"""Static check: no package module imports a name it never uses.
+"""Static checks: no package module imports a name it never uses, and
+every name a module lists in `__all__` is bound in that module.
 
-`__init__` re-exports by importing, so it is exempt; elsewhere a name
-listed in the module's `__all__` counts as used.
+`__init__` re-exports by importing, so it is exempt from the first check;
+elsewhere a name listed in the module's `__all__` counts as used.
 """
 
 from __future__ import annotations
@@ -26,12 +27,36 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(exported(tree))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """The names listed in a module-level `__all__`, or none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
-    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Names in `__all__` that no top-level import, def, class or assignment binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+    return [name for name in exported(tree) if name not in bound]
 
 
 def test_checker_flags_only_unused_names():
@@ -48,3 +73,22 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_export_checker_flags_only_unbound_names():
+    source = (
+        "from json import dumps as to_text\n"
+        "LIMIT: int = 3\n"
+        "class Shape: pass\n"
+        "def build(): pass\n"
+        "__all__ = ['to_text', 'LIMIT', 'Shape', 'build', 'gone']\n"
+    )
+    assert unbound_exports(source) == ["gone"]
+
+
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_exports_are_bound(path):
+    assert unbound_exports(path.read_text()) == []

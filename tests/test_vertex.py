@@ -1,15 +1,21 @@
 """Tests for trivalent vertices and equivariant isometries.
 
-The central oracle equivalence: the brute-force Frobenius trace of the
-dense vertex must reproduce the closed-form theta-net.
+The central oracle equivalences: the brute-force Frobenius trace of the
+dense vertex must reproduce the closed-form theta-net, and the isometry
+built in leg coordinates must equal the dense vertex (`dense_vertex`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from dense_vertex import _vertex_columns, theta_by_trace, three_vertex
+from test_acceptance import SWEEP_FULL
 
+import wenzl_lab.jones_wenzl as jwmod
 import wenzl_lab.vertex as vxmod
+from wenzl_lab.channel import channel, channel_apply, moe_bracket
+from wenzl_lab.entangle import max_schmidt_optimizer, rd_certificate
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.jones_wenzl import jw_projection, onb_of_irrep
 from wenzl_lab.jones_wenzl import clear_caches as clear_jw
@@ -24,8 +30,6 @@ from wenzl_lab.tensor_core import cup_vector
 from wenzl_lab.vertex import (
     clear_caches,
     isometry,
-    theta_by_trace,
-    three_vertex,
     verify_equivariance_proxy,
 )
 
@@ -160,6 +164,43 @@ def test_ambient_shape_and_factorization():
     np.testing.assert_allclose(
         amb.data, iso.reduced @ iso.basis.columns.T, atol=1e-12
     )
+
+
+DENSE_ORACLE = [(p, t) for p, t in SWEEP_FULL if p.n ** (t.l + t.m) <= 1024]
+
+
+@pytest.mark.parametrize(
+    "p,t", DENSE_ORACLE, ids=[f"{p.n}-{t.k}-{t.l}-{t.m}" for p, t in DENSE_ORACLE]
+)
+def test_legs_match_dense_vertex(p, t):
+    # legs = scale (B_l^T (x) B_m^T) A B_k and reduced = scale A B_k, with A
+    # the dense-p vertex of the oracle module
+    iso = isometry(p, t)
+    dense = iso.scale * _vertex_columns(p, t, onb_of_irrep(p, t.k).columns)
+    bl, bm = onb_of_irrep(p, t.l).columns, onb_of_irrep(p, t.m).columns
+    cube = dense.reshape(bl.shape[0], bm.shape[0], -1)
+    half = np.tensordot(bl, cube, axes=(0, 0))  # (d_l, N^m, d_k)
+    legs = np.tensordot(bm, half, axes=(0, 1)).transpose(1, 0, 2).reshape(iso.legs.shape)
+    assert np.abs(iso.legs - legs).max() <= 1e-12
+    assert np.abs(iso.reduced - dense).max() <= 1e-12
+
+
+def test_pipeline_never_builds_dense_objects():
+    # the pipeline works on legs alone: no Wenzl projection is formed and
+    # no isometry is lifted to the ambient space
+    clear_jw()
+    for n, k, l, m in [(4, 2, 2, 2), (3, 4, 2, 2)]:
+        p, t = quantum_parameter(n), AdmissibleTriple(k, l, m)
+        isometry(p, t)
+        max_schmidt_optimizer(p, t, restarts=4, seed=0)
+        rd_certificate(p, t, samples=10, seed=0)
+        ch = channel(p, t)
+        moe_bracket(ch, samples=5, restarts=3, seed=0)
+        channel_apply(ch, np.eye(ch.input_dim) / ch.input_dim)
+    assert not jwmod._jw_cache
+    assert vxmod._iso_cache
+    for iso in vxmod._iso_cache.values():
+        assert "reduced" not in vars(iso), iso.triple
 
 
 def test_theta_disagreement_is_hard_error(monkeypatch):
