@@ -13,7 +13,10 @@ X - c (XU)(XU)^T, which is the only matrix work per level.
 The orthonormal basis B_k of H_k = range(p_k) comes from the fusion rule
 H_1 (x) H_{k-1} = H_k (+) H_{k-2} (Wenzl 1987) without forming p_k:
 B_k = (I_N (x) B_{k-1}) W, W spanning the complement of the embedded H_{k-2}.
-The dense p_k stays the oracle that B_k B_k^T is checked against.
+W is the trailing columns of the Householder Q of that embedding, never
+formed: Q = I - V T V^T in compact-WY form (Schreiber-Van Loan 1989), so
+applying it costs two thin products.  The dense p_k stays the oracle that
+B_k B_k^T is checked against.
 
 Projections and bases are cached per (N, k) in memory.
 """
@@ -168,11 +171,32 @@ def verify_jw(jw: JwProjection) -> JwVerification:
     return JwVerification(p.n, k, idem, sym, trace_rel, cap, ok)
 
 
+def _householder_wy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V and T with Q = H_1 ... H_p = I - V T V^T for the QR of the n x p matrix m.
+
+    V is the unit lower-trapezoidal matrix of Householder vectors that
+    LAPACK leaves below R; T is upper triangular, built by dlarft's forward
+    recursion, so a trivial reflector (tau_i = 0) gives a zero column.
+    """
+    h, tau = np.linalg.qr(m, mode="raw")
+    v = np.tril(h.T, -1)
+    p = v.shape[1]
+    v[np.diag_indices(p)] = 1.0
+    gram = v.T @ v
+    t = np.zeros((p, p))
+    for i in range(p):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    return v, t
+
+
 def _fusion_step(p: QParams, k: int, up: np.ndarray, down: np.ndarray) -> np.ndarray:
     """B_k from B_{k-1} (up) and B_{k-2} (down) via H_1 (x) H_{k-1} = H_k + H_{k-2}.
 
     M holds the coordinates of the embedded H_{k-2}, (iota (x) p_{k-1})
     (T_1 (x) B_{k-2}), in the basis I_N (x) B_{k-1}; B_k spans the rest.
+    With X = I_N (x) B_{k-1} and Q = I - V T V^T the Householder Q of M,
+    B_k = X Q[:, p:] = X[:, p:] - (X V)(T V[p:]^T), p = d_{k-2}.
     """
     n, d_up, d_down = p.n, up.shape[1], down.shape[1]
     cube = up.reshape(n, n ** (k - 2), d_up)
@@ -184,8 +208,14 @@ def _fusion_step(p: QParams, k: int, up: np.ndarray, down: np.ndarray) -> np.nda
         raise InvariantViolation(
             f"fusion step at (n={p.n}, k={k}): M^T M != [{k}]/[{k - 1}] I or not {want} columns"
         )
-    w = np.linalg.qr(m, mode="complete")[0][:, d_down:]
-    return (up @ w.reshape(n, d_up, want)).reshape(n**k, want)
+    v, t = _householder_wy(m)
+    xv = (up @ v.reshape(n, d_up, d_down)).reshape(n**k, d_down)
+    out = (xv @ (t @ -v[d_down:].T)).reshape(n, n ** (k - 1), want)
+    # X[:, p:]: block a of X holds B_{k-1} in columns a d_up .. (a+1) d_up
+    for a in range(n):
+        lo = max(a * d_up, d_down)
+        out[a, :, lo - d_down : (a + 1) * d_up - d_down] += up[:, lo - a * d_up :]
+    return out.reshape(n**k, want)
 
 
 def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBasis:

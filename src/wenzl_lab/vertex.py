@@ -128,11 +128,11 @@ def isometry(
     1e-6 relative; disagreement means a construction bug, so it is a
     hard error rather than a silent renormalization.
     """
+    _check_cap(p.n, max(t.k, t.l + t.m), max_dim)
     key = (p.n, t.k, t.l, t.m)
     hit = _iso_cache.get(key)
     if hit is not None:
         return hit
-    _check_cap(p.n, max(t.k, t.l + t.m), max_dim)
     bases = [onb_of_irrep(p, j, max_dim=max_dim) for j in (t.k, t.l, t.m)]
     raw = _leg_vertex(p.n, t, *(b.columns for b in bases))
     # B_l (x) B_m is an isometry on range(p_l (x) p_m), so this is Tr(A^* A)

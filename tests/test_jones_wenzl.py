@@ -196,6 +196,60 @@ def test_onb_spans_range_of_projection(n, k):
     np.testing.assert_allclose(cols.T @ cols, np.eye(cols.shape[1]), atol=RESIDUAL_TOL)
 
 
+def _fusion_step_complete_qr(p, k, up, down):
+    """The fusion step through the complete Q of a QR: the oracle of `_fusion_step`.
+
+    Forms the whole N d_{k-1} x N d_{k-1} Q, keeps the columns past the
+    embedded H_{k-2} as W and returns (I_N (x) B_{k-1}) W.
+    """
+    n, d_up, d_down = p.n, up.shape[1], down.shape[1]
+    cube = up.reshape(n, n ** (k - 2), d_up)
+    m = (cube.transpose(0, 2, 1) @ down).reshape(n * d_up, d_down)
+    w = np.linalg.qr(m, mode="complete")[0][:, d_down:]
+    return (up @ w.reshape(n, d_up, -1)).reshape(n**k, -1)
+
+
+FUSION_LEVELS = [(n, k) for n in (2, 3, 4, 5) for k in range(2, 13) if n**k <= 4096]
+
+
+@pytest.mark.parametrize("n,k", FUSION_LEVELS, ids=[f"{n}-{k}" for n, k in FUSION_LEVELS])
+def test_fusion_step_matches_complete_qr_oracle(n, k):
+    # the same Householder vectors, so the same basis and not merely the same span
+    p = quantum_parameter(n)
+    got = onb_of_irrep(p, k).columns
+    up = onb_of_irrep(p, k - 1).columns
+    down = onb_of_irrep(p, k - 2).columns
+    want = _fusion_step_complete_qr(p, k, up, down)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= ATOL
+
+
+def test_householder_wy_survives_trivial_reflector():
+    # a first column that is already reduced gives tau_1 = 0 from LAPACK
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((7, 4))
+    m[:, 0] = 0.0
+    m[0, 0] = 2.5
+    v, t = jwmod._householder_wy(m)
+    assert t[0, 0] == 0.0
+    assert np.all(np.isfinite(t))
+    q = np.eye(7) - v @ t @ v.T
+    np.testing.assert_allclose(q, np.linalg.qr(m, mode="complete")[0], atol=ATOL)
+
+
+def test_basis_never_forms_complete_q(monkeypatch):
+    real_qr = np.linalg.qr
+
+    def qr_without_complete(a, mode="reduced"):
+        if mode == "complete":
+            raise AssertionError("complete Q formed")
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(jwmod.np.linalg, "qr", qr_without_complete)
+    p = quantum_parameter(4)
+    assert onb_of_irrep(p, 6).columns.shape == (4**6, round(dim_irrep(p, 6)))
+
+
 # ---------------------------------------------------------------------------
 # fixing property
 # ---------------------------------------------------------------------------

@@ -156,6 +156,15 @@ def test_isometry_cached():
     assert isometry(p, t) is isometry(p, t)
 
 
+def test_cached_isometry_still_honours_cap():
+    p = quantum_parameter(3)
+    t = AdmissibleTriple(2, 2, 2)
+    isometry(p, t)
+    with pytest.raises(DimensionCapError):
+        isometry(p, t, max_dim=9)
+    assert isometry(p, t, max_dim=81) is isometry(p, t)
+
+
 def test_ambient_shape_and_factorization():
     p = quantum_parameter(3)
     iso = isometry(p, AdmissibleTriple(1, 1, 2))
