@@ -1,7 +1,7 @@
 """Numerical Jones-Wenzl calculus for free orthogonal quantum groups.
 
 Subpackages build on each other in this order: qnum (scalar quantum
-arithmetic), tensor_core (dense tensor-leg plumbing), jones_wenzl
+arithmetic), tensor_core (dense operators and the dimension cap), jones_wenzl
 (projections and irrep bases), vertex (equivariant isometries
 in leg coordinates), entangle (Schmidt analysis and witnesses),
 channel (equivariant quantum channels and Choi diagnostics), cli.
@@ -18,9 +18,7 @@ from .channel import (
     TRACE_LAST,
     channel,
     channel_apply,
-    channel_norm_1_to_inf,
     channel_norm_report,
-    choi_matrix,
     choi_witness_value,
     d_positivity_threshold,
     moe_bracket,
@@ -76,15 +74,7 @@ from .tensor_core import (
     DEFAULT_DIM_CAP,
     TensorOperator,
     TensorShape,
-    TensorVector,
-    alternating_vector,
-    basis_vector,
-    cup_vector,
-    identity_operator,
-    matricize,
-    partial_trace,
     reversal_permutation,
-    tensor_product,
 )
 from .vertex import (
     EquivariantIsometry,

@@ -23,7 +23,6 @@ import numpy as np
 from .entangle import (
     PLATEAU_RTOL,
     _entropy_from_lambdas,
-    _witness_legs,
     max_schmidt_optimizer,
     saturation_witness,
     schmidt_spectrum,
@@ -31,7 +30,7 @@ from .entangle import (
 )
 from .errors import InvariantViolation
 from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
-from .tensor_core import DEFAULT_DIM_CAP, TensorOperator, TensorShape
+from .tensor_core import DEFAULT_DIM_CAP
 from .vertex import EquivariantIsometry, isometry
 
 # Input states are rejected when their smallest eigenvalue drops below
@@ -67,10 +66,6 @@ class EquivariantChannel:
     @property
     def input_dim(self) -> int:
         return self.iso.basis.dim
-
-    @property
-    def kept_legs(self) -> int:
-        return self.triple.m if self.direction == TRACE_FIRST else self.triple.l
 
     @property
     def output_dim(self) -> int:
@@ -182,18 +177,6 @@ def channel_norm_report(
     )
 
 
-def channel_norm_1_to_inf(
-    ch: EquivariantChannel, restarts: int = 20, seed: int = 0
-) -> float:
-    """sup over pure inputs of ||Phi(rho)||_inf, found by the optimizer."""
-    rep = channel_norm_report(ch, restarts=restarts, seed=seed)
-    if not rep.converged:
-        raise InvariantViolation(
-            f"norm optimizer did not converge on {ch.triple} with {restarts} restarts"
-        )
-    return rep.norm_1_to_inf
-
-
 @dataclass(frozen=True)
 class MoeBracket:
     """Bracket on the minimum output entropy (natural log).
@@ -237,16 +220,15 @@ def moe_bracket(
     coarse_lower = -math.log(rd_bound(p, t)[1])
     dim_k = ch.input_dim
 
-    witness_entropy = schmidt_spectrum(witness_image(ch.iso), t.l).entropy
+    witness_entropy = schmidt_spectrum(witness_image(ch.iso)).entropy
 
     res = max_schmidt_optimizer(
         p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
     )
-    xi_opt = ch.iso.basis.columns.T @ res.xi.data
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((samples, dim_k))
     # column 0 is the optimizer's argmax, the rest are the random inputs
-    cols = np.column_stack([xi_opt, draws.T])
+    cols = np.column_stack([res.xi, draws.T])
     cols /= np.linalg.norm(cols, axis=0)
     stack = np.moveaxis(_leg_matrices(ch, cols), 2, 0)
     svals = np.linalg.svd(stack, compute_uv=False)
@@ -280,21 +262,6 @@ def moe_bracket(
         argmin=argmin,
         samples=samples,
     )
-
-
-def choi_matrix(
-    p: QParams,
-    t: AdmissibleTriple,
-    scale: float,
-    max_dim: int = DEFAULT_DIM_CAP,
-) -> TensorOperator:
-    """identity of H_l (x) H_m minus scale times alpha alpha^*, lifted to the
-    ambient N^{l+m} x N^{l+m} (the identity of H_l (x) H_m becomes p_l (x) p_m)."""
-    iso = isometry(p, t, max_dim=max_dim)
-    form = np.eye(iso.legs.shape[0]) - scale * (iso.legs @ iso.legs.T)
-    half = iso.lift(form)  # (B_l (x) B_m) form
-    shape = TensorShape(p.n, t.l + t.m)
-    return TensorOperator(shape, shape, iso.lift(half.T))
 
 
 def d_positivity_threshold(p: QParams, t: AdmissibleTriple, d: int) -> float:
@@ -334,9 +301,9 @@ def _choi_qform(legs: np.ndarray, scale: float, x: np.ndarray) -> float:
 
 def _witness_pairs(
     iso: EquivariantIsometry, d: int, max_dim: int
-) -> tuple[list[np.ndarray], list[np.ndarray], int]:
-    """First d orthonormal witness pairs in leg coordinates: index family,
-    then plateau pairs.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """First d orthonormal witness pairs in leg coordinates, one pair per
+    row of the two returned arrays: index family, then plateau pairs.
 
     Pairs beyond the family come from the Schmidt plateau of the image
     of the alternating word, after deflating the family block; the two
@@ -344,15 +311,12 @@ def _witness_pairs(
     """
     p, t = iso.params, iso.triple
     wit = saturation_witness(p, t, max_dim=max_dim)
-    etas = [iso.basis_l.columns.T @ v.data for v in wit.eta_family[:d]]
-    zetas = [iso.basis_m.columns.T @ v.data for v in wit.zeta_family[:d]]
+    etas, zetas = wit.eta_family[:d], wit.zeta_family[:d]
     if d <= wit.family_size:
         return etas, zetas, wit.family_size
 
-    mat = _witness_legs(iso).reshape(iso.basis_l.dim, iso.basis_m.dim)
     root = math.exp(0.5 * lambda_log(p, t))
-    for eta, zeta in zip(etas, zetas):
-        mat = mat - root * np.outer(eta, zeta)
+    mat = witness_image(iso) - root * (etas.T @ zetas)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     extra = int(np.sum(np.abs(s - root) <= PLATEAU_RTOL * root + 1e-12))
     available = wit.family_size + extra
@@ -361,10 +325,8 @@ def _witness_pairs(
             f"d = {d} exceeds the witness supply on {t}: index family size "
             f"(N-2)(N-1)^(r-1) = {wit.family_size}, observed plateau {available}"
         )
-    for j in range(d - wit.family_size):
-        etas.append(u[:, j].copy())
-        zetas.append(vt[j, :].copy())
-    return etas, zetas, wit.family_size
+    more = d - wit.family_size
+    return np.vstack([etas, u[:, :more].T]), np.vstack([zetas, vt[:more]]), wit.family_size
 
 
 def choi_witness_value(
@@ -391,7 +353,7 @@ def choi_witness_value(
         )
     iso = isometry(p, t, max_dim=max_dim)
     etas, zetas, family_size = _witness_pairs(iso, d, max_dim)
-    x = sum(np.outer(eta, zeta) for eta, zeta in zip(etas, zetas)).ravel()
+    x = (etas.T @ zetas).ravel()
     witness_value = _choi_qform(iso.legs, scale, x)
     predicted = d * (1.0 - scale * d * math.exp(lambda_log(p, t)))
 

@@ -347,7 +347,7 @@ def _run_isometry(args: argparse.Namespace, cfg: JobConfig) -> dict:
 def _run_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
     p, t = _params_and_triple(cfg)
     iso = isometry(p, t, max_dim=cfg.max_dim)
-    report = schmidt_spectrum(witness_image(iso), split=t.l)
+    report = schmidt_spectrum(witness_image(iso))
     lam = math.exp(lambda_log(p, t))
     payload = {
         **asdict(report),

@@ -14,7 +14,9 @@ that attains the supremum iterates on (eta, zeta) alone, through the
 range projector alpha alpha^*.  alpha(H_k) is one summand of
 H_l (x) H_m = (+)_r H_{l+m-2r}, so near highest weight, where it fills
 almost all of H_l (x) H_m, the projector is applied as 1 - C C^T over
-the other summands.  Result vectors are lifted to the ambient spaces.
+the other summands.  Witness words enter as rows of the irrep bases at
+their flat indices, and every result vector is returned in irrep-basis
+coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .jones_wenzl import jw_fixes, jw_projection
+from .jones_wenzl import onb_of_irrep
 from .qnum import (
     AdmissibleTriple,
     QParams,
@@ -36,7 +38,7 @@ from .qnum import (
     log_dim,
     rd_bound,
 )
-from .tensor_core import DEFAULT_DIM_CAP, TensorShape, TensorVector, basis_vector
+from .tensor_core import DEFAULT_DIM_CAP
 from .vertex import EquivariantIsometry, isometry
 
 __all__ = [
@@ -84,22 +86,20 @@ class SchmidtReport:
     numerical_rank: int
 
 
-def schmidt_spectrum(v: TensorVector, split: int, rank_tol: float = RANK_TOL) -> SchmidtReport:
-    """Schmidt data of v across legs [1..split] vs the rest.
+def schmidt_spectrum(mat: np.ndarray) -> SchmidtReport:
+    """Schmidt data of a bipartite vector given as its d_l x d_m matrix.
 
-    Coefficients are squared singular values and sum to ||v||^2; the
+    Coefficients are squared singular values and sum to ||mat||_F^2; the
     entropy is computed on the normalized spectrum, natural log.
     """
-    nrm2 = float(v.data @ v.data)
-    if nrm2 <= 1e-300:
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2:
+        raise ValueError(f"Schmidt spectrum needs a matrix, got shape {mat.shape}")
+    if float(np.einsum("ij,ij->", mat, mat)) <= 1e-300:
         raise ValueError("Schmidt spectrum of the zero vector is undefined")
-    legs = v.shape.legs
-    if not 0 <= split <= legs:
-        raise ValueError(f"split {split} out of range 0..{legs}")
-    mat = v.data.reshape(v.shape.n**split, -1)
     sigma = np.linalg.svd(mat, compute_uv=False)
     lambdas = sigma * sigma
-    rank = int(np.count_nonzero(lambdas > rank_tol * lambdas[0]))
+    rank = int(np.count_nonzero(lambdas > RANK_TOL * lambdas[0]))
     return SchmidtReport(
         coefficients=lambdas,
         entropy=_entropy_from_lambdas(lambdas),
@@ -169,12 +169,14 @@ class MaxSchmidtResult:
     `converged` and `sweeps` belong to the winning restart;
     `restart_sweeps` and `restart_converged` record every restart, in
     restart order, so a losing restart that never converged is visible.
+    xi, eta and zeta are unit vectors in IrrepBasis coordinates of H_k,
+    H_l and H_m.
     """
 
     value: float
-    xi: TensorVector
-    eta: TensorVector
-    zeta: TensorVector
+    xi: np.ndarray
+    eta: np.ndarray
+    zeta: np.ndarray
     converged: bool
     sweeps: int
     restart_sweeps: tuple[int, ...]
@@ -247,8 +249,7 @@ def max_schmidt_optimizer(
     The best value wins, ties broken by lowest restart index.  The
     winner's xi and the reported value come from one direct product
     with `legs`, which must agree with the iterated value to
-    SIDE_AGREEMENT_TOL, else InvariantViolation.  xi, eta and zeta are
-    returned on the ambient spaces.
+    SIDE_AGREEMENT_TOL, else InvariantViolation.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -302,9 +303,9 @@ def max_schmidt_optimizer(
         )
     return MaxSchmidtResult(
         value=direct,
-        xi=TensorVector(TensorShape(p.n, t.k), iso.basis.columns @ (raw / direct)),
-        eta=TensorVector(TensorShape(p.n, t.l), bl @ eta),
-        zeta=TensorVector(TensorShape(p.n, t.m), bm @ zeta),
+        xi=raw / direct,
+        eta=eta,
+        zeta=zeta,
         converged=bool(converged[win]),
         sweeps=int(sweeps[win]),
         restart_sweeps=tuple(int(s) for s in sweeps),
@@ -320,42 +321,67 @@ def _alternating_letters(count: int, first: int = 1, second: int = 2) -> list[in
     return [first if s % 2 == 0 else second for s in range(count)]
 
 
+def _fixed_rows(basis: np.ndarray, n: int, words: list[list[int]]) -> np.ndarray:
+    """B^T e_w for each word w of 1-based letters: the rows of the irrep
+    basis B at the words' row-major flat indices, leftmost letter slowest.
+
+    Since B B^T = p, ||p e_w - e_w||^2 = 1 - ||B^T e_w||^2, so a word is
+    fixed by its Jones-Wenzl projection exactly when its row has unit
+    norm; a row off by more than WITNESS_FIX_TOL is a loud error, so a
+    wrong reading of the alternation condition cannot slip through.
+    """
+    letters = np.asarray(words, dtype=np.int64)
+    rows = basis[(letters - 1) @ n ** np.arange(letters.shape[1] - 1, -1, -1)]
+    off = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
+    if off.max() > WITNESS_FIX_TOL:
+        worst = int(np.argmax(off))
+        raise InvariantViolation(
+            f"witness word {words[worst]} is not fixed by its projection "
+            f"(row norm off 1 by {off[worst]:.3e})"
+        )
+    return rows
+
+
 def witness_family_size(p: QParams, t: AdmissibleTriple) -> int:
     """|A| = (N-2)(N-1)^{r-1}, the size of the witness index family; 0 at r = 0."""
     return (p.n - 2) * (p.n - 1) ** (t.r - 1) if t.r >= 1 else 0
 
 
-def _witness_legs(iso: EquivariantIsometry) -> np.ndarray:
-    """alpha(xi) in leg coordinates for the unit alternating word xi = eta_k(1,2).
+def witness_image(iso: EquivariantIsometry) -> np.ndarray:
+    """alpha(xi) for the unit alternating word xi = eta_k(1,2), as its d_l x d_m leg matrix.
 
-    xi enters through its IrrepBasis coordinates, renormalized so the
-    image has unit norm to rounding.
+    xi enters through its IrrepBasis coordinates, the row of B_k at the
+    word's flat index, renormalized so the image has unit norm to rounding.
     """
-    shape = TensorShape(iso.params.n, iso.triple.k)
-    word = basis_vector(shape, _alternating_letters(shape.legs), max_dim=shape.dim)
-    coords = iso.basis.columns.T @ word.data
-    return iso.legs @ (coords / np.linalg.norm(coords))
-
-
-def witness_image(iso: EquivariantIsometry) -> TensorVector:
-    """alpha(xi) for the unit alternating word xi = eta_k(1,2) of H_k, ambient."""
-    t = iso.triple
-    return TensorVector(TensorShape(iso.params.n, t.l + t.m), iso.lift(_witness_legs(iso)))
+    coords = _fixed_rows(iso.basis.columns, iso.params.n, [_alternating_letters(iso.triple.k)])[0]
+    image = iso.legs @ (coords / np.linalg.norm(coords))
+    return image.reshape(iso.basis_l.dim, iso.basis_m.dim)
 
 
 @dataclass(frozen=True)
 class SaturationWitness:
     """The alternating-word input xi and the orthonormal output families.
 
-    eta_family[i] (x) zeta_family[i] are the product vectors whose span
-    realizes the flat top of the Schmidt spectrum of alpha(xi).
+    All in IrrepBasis coordinates: xi is a vector of H_k, and row i of
+    eta_family (|A| x d_l) and of zeta_family (|A| x d_m) are eta_i and
+    zeta_i, the product vectors whose span realizes the flat top of the
+    Schmidt spectrum of alpha(xi).
     """
 
     triple: AdmissibleTriple
-    xi: TensorVector
+    xi: np.ndarray
     family_size: int
-    eta_family: tuple[TensorVector, ...]
-    zeta_family: tuple[TensorVector, ...]
+    eta_family: np.ndarray
+    zeta_family: np.ndarray
+
+
+def _witness_indices(n: int, r: int) -> list[tuple[int, ...]]:
+    """A = {i: [r] -> [N] with i(1) >= 3 and i(s) != i(s+1)}, in lexicographic order."""
+    return [
+        idx
+        for idx in itertools.product(range(1, n + 1), repeat=r)
+        if idx[0] >= 3 and all(idx[s] != idx[s + 1] for s in range(r - 1))
+    ]
 
 
 def saturation_witness(
@@ -363,45 +389,27 @@ def saturation_witness(
 ) -> SaturationWitness:
     """Build xi = eta_k(1,2) and the index family A of Prop-style witnesses.
 
-    A = {i: [r] -> [N] with i(1) >= 3 and i(s) != i(s+1)}; each index
-    yields eta_i = eta_0 (x) e_{i(1)} ... e_{i(r)} and the mirrored
-    zeta_i, where eta_0/zeta_0 are the first l-r / last m-r letters of
-    xi.  Every family member must be fixed by its Jones-Wenzl
-    projection; a failed fix is a loud error, so a wrong reading of the
-    alternation condition cannot slip through.
+    Each index i in A yields eta_i = eta_0 (x) e_{i(1)} ... e_{i(r)} and
+    the mirrored zeta_i, where eta_0/zeta_0 are the first l-r / last m-r
+    letters of xi; each word is read off as a row of B_k, B_l or B_m, and
+    every family member must be fixed by its Jones-Wenzl projection.
     """
     if t.r < 1:
         raise ValueError(f"triple {t} is highest weight: no witness family (r = 0)")
     if p.n < 3:
         raise ValueError("witness family needs rank >= 3 (letter i(1) >= 3)")
     n, k, l, m, r = p.n, t.k, t.l, t.m, t.r
+    bk, bl, bm = (onb_of_irrep(p, j, max_dim=max_dim).columns for j in (k, l, m))
     word = _alternating_letters(k)
-    xi = basis_vector(TensorShape(n, k), word, max_dim=max_dim)
-    eta0 = word[: l - r]
-    zeta0 = word[l - r :]
-    indices = [
-        idx
-        for idx in itertools.product(range(1, n + 1), repeat=r)
-        if idx[0] >= 3 and all(idx[s] != idx[s + 1] for s in range(r - 1))
-    ]
+    indices = _witness_indices(n, r)
     want = witness_family_size(p, t)
     if len(indices) != want:
         raise InvariantViolation(
             f"witness family size {len(indices)} != (N-2)(N-1)^(r-1) = {want}"
         )
-    jw_l = jw_projection(p, l, max_dim=max_dim)
-    jw_m = jw_projection(p, m, max_dim=max_dim)
-    etas, zetas = [], []
-    for idx in indices:
-        eta = basis_vector(TensorShape(n, l), eta0 + list(idx), max_dim=max_dim)
-        zeta = basis_vector(TensorShape(n, m), list(idx[::-1]) + zeta0, max_dim=max_dim)
-        if jw_fixes(jw_l, eta) > WITNESS_FIX_TOL or jw_fixes(jw_m, zeta) > WITNESS_FIX_TOL:
-            raise InvariantViolation(
-                f"witness vector for index {idx} is not fixed by its projection"
-            )
-        etas.append(eta)
-        zetas.append(zeta)
-    return SaturationWitness(t, xi, len(indices), tuple(etas), tuple(zetas))
+    etas = _fixed_rows(bl, n, [word[: l - r] + list(idx) for idx in indices])
+    zetas = _fixed_rows(bm, n, [list(idx[::-1]) + word[l - r :] for idx in indices])
+    return SaturationWitness(t, _fixed_rows(bk, n, [word])[0], want, etas, zetas)
 
 
 @dataclass(frozen=True)
@@ -430,8 +438,7 @@ def verify_saturation(
     """
     wit = saturation_witness(p, t, max_dim=max_dim)
     iso = isometry(p, t, max_dim=max_dim)
-    spec = schmidt_spectrum(witness_image(iso), t.l)
-    lam = spec.coefficients
+    lam = schmidt_spectrum(witness_image(iso)).coefficients
     expected = math.exp(lambda_log(p, t))
     d = wit.family_size
     top = lam[:d]
@@ -476,10 +483,8 @@ def higher_rank_value(
     """
     wit = saturation_witness(p, t, max_dim=max_dim)
     iso = isometry(p, t, max_dim=max_dim)
-    total = np.zeros(p.n ** (t.l + t.m))
-    for eta, zeta in zip(wit.eta_family, wit.zeta_family):
-        total += np.kron(eta.data, zeta.data)
-    lhs = float(np.linalg.norm(iso.reduced.T @ total))
+    total = wit.eta_family.T @ wit.zeta_family  # sum_i eta_i (x) zeta_i as d_l x d_m
+    lhs = float(np.linalg.norm(iso.legs.T @ total.ravel()))
     rhs_exact = wit.family_size * math.sqrt(math.exp(lambda_log(p, t)))
     rhs_floor = wit.family_size * p.q ** ((t.l + t.m - t.k) / 4.0)
     return HigherRankReport(
@@ -499,9 +504,10 @@ def higher_rank_value(
 
 @dataclass(frozen=True)
 class SeparabilityWitness:
-    """A rank-1 product vector inside the highest-weight subspace."""
+    """A rank-1 product vector inside the highest-weight subspace, as its
+    d_l x d_m leg matrix."""
 
-    vector: TensorVector
+    vector: np.ndarray
     schmidt_rank: int
     residual: float
 
@@ -522,19 +528,19 @@ def separability_witness_highest_weight(
     """
     if i == j:
         raise ValueError("separability witness needs two distinct letters")
-    left = basis_vector(TensorShape(p.n, l), _alternating_letters(l, i, j), max_dim=max_dim)
-    if l % 2 == 0:
-        right_letters = _alternating_letters(m, i, j)
-    else:
-        right_letters = _alternating_letters(m, j, i)
-    right = basis_vector(TensorShape(p.n, m), right_letters, max_dim=max_dim)
-    vec = TensorVector(TensorShape(p.n, l + m), np.kron(left.data, right.data))
+    if not (1 <= i <= p.n and 1 <= j <= p.n):
+        raise ValueError(f"letters {i}, {j} out of range 1..{p.n}")
+    left = _alternating_letters(l, i, j)
+    right = _alternating_letters(m, i, j) if l % 2 == 0 else _alternating_letters(m, j, i)
     iso = isometry(p, AdmissibleTriple(l + m, l, m), max_dim=max_dim)
-    residual = float(
-        np.linalg.norm(iso.reduced @ (iso.reduced.T @ vec.data) - vec.data)
+    x = np.outer(
+        _fixed_rows(iso.basis_l.columns, p.n, [left])[0],
+        _fixed_rows(iso.basis_m.columns, p.n, [right])[0],
     )
-    rank = schmidt_spectrum(vec, l).numerical_rank
-    return SeparabilityWitness(vector=vec, schmidt_rank=rank, residual=residual)
+    flat = x.ravel()
+    residual = float(np.linalg.norm(iso.legs @ (iso.legs.T @ flat) - flat))
+    rank = schmidt_spectrum(x).numerical_rank
+    return SeparabilityWitness(vector=x, schmidt_rank=rank, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .qnum import QParams, dim_irrep, q_int
-from .tensor_core import DEFAULT_DIM_CAP, TensorOperator, TensorShape, TensorVector, _check_cap
+from .tensor_core import DEFAULT_DIM_CAP, TensorOperator, TensorShape, _check_cap
 
 __all__ = [
     "JwProjection",
@@ -239,8 +239,9 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
     return _basis_cache[(p.n, k)]
 
 
-def jw_fixes(jw: JwProjection, v: TensorVector) -> float:
-    """||p_k v - v||; vanishes on words with no adjacent repeated letter."""
-    if v.shape != jw.op.in_shape:
+def jw_fixes(jw: JwProjection, v: np.ndarray) -> float:
+    """||p_k v - v|| for a flat N^k vector; vanishes on words with no adjacent repeated letter."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (jw.op.in_shape.dim,):
         raise ValueError(f"vector shape {v.shape} does not match p_k on {jw.op.in_shape}")
-    return float(np.linalg.norm(jw.op.data @ v.data - v.data))
+    return float(np.linalg.norm(jw.op.data @ v - v))

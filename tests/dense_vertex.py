@@ -1,15 +1,19 @@
-"""The dense trivalent vertex, kept as the oracle for `vertex.isometry`.
+"""Ambient oracles for the package's leg-coordinate computations.
 
+The dense trivalent vertex
 A_k^{l,m} = (p_l (x) p_m) (iota^{(x) l-r} (x) T_r (x) iota^{(x) m-r}) p_k
 is built here from the dense Wenzl projections: the cup insertion is a
 fancy-indexed scatter and the two projections act leg-wise.  The package
 builds the same map in leg coordinates without any p; the tests compare
-the two.
+the two.  The elementary tensors of words, the cup vectors T_r and the
+Choi matrix are the other ambient N^legs objects the tests check against.
+All vectors are flat arrays in row-major leg order, leftmost leg slowest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +27,61 @@ from wenzl_lab.tensor_core import (
     _check_cap,
     reversal_permutation,
 )
-from wenzl_lab.vertex import _project_sides
+from wenzl_lab.vertex import _project_sides, isometry
+
+
+def basis_vector(
+    shape: TensorShape, multi_index: Sequence[int], max_dim: int = DEFAULT_DIM_CAP
+) -> np.ndarray:
+    """Elementary tensor e_{i(1)} (x) ... (x) e_{i(k)} for 1-based indices."""
+    _check_cap(shape.n, shape.legs, max_dim)
+    idx = tuple(multi_index)
+    if len(idx) != shape.legs:
+        raise ValueError(f"expected {shape.legs} indices, got {len(idx)}")
+    for i in idx:
+        if not 1 <= i <= shape.n:
+            raise ValueError(f"index {i} out of range 1..{shape.n}")
+    data = np.zeros(shape.dim)
+    flat = 0
+    for i in idx:  # row-major, leftmost leg slowest
+        flat = flat * shape.n + (i - 1)
+    data[flat] = 1.0
+    return data
+
+
+def alternating_vector(
+    shape: TensorShape, i: int, j: int, max_dim: int = DEFAULT_DIM_CAP
+) -> np.ndarray:
+    """The alternating word e_i (x) e_j (x) e_i (x) ... on shape.legs legs."""
+    if i == j:
+        raise ValueError("alternating word needs two distinct letters")
+    word = [i if s % 2 == 0 else j for s in range(shape.legs)]
+    return basis_vector(shape, word, max_dim=max_dim)
+
+
+def cup_vector(p: QParams, r: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """The nested cup vector T_r on 2r legs.
+
+    T_1 = sum_i e_i (x) e_i and T_r = (iota^{(x) r-1} (x) T_1 (x)
+    iota^{(x) r-1}) T_{r-1}, which places a 1 at every position
+    (i, i-reversed); squared norm n**r.
+    """
+    if r < 0:
+        raise ValueError(f"cup size must be >= 0, got {r}")
+    _check_cap(p.n, 2 * r, max_dim)
+    side = p.n**r
+    data = np.zeros((side, side))
+    data[np.arange(side), reversal_permutation(p.n, r)] = 1.0
+    return data.reshape(-1)
+
+
+def choi_matrix(p: QParams, t: AdmissibleTriple, scale: float) -> np.ndarray:
+    """identity of H_l (x) H_m minus scale times alpha alpha^*, lifted to the
+    ambient N^{l+m} x N^{l+m} (the identity of H_l (x) H_m becomes p_l (x) p_m)."""
+    iso = isometry(p, t)
+    form = np.eye(iso.legs.shape[0]) - scale * (iso.legs @ iso.legs.T)
+    half = iso.lift(form)  # (B_l (x) B_m) form
+    return iso.lift(half.T)
 
 
 @dataclass(frozen=True)

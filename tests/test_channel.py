@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_vertex import choi_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +17,7 @@ from wenzl_lab.channel import (
     TRACE_LAST,
     channel,
     channel_apply,
-    channel_norm_1_to_inf,
     channel_norm_report,
-    choi_matrix,
     choi_witness_value,
     d_positivity_threshold,
     moe_bracket,
@@ -43,6 +42,12 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     weights = rng.dirichlet(np.ones(dim))
     basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     return (basis * weights) @ basis.T
+
+
+def converged_norm(ch) -> float:
+    rep = channel_norm_report(ch)
+    assert rep.converged, ch.triple
+    return rep.norm_1_to_inf
 
 
 def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -157,21 +162,21 @@ def test_channel_rejects_bad_direction():
 # ---------------------------------------------------------------------------
 
 def test_norm_frozen_values():
-    assert channel_norm_1_to_inf(channel(P3, BELL)) == pytest.approx(
+    assert converged_norm(channel(P3, BELL)) == pytest.approx(
         1.0 / 3.0, rel=1e-6
     )
-    assert channel_norm_1_to_inf(channel(P3, MIDDLE)) == pytest.approx(
+    assert converged_norm(channel(P3, MIDDLE)) == pytest.approx(
         3.0 / 8.0, rel=1e-6
     )
-    assert channel_norm_1_to_inf(channel(P3, HIGHEST)) == pytest.approx(
+    assert converged_norm(channel(P3, HIGHEST)) == pytest.approx(
         1.0, rel=1e-6
     )
 
 
 def test_norm_matches_closed_form_and_direction_free():
     for p, t in ((P3, SQUARE), (P4, MIDDLE)):
-        first = channel_norm_1_to_inf(channel(p, t, TRACE_FIRST))
-        last = channel_norm_1_to_inf(channel(p, t, TRACE_LAST))
+        first = converged_norm(channel(p, t, TRACE_FIRST))
+        last = converged_norm(channel(p, t, TRACE_LAST))
         closed = channel_norm_report(channel(p, t)).closed_form
         assert first == pytest.approx(closed, rel=1e-6)
         assert last == pytest.approx(closed, rel=1e-6)
@@ -273,7 +278,7 @@ def test_moe_deterministic():
 
 def test_entropy_never_below_negative_log_norm():
     ch = channel(P3, MIDDLE)
-    floor = -math.log(channel_norm_1_to_inf(ch))
+    floor = -math.log(converged_norm(ch))
     rng = np.random.default_rng(3)
     for _ in range(25):
         rho = random_pure(rng, ch.input_dim)
@@ -289,28 +294,28 @@ def test_entropy_never_below_negative_log_norm():
 
 def test_choi_scale_zero_is_product_projector():
     C = choi_matrix(P3, BELL, 0.0)
-    np.testing.assert_allclose(C.data, np.eye(9), atol=1e-12)
+    np.testing.assert_allclose(C, np.eye(9), atol=1e-12)
     C2 = choi_matrix(P3, MIDDLE, 0.0)
-    w = np.linalg.eigvalsh(C2.data)
+    w = np.linalg.eigvalsh(C2)
     assert np.all((np.abs(w) < 1e-9) | (np.abs(w - 1.0) < 1e-9))
     assert np.sum(w > 0.5) == 3 * 8  # dim H_1 * dim H_2
 
 
 def test_choi_scale_one_is_psd_with_01_spectrum():
     for p, t in ((P3, BELL), (P3, MIDDLE), (P4, SQUARE)):
-        w = np.linalg.eigvalsh(choi_matrix(p, t, 1.0).data)
+        w = np.linalg.eigvalsh(choi_matrix(p, t, 1.0))
         assert w[0] >= -1e-9
         assert np.all((w < 1e-9) | (np.abs(w - 1.0) < 1e-9))
 
 
 def test_choi_scale_two_bell_smallest_eigenvalue():
-    w = np.linalg.eigvalsh(choi_matrix(P3, BELL, 2.0).data)
+    w = np.linalg.eigvalsh(choi_matrix(P3, BELL, 2.0))
     assert w[0] == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_choi_matrix_symmetric():
     C = choi_matrix(P4, SQUARE, 1.3)
-    np.testing.assert_allclose(C.data, C.data.T, atol=1e-12)
+    np.testing.assert_allclose(C, C.T, atol=1e-12)
 
 
 def test_threshold_frozen_values():

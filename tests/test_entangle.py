@@ -3,13 +3,15 @@ and the saturation/separability witness families."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from test_acceptance import SWEEP_SMALL
+from dense_vertex import alternating_vector, basis_vector
+from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
-from wenzl_lab import vertex
+from wenzl_lab import entangle, vertex
 from wenzl_lab.entangle import (
     entropy_dim_tradeoff,
     higher_rank_value,
@@ -19,24 +21,20 @@ from wenzl_lab.entangle import (
     schmidt_spectrum,
     separability_witness_highest_weight,
     verify_saturation,
+    witness_image,
 )
-from wenzl_lab.errors import InvariantViolation
-from wenzl_lab.jones_wenzl import jw_projection
+from wenzl_lab.errors import DimensionCapError, InvariantViolation
+from wenzl_lab.jones_wenzl import jw_fixes, jw_projection, onb_of_irrep
 from wenzl_lab.qnum import AdmissibleTriple, admissible_triples, q_int, quantum_parameter
-from wenzl_lab.tensor_core import (
-    TensorShape,
-    TensorVector,
-    alternating_vector,
-    basis_vector,
-    tensor_product,
-)
+from wenzl_lab.tensor_core import TensorShape
 from wenzl_lab.vertex import EquivariantIsometry, isometry
 
 
 def _image(p, t, v):
+    """alpha(v) as its d_l x d_m leg matrix, for an ambient vector v of H_k."""
     iso = isometry(p, t)
-    coords = iso.basis.columns.T @ v.data
-    return TensorVector(TensorShape(p.n, t.l + t.m), iso.reduced @ coords)
+    coords = iso.basis.columns.T @ v
+    return (iso.legs @ coords).reshape(iso.basis_l.dim, iso.basis_m.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ def test_schmidt_of_bell_image():
     p = quantum_parameter(3)
     t = AdmissibleTriple(0, 1, 1)
     v = _image(p, t, basis_vector(TensorShape(3, 0), ()))
-    rep = schmidt_spectrum(v, 1)
+    rep = schmidt_spectrum(v)
     np.testing.assert_allclose(rep.coefficients, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert rep.entropy == pytest.approx(math.log(3.0), rel=1e-10)
     assert rep.numerical_rank == 3
@@ -57,7 +55,7 @@ def test_schmidt_of_separable_vector():
     n = 3
     a = basis_vector(TensorShape(n, 1), (2,))
     b = basis_vector(TensorShape(n, 2), (1, 2))
-    rep = schmidt_spectrum(tensor_product(a, b), 1)
+    rep = schmidt_spectrum(np.outer(a, b))
     assert rep.max == pytest.approx(1.0, rel=1e-12)
     assert rep.entropy == pytest.approx(0.0, abs=1e-12)
     assert rep.numerical_rank == 1
@@ -67,22 +65,28 @@ def test_schmidt_of_highest_weight_image_is_rank_one():
     p = quantum_parameter(3)
     t = AdmissibleTriple(2, 1, 1)
     v = _image(p, t, alternating_vector(TensorShape(3, 2), 1, 2))
-    rep = schmidt_spectrum(v, 1)
+    rep = schmidt_spectrum(v)
     assert rep.numerical_rank == 1
     assert rep.max == pytest.approx(1.0, rel=1e-9)
 
 
 def test_schmidt_sum_equals_squared_norm():
     rng = np.random.default_rng(11)
-    v = TensorVector(TensorShape(3, 4), rng.standard_normal(81))
-    rep = schmidt_spectrum(v, 2)
-    assert rep.coefficients.sum() == pytest.approx(v.norm() ** 2, rel=1e-9)
+    v = rng.standard_normal((9, 9))
+    rep = schmidt_spectrum(v)
+    assert rep.coefficients.sum() == pytest.approx(np.linalg.norm(v) ** 2, rel=1e-9)
     assert np.all(np.diff(rep.coefficients) <= 1e-15)
 
 
 def test_schmidt_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        schmidt_spectrum(TensorVector(TensorShape(3, 2), np.zeros(9)), 1)
+    with pytest.raises(ValueError, match="zero vector"):
+        schmidt_spectrum(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(9,), (3, 3, 3)])
+def test_schmidt_needs_a_matrix(shape):
+    with pytest.raises(ValueError, match="needs a matrix"):
+        schmidt_spectrum(np.ones(shape))
 
 
 def test_schmidt_vectors_live_in_projected_ranges():
@@ -176,21 +180,20 @@ def test_optimizer_deterministic_and_argmax_consistent():
     a = max_schmidt_optimizer(p, t, restarts=8, seed=4)
     b = max_schmidt_optimizer(p, t, restarts=8, seed=4)
     assert a.value == b.value
-    np.testing.assert_array_equal(a.xi.data, b.xi.data)
-    # the returned triple reproduces the reported value
+    np.testing.assert_array_equal(a.xi, b.xi)
+    # the returned triple, in irrep coordinates, reproduces the reported value
     iso = isometry(p, t)
-    overlap = (iso.reduced @ (iso.basis.columns.T @ a.xi.data)) @ np.kron(
-        a.eta.data, a.zeta.data
-    )
+    assert a.xi.shape == (iso.basis.dim,)
+    assert (a.eta.shape, a.zeta.shape) == ((iso.basis_l.dim,), (iso.basis_m.dim,))
+    overlap = (iso.legs @ a.xi) @ np.kron(a.eta, a.zeta)
     assert abs(overlap) == pytest.approx(a.value, rel=1e-9)
 
 
 def test_optimizer_unit_vectors():
     p = quantum_parameter(3)
     res = max_schmidt_optimizer(p, AdmissibleTriple(1, 1, 2), restarts=5, seed=7)
-    assert res.xi.norm() == pytest.approx(1.0, rel=1e-10)
-    assert res.eta.norm() == pytest.approx(1.0, rel=1e-10)
-    assert res.zeta.norm() == pytest.approx(1.0, rel=1e-10)
+    for vec in (res.xi, res.eta, res.zeta):
+        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-10)
 
 
 def _serial_restart(reduced, nl, nm, rng, tol, max_iters):
@@ -374,8 +377,7 @@ def test_witness_families_orthonormal():
     p = quantum_parameter(4)
     wit = saturation_witness(p, AdmissibleTriple(2, 2, 2))
     for fam in (wit.eta_family, wit.zeta_family):
-        gram = np.array([[a.data @ b.data for b in fam] for a in fam])
-        np.testing.assert_allclose(gram, np.eye(len(fam)), atol=1e-12)
+        np.testing.assert_allclose(fam @ fam.T, np.eye(len(fam)), atol=1e-12)
 
 
 def test_witness_rejects_highest_weight_and_rank_two():
@@ -389,7 +391,80 @@ def test_witness_xi_is_alternating_word():
     p = quantum_parameter(3)
     wit = saturation_witness(p, AdmissibleTriple(2, 2, 2))
     want = alternating_vector(TensorShape(3, 2), 1, 2)
-    np.testing.assert_array_equal(wit.xi.data, want.data)
+    np.testing.assert_allclose(wit.xi, onb_of_irrep(p, 2).columns.T @ want, rtol=0, atol=1e-15)
+
+
+def test_witness_honours_dimension_cap():
+    # the bases of H_k, H_l and H_m are capped, and nothing else: at N = 3,
+    # (4, 3, 3) needs N^k = 81 but never the N^(l+m) = 729 of the isometry
+    p, t = quantum_parameter(3), AdmissibleTriple(4, 3, 3)
+    with pytest.raises(DimensionCapError):
+        saturation_witness(p, t, max_dim=80)
+    assert saturation_witness(p, t, max_dim=81).family_size == 1
+    p4, square = quantum_parameter(4), AdmissibleTriple(2, 2, 2)
+    with pytest.raises(DimensionCapError):
+        saturation_witness(p4, square, max_dim=15)
+    assert saturation_witness(p4, square, max_dim=16).family_size == 2
+
+
+def _family_words(n, t):
+    """(eta_i, zeta_i) words from the definition: eta_i is the first l-r
+    letters of 1212... (length k) then i, zeta_i is i reversed then the
+    last m-r letters, for i(1) >= 3 with no adjacent repeat in i."""
+    word = [1 if s % 2 == 0 else 2 for s in range(t.k)]
+    return [
+        (word[: t.l - t.r] + list(i), list(i[::-1]) + word[t.l - t.r :])
+        for i in itertools.product(range(1, n + 1), repeat=t.r)
+        if i[0] >= 3 and all(a != b for a, b in zip(i, i[1:]))
+    ]
+
+
+WITNESS_ORACLE = [(p, t) for p, t in SWEEP_FULL if t.r >= 1 and p.n ** (t.l + t.m) <= 1024]
+
+
+@pytest.mark.parametrize(
+    "p,t", WITNESS_ORACLE, ids=[f"{p.n}-{t.k}-{t.l}-{t.m}" for p, t in WITNESS_ORACLE]
+)
+def test_witness_legs_match_ambient_oracle(p, t):
+    iso = isometry(p, t)
+    image = witness_image(iso)
+    # the leg spectrum is the spectrum of the ambient lift across the l|m cut
+    lifted = iso.lift(image.ravel()).reshape(p.n**t.l, p.n**t.m)
+    ambient = np.linalg.svd(lifted, compute_uv=False) ** 2
+    leg = schmidt_spectrum(image).coefficients
+    assert np.abs(ambient[: leg.size] - leg).max() <= 1e-12
+    assert np.abs(ambient[leg.size :]).max(initial=0.0) <= 1e-12
+    # xi and every family row are B^T e_w of the dense word vector, and
+    # every family word is fixed by its dense Jones-Wenzl projection
+    wit = saturation_witness(p, t)
+    xi_word = alternating_vector(TensorShape(p.n, t.k), 1, 2)
+    np.testing.assert_allclose(wit.xi, iso.basis.columns.T @ xi_word, rtol=0, atol=1e-15)
+    words = _family_words(p.n, t)
+    assert len(words) == wit.family_size
+    jw_l, jw_m = jw_projection(p, t.l), jw_projection(p, t.m)
+    for row, (eta_word, zeta_word) in enumerate(words):
+        eta = basis_vector(TensorShape(p.n, t.l), eta_word)
+        zeta = basis_vector(TensorShape(p.n, t.m), zeta_word)
+        np.testing.assert_allclose(
+            wit.eta_family[row], iso.basis_l.columns.T @ eta, rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            wit.zeta_family[row], iso.basis_m.columns.T @ zeta, rtol=0, atol=1e-15
+        )
+        assert jw_fixes(jw_l, eta) <= 1e-9
+        assert jw_fixes(jw_m, zeta) <= 1e-9
+
+
+def test_witness_rejects_word_with_repeated_letter(monkeypatch):
+    # swap the last index for one with an adjacent repeat: the family keeps
+    # its size, but eta = (1, 3, 3) and zeta = (3, 3, 2) are not fixed by
+    # p_3, so their rows of B_3 fall short of unit norm
+    p, t = quantum_parameter(3), AdmissibleTriple(2, 3, 3)
+    real = entangle._witness_indices(3, 2)
+    assert real == [(3, 1), (3, 2)]
+    monkeypatch.setattr(entangle, "_witness_indices", lambda n, r: [(3, 1), (3, 3)])
+    with pytest.raises(InvariantViolation, match="not fixed"):
+        saturation_witness(p, t)
 
 
 @pytest.mark.parametrize(
@@ -475,10 +550,10 @@ def test_higher_rank_floor_flag_behaviour():
 def test_separability_witness_words(l, m, i, j, word_l, word_r):
     p = quantum_parameter(3)
     rep = separability_witness_highest_weight(p, l, m, i, j)
-    want = tensor_product(
-        basis_vector(TensorShape(3, l), word_l), basis_vector(TensorShape(3, m), word_r)
-    )
-    np.testing.assert_array_equal(rep.vector.data, want.data)
+    left, right = basis_vector(TensorShape(3, l), word_l), basis_vector(TensorShape(3, m), word_r)
+    # the leg matrix lifts to the ambient product of the two words
+    bl, bm = onb_of_irrep(p, l).columns, onb_of_irrep(p, m).columns
+    np.testing.assert_allclose(bl @ rep.vector @ bm.T, np.outer(left, right), atol=1e-12)
     assert rep.schmidt_rank == 1
     assert rep.residual < 1e-9
 
@@ -486,6 +561,12 @@ def test_separability_witness_words(l, m, i, j, word_l, word_r):
 def test_separability_witness_rejects_equal_letters():
     with pytest.raises(ValueError):
         separability_witness_highest_weight(quantum_parameter(3), 1, 1, 2, 2)
+
+
+@pytest.mark.parametrize("i,j", [(1, 4), (0, 2)])
+def test_separability_witness_rejects_letters_out_of_range(i, j):
+    with pytest.raises(ValueError, match="out of range"):
+        separability_witness_highest_weight(quantum_parameter(3), 1, 1, i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from dense_vertex import alternating_vector, basis_vector, cup_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +22,7 @@ from wenzl_lab.jones_wenzl import (
     verify_jw,
 )
 from wenzl_lab.qnum import dim_irrep, quantum_parameter
-from wenzl_lab.tensor_core import (
-    TensorShape,
-    alternating_vector,
-    basis_vector,
-    cup_vector,
-)
+from wenzl_lab.tensor_core import TensorShape
 
 ATOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -52,7 +48,7 @@ def test_level_zero_and_one():
 
 def test_level_two_closed_form():
     p = quantum_parameter(3)
-    t1 = cup_vector(p, 1).data
+    t1 = cup_vector(p, 1)
     want = np.eye(9) - np.outer(t1, t1) / 3.0
     got = jw_projection(p, 2).op.data
     np.testing.assert_allclose(got, want, atol=ATOL)

@@ -1,4 +1,5 @@
-"""Tests for the dense tensor kernel: layout, cups, traces, matricization."""
+"""Tests for the row-major leg layout: shapes, the reversal permutation,
+and the ambient oracles of `dense_vertex` (basis vectors, cups, words)."""
 
 from __future__ import annotations
 
@@ -6,24 +7,13 @@ import itertools
 
 import numpy as np
 import pytest
+from dense_vertex import alternating_vector, basis_vector, cup_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wenzl_lab.errors import DimensionCapError
 from wenzl_lab.qnum import quantum_parameter
-from wenzl_lab.tensor_core import (
-    TensorOperator,
-    TensorShape,
-    TensorVector,
-    alternating_vector,
-    basis_vector,
-    cup_vector,
-    identity_operator,
-    matricize,
-    partial_trace,
-    reversal_permutation,
-    tensor_product,
-)
+from wenzl_lab.tensor_core import TensorShape, reversal_permutation
 
 ATOL = 1e-12
 
@@ -41,18 +31,18 @@ def test_shape_dim():
 
 def test_basis_vector_simple():
     v = basis_vector(TensorShape(3, 1), (1,))
-    np.testing.assert_array_equal(v.data, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(v, [1.0, 0.0, 0.0])
 
 
 def test_basis_vector_layout_leftmost_slowest():
     v = basis_vector(TensorShape(2, 2), (1, 2))
     # flat position of (1,2) is 0*2 + 1 = 1 in row-major order
-    np.testing.assert_array_equal(v.data, [0.0, 1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(v, [0.0, 1.0, 0.0, 0.0])
 
 
 def test_basis_vector_zero_legs():
     v = basis_vector(TensorShape(3, 0), ())
-    np.testing.assert_array_equal(v.data, [1.0])
+    np.testing.assert_array_equal(v, [1.0])
 
 
 def test_basis_vector_rejects_bad_index():
@@ -64,19 +54,13 @@ def test_basis_vector_rejects_bad_index():
         basis_vector(TensorShape(3, 2), (1,))
 
 
-def test_vector_data_length_validated():
-    with pytest.raises(ValueError):
-        TensorVector(TensorShape(2, 2), np.zeros(3))
-
-
 # ---------------------------------------------------------------------------
 # cup vectors
 # ---------------------------------------------------------------------------
 
 def test_cup_vector_scalar():
     v = cup_vector(quantum_parameter(3), 0)
-    assert v.shape.legs == 0
-    np.testing.assert_array_equal(v.data, [1.0])
+    np.testing.assert_array_equal(v, [1.0])
 
 
 def test_cup_vector_single():
@@ -85,19 +69,19 @@ def test_cup_vector_single():
     want = sum(
         np.kron(np.eye(3)[i], np.eye(3)[i]) for i in range(3)
     )
-    np.testing.assert_allclose(v.data, want, atol=ATOL)
-    assert v.norm() ** 2 == pytest.approx(3.0)
+    np.testing.assert_allclose(v, want, atol=ATOL)
+    assert np.linalg.norm(v) ** 2 == pytest.approx(3.0)
 
 
 def test_cup_vector_two_reversal_positions():
     # nonzeros of T_2 sit at (i1, i2, i2, i1)
     p = quantum_parameter(2)
     v = cup_vector(p, 2)
-    arr = v.data.reshape(2, 2, 2, 2)
+    arr = v.reshape(2, 2, 2, 2)
     for i1, i2, j1, j2 in itertools.product(range(2), repeat=4):
         want = 1.0 if (j1, j2) == (i2, i1) else 0.0
         assert arr[i1, i2, j1, j2] == want
-    assert v.norm() ** 2 == pytest.approx(4.0)
+    assert np.linalg.norm(v) ** 2 == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -107,8 +91,8 @@ def test_cup_vector_recursion(n, r):
     if n**(2 * r) > 4096:
         pytest.skip("over cap")
     p = quantum_parameter(n)
-    got = cup_vector(p, r).data
-    prev = cup_vector(p, r - 1).data.reshape(n ** (r - 1), n ** (r - 1))
+    got = cup_vector(p, r)
+    prev = cup_vector(p, r - 1).reshape(n ** (r - 1), n ** (r - 1))
     built = np.zeros((n ** (r - 1), n, n, n ** (r - 1)))
     for i in range(n):
         built[:, i, i, :] = prev
@@ -118,7 +102,7 @@ def test_cup_vector_recursion(n, r):
 @pytest.mark.parametrize("n,r", [(2, 3), (3, 2), (4, 1)])
 def test_cup_matricization_is_reversal_permutation(n, r):
     p = quantum_parameter(n)
-    mat = matricize(cup_vector(p, r), r)
+    mat = cup_vector(p, r).reshape(n**r, n**r)
     perm = reversal_permutation(n, r)
     want = np.zeros_like(mat)
     want[np.arange(n**r), perm] = 1.0
@@ -138,13 +122,13 @@ def test_cup_vector_cap():
 
 def test_alternating_vector_examples():
     v = alternating_vector(TensorShape(3, 1), 1, 2)
-    np.testing.assert_array_equal(v.data, basis_vector(TensorShape(3, 1), (1,)).data)
+    np.testing.assert_array_equal(v, basis_vector(TensorShape(3, 1), (1,)))
     v = alternating_vector(TensorShape(3, 3), 1, 2)
     want = basis_vector(TensorShape(3, 3), (1, 2, 1))
-    np.testing.assert_array_equal(v.data, want.data)
+    np.testing.assert_array_equal(v, want)
     v = alternating_vector(TensorShape(3, 2), 2, 3)
     want = basis_vector(TensorShape(3, 2), (2, 3))
-    np.testing.assert_array_equal(v.data, want.data)
+    np.testing.assert_array_equal(v, want)
 
 
 def test_alternating_vector_rejects_equal_letters():
@@ -170,126 +154,40 @@ def test_alternating_junction_property(k, m, letters):
         right = alternating_vector(TensorShape(n, m), i, j)
     else:
         right = alternating_vector(TensorShape(n, m), j, i)
-    joined = tensor_product(left, right)
+    joined = np.kron(left, right)
     want = alternating_vector(TensorShape(n, k + m), i, j)
-    np.testing.assert_array_equal(joined.data, want.data)
+    np.testing.assert_array_equal(joined, want)
 
 
 # ---------------------------------------------------------------------------
-# tensor products
+# products and cuts of the oracle vectors
 # ---------------------------------------------------------------------------
 
 def test_tensor_product_basis_vectors():
     n = 3
     a = basis_vector(TensorShape(n, 1), (1,))
     b = basis_vector(TensorShape(n, 1), (2,))
-    ab = tensor_product(a, b)
     want = basis_vector(TensorShape(n, 2), (1, 2))
-    np.testing.assert_array_equal(ab.data, want.data)
-
-
-def test_tensor_product_identities():
-    sh2 = TensorShape(2, 2)
-    sh1 = TensorShape(2, 1)
-    got = tensor_product(identity_operator(sh2), identity_operator(sh1))
-    np.testing.assert_array_equal(got.data, np.eye(8))
-    assert got.out_shape.legs == 3
-
-
-def test_tensor_product_norm_multiplicative():
-    p = quantum_parameter(3)
-    t1 = cup_vector(p, 1)
-    tt = tensor_product(t1, t1)
-    assert tt.norm() ** 2 == pytest.approx(9.0)
-
-
-def test_tensor_product_mixed_kinds_rejected():
-    p = quantum_parameter(3)
-    with pytest.raises(TypeError):
-        tensor_product(cup_vector(p, 1), identity_operator(TensorShape(3, 1)))
-
-
-def test_tensor_product_cap():
-    a = identity_operator(TensorShape(4, 3))
-    with pytest.raises(DimensionCapError):
-        tensor_product(a, tensor_product(a, a))
-
-
-# ---------------------------------------------------------------------------
-# partial trace
-# ---------------------------------------------------------------------------
-
-def test_partial_trace_product_operators():
-    rng = np.random.default_rng(7)
-    n = 3
-    sh = TensorShape(n, 1)
-    a = TensorOperator(sh, sh, rng.standard_normal((n, n)))
-    b = TensorOperator(sh, sh, rng.standard_normal((n, n)))
-    ab = tensor_product(a, b)
-    first = partial_trace(ab, 1, "first")
-    np.testing.assert_allclose(first.data, np.trace(a.data) * b.data, atol=ATOL)
-    last = partial_trace(ab, 1, "last")
-    np.testing.assert_allclose(last.data, np.trace(b.data) * a.data, atol=ATOL)
+    np.testing.assert_array_equal(np.kron(a, b), want)
 
 
 def test_partial_trace_of_cup_projector():
-    p = quantum_parameter(3)
-    t1 = cup_vector(p, 1)
-    proj = TensorOperator(t1.shape, t1.shape, np.outer(t1.data, t1.data))
-    out = partial_trace(proj, 1, "first")
-    np.testing.assert_allclose(out.data, np.eye(3), atol=ATOL)
+    # tracing the first leg of |T_1><T_1| leaves the identity on C^N
+    t1 = cup_vector(quantum_parameter(3), 1)
+    blocks = np.outer(t1, t1).reshape(3, 3, 3, 3)
+    np.testing.assert_allclose(np.einsum("abad->bd", blocks), np.eye(3), atol=ATOL)
 
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), split=st.integers(0, 3))
-def test_partial_trace_preserves_trace_and_psd(seed, split):
-    rng = np.random.default_rng(seed)
-    n = 2
-    legs = 3
-    sh = TensorShape(n, legs)
-    g = rng.standard_normal((sh.dim, sh.dim))
-    psd = g @ g.T
-    op = TensorOperator(sh, sh, psd)
-    for side in ("first", "last"):
-        red = partial_trace(op, split, side)
-        assert np.trace(red.data) == pytest.approx(np.trace(psd), rel=1e-12)
-        assert np.linalg.eigvalsh(red.data).min() >= -1e-10
-
-
-def test_partial_trace_rejects_bad_input():
-    sh = TensorShape(2, 2)
-    rect = TensorOperator(sh, TensorShape(2, 1), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        partial_trace(rect, 1, "first")
-    op = identity_operator(sh)
-    with pytest.raises(ValueError):
-        partial_trace(op, 3, "first")
-    with pytest.raises(ValueError):
-        partial_trace(op, 1, "middle")
-
-
-# ---------------------------------------------------------------------------
-# matricization
-# ---------------------------------------------------------------------------
 
 def test_matricize_rank_one():
+    # a product vector reshaped along its cut is the rank-1 outer product
     n = 3
     a = basis_vector(TensorShape(n, 1), (2,))
     b = basis_vector(TensorShape(n, 2), (1, 3))
-    mat = matricize(tensor_product(a, b), 1)
-    np.testing.assert_allclose(mat, np.outer(a.data, b.data), atol=ATOL)
+    mat = np.kron(a, b).reshape(n, n**2)
+    np.testing.assert_allclose(mat, np.outer(a, b), atol=ATOL)
     assert np.linalg.matrix_rank(mat) == 1
 
 
 def test_matricize_cup_is_identity():
     p = quantum_parameter(3)
-    np.testing.assert_array_equal(matricize(cup_vector(p, 1), 1), np.eye(3))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), split=st.integers(0, 4))
-def test_matricize_preserves_norm(seed, split):
-    rng = np.random.default_rng(seed)
-    sh = TensorShape(2, 4)
-    v = TensorVector(sh, rng.standard_normal(sh.dim))
-    assert np.linalg.norm(matricize(v, split)) == pytest.approx(v.norm(), rel=1e-12)
+    np.testing.assert_array_equal(cup_vector(p, 1).reshape(3, 3), np.eye(3))

@@ -9,13 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from dense_vertex import _vertex_columns, theta_by_trace, three_vertex
+from dense_vertex import _vertex_columns, cup_vector, theta_by_trace, three_vertex
 from test_acceptance import SWEEP_FULL
 
 import wenzl_lab.jones_wenzl as jwmod
 import wenzl_lab.vertex as vxmod
-from wenzl_lab.channel import channel, channel_apply, moe_bracket
-from wenzl_lab.entangle import max_schmidt_optimizer, rd_certificate
+from wenzl_lab import cli
+from wenzl_lab.channel import channel, channel_apply, choi_witness_value, moe_bracket
+from wenzl_lab.entangle import (
+    higher_rank_value,
+    max_schmidt_optimizer,
+    rd_certificate,
+    saturation_witness,
+    separability_witness_highest_weight,
+    verify_saturation,
+)
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.jones_wenzl import jw_projection, onb_of_irrep
 from wenzl_lab.jones_wenzl import clear_caches as clear_jw
@@ -26,7 +34,6 @@ from wenzl_lab.qnum import (
     quantum_parameter,
     theta_net,
 )
-from wenzl_lab.tensor_core import cup_vector
 from wenzl_lab.vertex import (
     clear_caches,
     isometry,
@@ -53,7 +60,7 @@ def test_bell_vertex_is_cup():
     p = quantum_parameter(3)
     v = three_vertex(p, AdmissibleTriple(0, 1, 1))
     np.testing.assert_allclose(
-        v.op.data[:, 0], cup_vector(p, 1).data, atol=1e-12
+        v.op.data[:, 0], cup_vector(p, 1), atol=1e-12
     )
     assert theta_by_trace(v) == pytest.approx(3.0, rel=1e-12)
 
@@ -117,7 +124,7 @@ def test_bell_isometry_is_normalized_cup():
     assert iso.reduced.shape == (9, 1)
     np.testing.assert_allclose(
         np.abs(iso.reduced[:, 0]),
-        cup_vector(p, 1).data / np.sqrt(3.0),
+        cup_vector(p, 1) / np.sqrt(3.0),
         atol=1e-12,
     )
 
@@ -194,7 +201,7 @@ def test_legs_match_dense_vertex(p, t):
     assert np.abs(iso.reduced - dense).max() <= 1e-12
 
 
-def test_pipeline_never_builds_dense_objects():
+def test_pipeline_never_builds_dense_objects(capsys):
     # the pipeline works on legs alone: no Wenzl projection is formed and
     # no isometry is lifted to the ambient space
     clear_jw()
@@ -206,6 +213,19 @@ def test_pipeline_never_builds_dense_objects():
         ch = channel(p, t)
         moe_bracket(ch, samples=5, restarts=3, seed=0)
         channel_apply(ch, np.eye(ch.input_dim) / ch.input_dim)
+    # the witness family, on the index family (N=4) and beyond it (Bell, d = 2)
+    p4, square = quantum_parameter(4), AdmissibleTriple(2, 2, 2)
+    p3, bell = quantum_parameter(3), AdmissibleTriple(0, 1, 1)
+    saturation_witness(p4, square)
+    verify_saturation(p4, square)
+    higher_rank_value(p4, square)
+    choi_witness_value(p4, square, 2, 1.0, samples=3)
+    choi_witness_value(p3, bell, 2, 1.0, samples=3)
+    separability_witness_highest_weight(p3, 2, 2, 1, 2)
+    triple = ["--n", "4", "--k", "2", "--l", "2", "--m", "2"]
+    for argv in (["schmidt"], ["saturation"], ["choi", "--d", "2", "--scale", "1.5"]):
+        assert cli.main(argv + triple + ["--samples", "3"]) == 0
+    capsys.readouterr()
     assert not jwmod._jw_cache
     assert vxmod._iso_cache
     for iso in vxmod._iso_cache.values():
