@@ -10,13 +10,14 @@ whose top Schmidt values form a flat plateau of size
 Every step works on alpha's leg coordinates (`EquivariantIsometry.legs`),
 where H_l and H_m are R^{d_l} and R^{d_m} and Schmidt spectra across
 the l|m cut are singular values of d_l x d_m matrices.  The optimizer
-that attains the supremum iterates on (eta, zeta) alone, through the
-range projector alpha alpha^*.  alpha(H_k) is one summand of
-H_l (x) H_m = (+)_r H_{l+m-2r}, so near highest weight, where it fills
-almost all of H_l (x) H_m, the projector is applied as 1 - C C^T over
-the other summands.  Witness words enter as rows of the irrep bases at
-their flat indices, and every result vector is returned in irrep-basis
-coordinates.
+that attains the supremum is a power iteration on the 3-tensor alpha
+that applies alpha and alpha^* through their factors B_k, B_l, B_m and
+the cup, never through the dense d_l d_m x [k+1]_q `legs`.  alpha(H_k)
+is one summand of H_l (x) H_m = (+)_r H_{l+m-2r}, so near highest
+weight, where it fills almost all of H_l (x) H_m, the iteration instead
+projects onto it as 1 - C C^T over the other summands.  Witness words
+enter as rows of the irrep bases at their flat indices, and every
+result vector is returned in irrep-basis coordinates.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .qnum import (
     rd_bound,
 )
 from .tensor_core import DEFAULT_DIM_CAP
-from .vertex import EquivariantIsometry, isometry
+from .vertex import EquivariantIsometry, _cup_gather, isometry
 
 __all__ = [
     "SchmidtReport",
@@ -124,6 +125,14 @@ class RdCertificate:
     violated: bool
 
 
+def _check_count(name: str, value: object, least: int) -> None:
+    """ValueError unless value is an integer (a bool is not) and at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def rd_certificate(
     p: QParams,
     t: AdmissibleTriple,
@@ -135,9 +144,11 @@ def rd_certificate(
 
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
+    samples (at least 1) and seed (at least 0) must be integers, else
+    ValueError.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     iso = isometry(p, t, max_dim=max_dim)
     d = iso.legs.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -167,10 +178,10 @@ class MaxSchmidtResult:
     """Best value of sup |<alpha(xi)|eta (x) zeta>| found over all restarts.
 
     `converged` and `sweeps` belong to the winning restart;
-    `restart_sweeps` and `restart_converged` record every restart, in
-    restart order, so a losing restart that never converged is visible.
-    xi, eta and zeta are unit vectors in IrrepBasis coordinates of H_k,
-    H_l and H_m.
+    `restart_sweeps`, `restart_converged` and `restart_values` (the last
+    objective) record every restart, in restart order, so a losing
+    restart that never converged is visible.  xi, eta and zeta are unit
+    vectors in IrrepBasis coordinates of H_k, H_l and H_m.
     """
 
     value: float
@@ -181,15 +192,65 @@ class MaxSchmidtResult:
     sweeps: int
     restart_sweeps: tuple[int, ...]
     restart_converged: tuple[bool, ...]
+    restart_values: tuple[float, ...]
 
 
-def _unit_rows(rows: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
-    """Normalize each row; a degenerate row i restarts its direction from rngs[i]."""
-    norms = np.linalg.norm(rows, axis=1)
-    for i in np.flatnonzero(norms < 1e-300):
-        rows[i] = rngs[i].standard_normal(rows.shape[1])
-        norms[i] = np.linalg.norm(rows[i])
-    return rows / norms[:, None]
+def _unit_rows(
+    rows: np.ndarray,
+    rngs: list[np.random.Generator],
+    live: np.ndarray | range,
+    norms: np.ndarray | None = None,
+) -> np.ndarray:
+    """Divide each row by its norm (given, or computed here) in place.
+
+    Row j of norm below 1e-300 is first redrawn from rngs[live[j]], the
+    generator of the restart it belongs to.
+    """
+    if norms is None:
+        norms = np.linalg.norm(rows, axis=1)
+    if norms.min() < 1e-300:
+        norms = norms.copy()
+        for j in np.flatnonzero(norms < 1e-300):
+            rows[j] = rngs[live[j]].standard_normal(rows.shape[1])
+            norms[j] = np.linalg.norm(rows[j])
+    rows /= norms[:, None]
+    return rows
+
+
+def _alpha_sweep(ops, xi: np.ndarray, cz: np.ndarray, unit):
+    """One sweep through alpha's factors, for rows of unit xi and cz = G zeta.
+
+    ops = (s B_k, B_l, G) with G the cup gather of B_m
+    (`vertex._cup_gather`, N^r x N^{m-r} x d_m).  With
+    g = (s B_k xi)_{N^{l-r} x N^{m-r}}, the leg matrix alpha(xi) is never
+    formed: eta <- B_l^T vec(g cz^T), zeta <- G^T vec((B_l eta)^T g), and
+    xi <- alpha^*(eta (x) zeta) = s B_k^T vec((B_l eta) (G zeta)).
+    Returns eta, zeta, that xi unnormalized, and the new G zeta.
+    """
+    sbk, bl, cup = ops
+    rows, (i, b, dm) = xi.shape[0], cup.shape
+    gather = cup.reshape(i * b, dm)
+    g = (xi @ sbk.T).reshape(rows, -1, b)
+    eta = unit((g @ cz.transpose(0, 2, 1)).reshape(rows, -1) @ bl)
+    left = (eta @ bl.T).reshape(rows, -1, i)
+    zeta = unit((left.transpose(0, 2, 1) @ g).reshape(rows, -1) @ gather)
+    cz = (zeta @ gather.T).reshape(rows, i, b)
+    return eta, zeta, (left @ cz).reshape(rows, -1) @ sbk, cz
+
+
+def _complement_sweep(ops, img: np.ndarray, zeta: np.ndarray, unit):
+    """One sweep through the complement, for rows of unit img = alpha(xi) in leg coordinates.
+
+    ops = (C, d_l).  eta <- M zeta and zeta <- M^T eta with M = img as a
+    d_l x d_m matrix, then img <- (1 - C C^T)(eta (x) zeta).  Returns
+    eta, zeta, that img unnormalized, and zeta.
+    """
+    comp, dl = ops
+    mats = img.reshape(img.shape[0], dl, -1)
+    eta = unit((mats @ zeta[:, :, None])[:, :, 0])
+    zeta = unit((eta[:, None, :] @ mats)[:, 0, :])
+    outer = (eta[:, :, None] * zeta[:, None, :]).reshape(img.shape[0], -1)
+    return eta, zeta, outer - (outer @ comp) @ comp.T, zeta
 
 
 def _complement_legs(p: QParams, t: AdmissibleTriple, max_dim: int) -> np.ndarray | None:
@@ -231,68 +292,76 @@ def max_schmidt_optimizer(
 ) -> MaxSchmidtResult:
     """Alternating power iteration for sup lambda_1^{1/2} = sup |<alpha(xi)|eta (x) zeta>|.
 
-    The optimal xi for fixed (eta, zeta) is alpha^*(eta (x) zeta), normalized,
-    so xi is eliminated: each sweep replaces eta, then zeta, by the normalized
-    contraction of P(eta (x) zeta) with the other, where P = alpha alpha^*
-    is the range projector, and the objective ||P(eta (x) zeta)||
-    = ||alpha^*(eta (x) zeta)|| is monotone per restart.  eta and zeta are
-    coordinates in B_l, B_m, so they stay exactly inside H_l, H_m, and
-    P = F F^T or 1 - F F^T with F the narrower of `legs` and C, the leg
-    coordinates of every other summand alpha_{k'}(H_{k'}) of H_l (x) H_m
-    (C must be orthonormal with d_l d_m - [k+1]_q columns).
+    This is ALS for the best rank-one approximation of the 3-tensor
+    alpha.  Each sweep replaces eta by the normalized alpha(xi) zeta, zeta
+    by the normalized alpha(xi)^T eta, and xi by the normalized
+    alpha^*(eta (x) zeta), whose norm, the objective, is monotone per
+    restart.  eta and zeta are coordinates in B_l, B_m, so they stay
+    exactly inside H_l, H_m.  Where `legs` is the narrower of the two
+    sides of the fusion rule (every r >= 1 triple), alpha is applied
+    through its factors B_k, B_l, B_m and the cup (`_alpha_sweep`), and
+    no d_l d_m x [k+1]_q product is formed.  Otherwise alpha(xi) is
+    carried as its leg matrix and projected as (1 - C C^T)(eta (x) zeta),
+    with C the leg coordinates of every other summand alpha_{k'}(H_{k'})
+    of H_l (x) H_m (C must be orthonormal with d_l d_m - [k+1]_q columns).
 
     Every restart draws its Gaussian start from its own generator of a
     split seed, and all restarts advance together as matrix-matrix
-    products over the restarts still running.  A restart leaves the
-    batch at the first sweep whose objective moved by at most
+    products over the restarts still running.  A contraction of norm
+    below 1e-300 is redrawn from its restart's generator: eta or zeta,
+    and xi, a [k+1]_q-vector, on the alpha side or alpha(xi), a
+    d_l d_m-vector, on the complement side.  A restart leaves the batch
+    at the first sweep whose objective moved by at most
     tol * max(1, objective); one that never does reports its last value.
     The best value wins, ties broken by lowest restart index.  The
     winner's xi and the reported value come from one direct product
     with `legs`, which must agree with the iterated value to
-    SIDE_AGREEMENT_TOL, else InvariantViolation.
+    SIDE_AGREEMENT_TOL, else InvariantViolation.  restarts, max_iters
+    (at least 1) and seed (at least 0) must be integers, else ValueError.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    _check_count("restarts", restarts, 1)
+    _check_count("max_iters", max_iters, 1)
+    _check_count("seed", seed, 0)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     iso = isometry(p, t, max_dim=max_dim)
     legs, bl, bm = iso.legs, iso.basis_l.columns, iso.basis_m.columns
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
     sizes = (legs.shape[1], bl.shape[0], bm.shape[0])
     draws = [[rng.standard_normal(size) for size in sizes] for rng in rngs]
-    xi, _, zeta = (_unit_rows(np.array(vecs), rngs) for vecs in zip(*draws))
-    mats = (xi @ legs.T).reshape(restarts, bl.shape[1], bm.shape[1])
+    xi, _, zeta = (_unit_rows(np.array(vecs), rngs, range(restarts)) for vecs in zip(*draws))
     zeta = zeta @ bm
     comp = _complement_legs(p, t, max_dim)
-    f = legs if comp is None else comp
-    value = np.full(restarts, -1.0)  # each restart's latest objective
+    if comp is None:
+        cup = _cup_gather(p.n, t, bm)
+        step, ops = _alpha_sweep, (iso.scale * iso.basis.columns, bl, cup)
+        state = xi
+        carry = (zeta @ cup.reshape(-1, cup.shape[2]).T).reshape(restarts, *cup.shape[:2])
+    else:
+        step, ops = _complement_sweep, (comp, bl.shape[1])
+        state, carry = xi @ legs.T, zeta
+    value = np.full(restarts, -1.0)  # each restart's last objective
     sweeps = np.full(restarts, max_iters)
     converged = np.zeros(restarts, dtype=bool)
-    last_eta = np.empty((restarts, mats.shape[1]))
-    last_zeta = np.empty((restarts, mats.shape[2]))
+    last_eta = np.empty((restarts, bl.shape[1]))
+    last_zeta = np.empty((restarts, bm.shape[1]))
     live = np.arange(restarts)  # restart index of each row still iterating
+    prev = np.full(restarts, -1.0)
     for sweep in range(1, max_iters + 1):
-        live_rngs = [rngs[i] for i in live]
-        eta = _unit_rows((mats @ zeta[:, :, None])[:, :, 0], live_rngs)
-        zeta = _unit_rows((eta[:, None, :] @ mats)[:, 0, :], live_rngs)
-        outer = (eta[:, :, None] * zeta[:, None, :]).reshape(live.size, -1)
-        y = (outer @ f) @ f.T
-        if comp is not None:
-            y = outer - y
-        obj = np.linalg.norm(y, axis=1)  # ||P(eta (x) zeta)||
-        y = _unit_rows(y, live_rngs)  # alpha(xi)
-        done = np.abs(obj - value[live]) <= tol * np.maximum(1.0, obj)
-        value[live] = obj
-        last_eta[live], last_zeta[live] = eta, zeta
-        sweeps[live[done]] = sweep
-        converged[live[done]] = True
-        keep = ~done
-        live, zeta, y = live[keep], zeta[keep], y[keep]
-        if not live.size:
-            break
-        mats = y.reshape(live.size, *mats.shape[1:])
+        eta, zeta, state, carry = step(ops, state, carry, lambda rows: _unit_rows(rows, rngs, live))
+        obj = np.linalg.norm(state, axis=1)
+        done = np.abs(obj - prev) <= tol * np.maximum(1.0, obj)
+        leave = done | (sweep == max_iters)
+        if leave.any():
+            out = live[leave]
+            value[out], sweeps[out], converged[out] = obj[leave], sweep, done[leave]
+            last_eta[out], last_zeta[out] = eta[leave], zeta[leave]
+            if leave.all():
+                break
+            keep = ~leave
+            live, obj, state, carry = live[keep], obj[keep], state[keep], carry[keep]
+        prev = obj
+        state = _unit_rows(state, rngs, live, obj)
     win = int(np.argmax(value))
     eta, zeta = last_eta[win], last_zeta[win]
     raw = np.kron(eta, zeta) @ legs
@@ -310,6 +379,7 @@ def max_schmidt_optimizer(
         sweeps=int(sweeps[win]),
         restart_sweeps=tuple(int(s) for s in sweeps),
         restart_converged=tuple(bool(c) for c in converged),
+        restart_values=tuple(float(v) for v in value),
     )
 
 

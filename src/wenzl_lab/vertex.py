@@ -102,20 +102,25 @@ class EquivariantIsometry:
         )
 
 
+def _cup_gather(n: int, t: AdmissibleTriple, bm: np.ndarray) -> np.ndarray:
+    """B_m[(rev i, b), :] as an N^r x N^{m-r} x d_m array: T_r pairs each
+    i in N^r with its leg reversal, so the cup is a row gather of B_m."""
+    return bm.reshape(n**t.r, n ** (t.m - t.r), bm.shape[1])[reversal_permutation(n, t.r)]
+
+
 def _leg_vertex(
     n: int, t: AdmissibleTriple, bk: np.ndarray, bl: np.ndarray, bm: np.ndarray
 ) -> np.ndarray:
     """(B_l^T (x) B_m^T)(iota^{(x) l-r} (x) T_r (x) iota^{(x) m-r}) B_k, (d_l d_m) x d_k.
 
     raw[x, y, c] = sum_{a,i,b} B_l[(a,i),x] B_m[(rev i,b),y] B_k[(a,b),c]
-    over a in N^{l-r}, i in N^r, b in N^{m-r}: T_r pairs each i with its
-    leg reversal, so the cup is a row gather of B_m.
+    over a in N^{l-r}, i in N^r, b in N^{m-r}.
     """
     a, i, b = n ** (t.l - t.r), n**t.r, n ** (t.m - t.r)
     dl, dm, dk = bl.shape[1], bm.shape[1], bk.shape[1]
     left = bl.reshape(a, i, dl).transpose(2, 1, 0).reshape(dl * i, a)
     inner = (left @ bk.reshape(a, b * dk)).reshape(dl, i * b, dk)  # [x, (i, b), c]
-    flipped = bm.reshape(i, b, dm)[reversal_permutation(n, t.r)].reshape(i * b, dm)
+    flipped = _cup_gather(n, t, bm).reshape(i * b, dm)
     return (flipped.T @ inner).reshape(dl * dm, dk)  # one product per x
 
 

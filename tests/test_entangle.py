@@ -13,6 +13,7 @@ from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
 from wenzl_lab import entangle, vertex
 from wenzl_lab.entangle import (
+    SIDE_AGREEMENT_TOL,
     entropy_dim_tradeoff,
     higher_rank_value,
     max_schmidt_optimizer,
@@ -144,6 +145,14 @@ def test_rd_certificate_deterministic():
 def test_rd_certificate_rejects_too_few_samples(samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         rd_certificate(quantum_parameter(3), AdmissibleTriple(1, 1, 2), samples=samples)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"samples": 2.5}, {"samples": True}, {"seed": 1.5}, {"seed": -1}]
+)
+def test_rd_certificate_rejects_non_integer_counts(kwargs):
+    with pytest.raises(ValueError, match="must be"):
+        rd_certificate(quantum_parameter(3), AdmissibleTriple(1, 1, 2), **kwargs)
 
 
 def test_rd_certificate_highest_weight_attains_one():
@@ -339,6 +348,97 @@ def test_optimizer_unconverged_restarts_report_last_value():
     assert res.restart_converged == (False,) * 4
     assert not res.converged
     assert res.value == pytest.approx(max(row[0] for row in rows), rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(res.restart_values, [row[0] for row in rows], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n,k,l,m", [(3, 2, 2, 2), (4, 2, 3, 3), (3, 4, 2, 2)])
+def test_optimizer_restart_values(n, k, l, m):
+    # one alpha-side, one N=4 alpha-side and one complement-side triple
+    p = quantum_parameter(n)
+    t = AdmissibleTriple(k, l, m)
+    res = max_schmidt_optimizer(p, t, restarts=7, seed=3)
+    rows, winner = _serial_optimizer(p, t, restarts=7, seed=3)
+    assert len(res.restart_values) == 7
+    np.testing.assert_allclose(res.restart_values, [row[0] for row in rows], rtol=1e-12, atol=0)
+    assert max(res.restart_values) == res.restart_values[winner]
+    assert abs(res.value - res.restart_values[winner]) <= SIDE_AGREEMENT_TOL
+    assert all(v <= res.value + SIDE_AGREEMENT_TOL for v in res.restart_values)
+
+
+ALPHA_SIDE = [(p, t) for p, t in SWEEP_SMALL if t.r >= 1]
+
+
+def _normalized(rows):
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "p,t", ALPHA_SIDE, ids=[f"N{p.n}-{t.k}{t.l}{t.m}" for p, t in ALPHA_SIDE]
+)
+def test_factored_sweep_matches_dense_legs_step(p, t):
+    # one sweep through B_k, B_l, B_m and the cup against the same sweep
+    # through the dense leg matrix: eta, zeta from alpha(xi), then alpha^*
+    iso = isometry(p, t)
+    legs, dl, dm = iso.legs, iso.basis_l.dim, iso.basis_m.dim
+    rng = np.random.default_rng(11)
+    xi = _normalized(rng.standard_normal((3, iso.basis.dim)))
+    zeta = _normalized(rng.standard_normal((3, dm)))
+    mats = (xi @ legs.T).reshape(3, dl, dm)
+    eta_want = _normalized(np.einsum("rxy,ry->rx", mats, zeta))
+    zeta_want = _normalized(np.einsum("rx,rxy->ry", eta_want, mats))
+    outer = (eta_want[:, :, None] * zeta_want[:, None, :]).reshape(3, -1)
+    xi_want = outer @ legs
+    cup = vertex._cup_gather(p.n, t, iso.basis_m.columns)
+    gather = cup.reshape(-1, dm)
+    cz = (zeta @ gather.T).reshape(3, *cup.shape[:2])
+    ops = (iso.scale * iso.basis.columns, iso.basis_l.columns, cup)
+    eta, zeta, xi, cz = entangle._alpha_sweep(ops, xi, cz, _normalized)
+    for got, want in ((eta, eta_want), (zeta, zeta_want), (xi, xi_want)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cz.reshape(3, -1), zeta @ gather.T, rtol=0, atol=1e-12)
+
+
+def _crafted_degenerate_run(monkeypatch):
+    """The optimizer at N=3 (0,1,1) with restart 0's first (eta, zeta) set to (e_0, e_1).
+
+    B_1 is the identity there, so alpha^*(e_0 (x) e_1) = s <cup|e_0 (x) e_1>
+    is exactly 0 and restart 0 must redraw xi.  Returns the result and
+    the norm of each sweep's xi in row 0.
+    """
+    real = entangle._alpha_sweep
+    crafted = iter(np.eye(3)[:2])
+    xi_norms = []
+
+    def sweep(ops, xi, cz, unit):
+        def crafted_unit(rows):
+            rows = unit(rows)
+            vec = next(crafted, None)
+            if vec is not None:
+                rows[0] = vec
+            return rows
+
+        eta, zeta, xi, cz = real(ops, xi, cz, crafted_unit)
+        xi_norms.append(float(np.linalg.norm(xi[0])))
+        return eta, zeta, xi, cz
+
+    with monkeypatch.context() as patch:
+        patch.setattr(entangle, "_alpha_sweep", sweep)
+        res = max_schmidt_optimizer(
+            quantum_parameter(3), AdmissibleTriple(0, 1, 1), restarts=4, seed=5
+        )
+    return res, xi_norms
+
+
+def test_optimizer_redraws_degenerate_xi(monkeypatch):
+    a, norms_a = _crafted_degenerate_run(monkeypatch)
+    b, norms_b = _crafted_degenerate_run(monkeypatch)
+    assert norms_a[0] == 0.0  # the branch was taken
+    assert norms_a[1] > 0.0 and norms_a == norms_b
+    assert a.restart_values == b.restart_values and a.restart_sweeps == b.restart_sweeps
+    np.testing.assert_array_equal(a.xi, b.xi)
+    assert all(a.restart_converged)
+    assert a.restart_values[0] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
+    assert a.value == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -350,6 +450,13 @@ def test_optimizer_unconverged_restarts_report_last_value():
         {"tol": float("inf")},
         {"max_iters": 0},
         {"restarts": 0},
+        {"restarts": 2.5},
+        {"restarts": True},
+        {"max_iters": 10.5},
+        {"max_iters": True},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
     ],
 )
 def test_optimizer_rejects_bad_settings(kwargs):
