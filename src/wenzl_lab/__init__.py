@@ -49,7 +49,6 @@ from .jones_wenzl import (
     IrrepBasis,
     JwProjection,
     JwVerification,
-    jw_fixes,
     jw_projection,
     onb_of_irrep,
     verify_jw,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .entangle import (
     PLATEAU_RTOL,
+    _check_count,
     _entropy_from_lambdas,
     max_schmidt_optimizer,
     saturation_witness,
@@ -213,8 +214,8 @@ def moe_bracket(
     and exactly separable on highest-weight triples), the argmax of the
     Schmidt optimizer, and `samples` Haar-ish random pure inputs.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     p, t = ch.params, ch.triple
     lower = -lambda_log(p, t)
     coarse_lower = -math.log(rd_bound(p, t)[1])
@@ -266,7 +267,7 @@ def moe_bracket(
 
 def d_positivity_threshold(p: QParams, t: AdmissibleTriple, d: int) -> float:
     """theta_q(k,l,m) / (d [k+1]_q): the largest scale kept d-positive."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"Schmidt-rank parameter d must be a positive integer, got {d}")
     return math.exp(-lambda_log(p, t)) / d
 
@@ -344,8 +345,8 @@ def choi_witness_value(
     negative); the random sampling is a falsification attempt below it,
     never a proof of positivity.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check_count("samples", samples, 1)
+    _check_count("seed", seed, 0)
     threshold = d_positivity_threshold(p, t, d)
     if t.r < 1:
         raise ValueError(

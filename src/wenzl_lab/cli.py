@@ -1,5 +1,9 @@
 """Batch command-line surface: every computation as a reproducible job.
 
+One table, `_COMMANDS`, declares each subcommand: its runner, its help
+text, whether it takes the triple flags --n/--k/--l/--m, and its extra
+flags.  The parser and `_RUNNERS` are both derived from it.
+
 Reports are emitted to standard output as JSON (or flattened CSV) with a
 versioned schema; diagnostics and wall time go to the error stream so
 repeated runs with the same configuration are byte-identical.  Exit
@@ -12,19 +16,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from .channel import (
     TRACE_FIRST,
     TRACE_LAST,
-    EquivariantChannel,
     channel,
     channel_norm_report,
     choi_witness_value,
@@ -39,14 +41,7 @@ from .entangle import (
 )
 from .errors import DimensionCapError, InvariantViolation
 from .jones_wenzl import jw_projection, verify_jw
-from .qnum import (
-    AdmissibleTriple,
-    QParams,
-    dim_irrep,
-    lambda_log,
-    quantum_parameter,
-    rd_bound,
-)
+from .qnum import AdmissibleTriple, dim_irrep, lambda_log, quantum_parameter, rd_bound
 from .tensor_core import DEFAULT_DIM_CAP
 from .vertex import isometry, verify_equivariance_proxy
 
@@ -57,225 +52,10 @@ EXIT_INVARIANT = 2
 EXIT_CAP = 3
 EXIT_USAGE = 4
 
-
-class _UsageError(Exception):
-    """Raised instead of argparse's SystemExit so main can return 4."""
-
-
-class _CliParser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: A003 - argparse hook
-        raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Echoed into every report so a run can be reproduced from its output."""
-
-    n: int | None
-    k: int | None
-    l: int | None
-    m: int | None
-    seed: int
-    restarts: int
-    tol: float
-    max_dim: int
-    samples: int
-    format: str
-    log_base: str
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "JobConfig":
-        return cls(
-            n=getattr(args, "n", None),
-            k=getattr(args, "k", None),
-            l=getattr(args, "l", None),
-            m=getattr(args, "m", None),
-            seed=args.seed,
-            restarts=args.restarts,
-            tol=args.tol,
-            max_dim=args.max_dim,
-            samples=args.samples,
-            format=args.format,
-            log_base=args.log_base,
-        )
-
-    @property
-    def log_scale(self) -> float:
-        return 1.0 if self.log_base == "e" else 1.0 / math.log(2.0)
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
-
-
-def _rank(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"rank N must be >= 2, got {value}")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _CliParser(
-        prog="wenzl-lab",
-        description=(
-            "Irreducible-space calculus over the deformed tensor categories: "
-            "projections, vertices, Schmidt analysis, channels, Choi tests."
-        ),
-    )
-    common = _CliParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument(
-        "--restarts", type=_positive_int, default=20, help="optimizer restarts"
-    )
-    common.add_argument(
-        "--tol", type=_positive_float, default=1e-12, help="optimizer convergence tolerance"
-    )
-    common.add_argument(
-        "--max-dim",
-        dest="max_dim",
-        type=_positive_int,
-        default=DEFAULT_DIM_CAP,
-        help=f"ambient dimension cap (default {DEFAULT_DIM_CAP})",
-    )
-    common.add_argument(
-        "--samples", type=_positive_int, default=200, help="random sample count"
-    )
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-    common.add_argument(
-        "--log-base",
-        dest="log_base",
-        choices=("e", "2"),
-        default="e",
-        help="logarithm base for entropies",
-    )
-
-    triple = _CliParser(add_help=False)
-    triple.add_argument("--n", type=_rank, required=True, help="rank N >= 2")
-    triple.add_argument("--k", type=_nonneg_int, required=True)
-    triple.add_argument("--l", type=_nonneg_int, required=True)
-    triple.add_argument("--m", type=_nonneg_int, required=True)
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_dims = sub.add_parser(
-        "dims", parents=[common], help="dimensions of the irreducible spaces"
-    )
-    p_dims.add_argument("--n", type=_rank, required=True)
-    p_dims.add_argument("--max-k", dest="max_k", type=_nonneg_int, required=True)
-
-    sub.add_parser(
-        "theta",
-        parents=[common, triple],
-        help="closed-form vs trace-computed theta net",
-    )
-    p_jw = sub.add_parser(
-        "jw-verify", parents=[common], help="residuals of a Jones-Wenzl projection"
-    )
-    p_jw.add_argument("--n", type=_rank, required=True)
-    p_jw.add_argument("--k", type=_nonneg_int, required=True)
-
-    sub.add_parser(
-        "isometry", parents=[common, triple], help="equivariant isometry diagnostics"
-    )
-    sub.add_parser(
-        "schmidt",
-        parents=[common, triple],
-        help="Schmidt spectrum of the embedded alternating-word state",
-    )
-    sub.add_parser(
-        "max-schmidt",
-        parents=[common, triple],
-        help="largest Schmidt coefficient over the embedded space",
-    )
-    sub.add_parser(
-        "saturation",
-        parents=[common, triple],
-        help="Schmidt plateau of the witness state against the closed form",
-    )
-    p_channel = sub.add_parser(
-        "channel", parents=[common, triple], help="S1 -> Sinf norm of the channel"
-    )
-    p_channel.add_argument(
-        "--direction",
-        choices=("first", "last"),
-        default="first",
-        help="which tensor factor is traced out (first = left)",
-    )
-    p_moe = sub.add_parser(
-        "moe", parents=[common, triple], help="minimum-output-entropy bracket"
-    )
-    p_moe.add_argument(
-        "--direction", choices=("first", "last"), default="first"
-    )
-    p_choi = sub.add_parser(
-        "choi", parents=[common, triple], help="Choi-matrix d-positivity witness"
-    )
-    p_choi.add_argument("--d", type=_positive_int, required=True)
-    p_choi.add_argument("--scale", type=_finite_float, required=True)
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="one report row per admissible triple over rank and leg ranges",
-    )
-    p_sweep.add_argument("--n-min", dest="n_min", type=_rank, default=3)
-    p_sweep.add_argument("--n-max", dest="n_max", type=_rank, default=5)
-    p_sweep.add_argument("--max-l", dest="max_l", type=_positive_int, default=2)
-    p_sweep.add_argument("--max-m", dest="max_m", type=_positive_int, default=2)
-    return parser
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(item) for item in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
-def _params_and_triple(cfg: JobConfig) -> tuple[QParams, AdmissibleTriple]:
-    p = quantum_parameter(cfg.n)
-    return p, AdmissibleTriple(cfg.k, cfg.l, cfg.m)
-
-
-def _direction(args: argparse.Namespace) -> str:
-    return TRACE_FIRST if args.direction == "first" else TRACE_LAST
-
+# namespace fields echoed into every report, so a run can be reproduced from its output
+_CONFIG = (
+    "n", "k", "l", "m", "seed", "restarts", "tol", "max_dim", "samples", "format", "log_base"
+)
 
 # natural-log fields of report payloads, rescaled to --log-base
 _ENTROPY_FIELDS = (
@@ -288,34 +68,64 @@ _ENTROPY_FIELDS = (
     "sampled_entropy",
 )
 
+_TRACED = {"first": TRACE_FIRST, "last": TRACE_LAST}
 
-def _in_log_base(payload: dict, cfg: JobConfig) -> dict:
+
+class _UsageError(Exception):
+    """Raised instead of argparse's SystemExit so main can return 4."""
+
+
+class _CliParser(argparse.ArgumentParser):
+    def error(self, message):  # noqa: A003 - argparse hook
+        raise _UsageError(message)
+
+
+def _checked(cast, ok, what: str):
+    """Argparse type: cast the text, then reject any value failing `ok`."""
+
+    def check(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text}")
+        return value
+
+    check.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return check
+
+
+_POSITIVE = _checked(int, lambda v: v >= 1, "a positive integer")
+_NONNEG = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_RANK = _checked(int, lambda v: v >= 2, "a rank N >= 2")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE_FINITE = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+
+
+def _in_log_base(payload: dict, args: argparse.Namespace) -> dict:
+    scale = 1.0 if args.log_base == "e" else 1.0 / math.log(2.0)
     for key in _ENTROPY_FIELDS:
         if key in payload:
-            payload[key] *= cfg.log_scale
-    payload["log_base"] = cfg.log_base
+            payload[key] *= scale
+    payload["log_base"] = args.log_base
     return payload
 
 
 # ---------------------------------------------------------------------------
-# subcommand payloads
+# subcommand payloads; main binds args.p = QParams and args.t = the triple
 # ---------------------------------------------------------------------------
 
-def _run_dims(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p = quantum_parameter(cfg.n)
+def _run_dims(args: argparse.Namespace) -> dict:
     dims = []
     for k in range(args.max_k + 1):
-        value = dim_irrep(p, k)
+        value = dim_irrep(args.p, k)
         dims.append(int(round(value)) if value < 2**53 else value)
-    return {"n": cfg.n, "max_k": args.max_k, "dims": dims}
+    return {"n": args.n, "max_k": args.max_k, "dims": dims}
 
 
-def _run_theta(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
-    iso = isometry(p, t, max_dim=cfg.max_dim)
+def _run_theta(args: argparse.Namespace) -> dict:
+    iso = isometry(args.p, args.t, max_dim=args.max_dim)
     closed, trace = iso.theta_closed, iso.theta_trace
     return {
-        "triple": asdict(t),
+        "triple": asdict(args.t),
         "theta_closed": closed,
         "theta_trace": trace,
         "residual": trace - closed,
@@ -323,56 +133,46 @@ def _run_theta(args: argparse.Namespace, cfg: JobConfig) -> dict:
     }
 
 
-def _run_jw_verify(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p = quantum_parameter(cfg.n)
-    report = verify_jw(jw_projection(p, args.k, max_dim=cfg.max_dim))
-    return {**asdict(report), "dim": int(round(dim_irrep(p, args.k)))}
+def _run_jw_verify(args: argparse.Namespace) -> dict:
+    report = verify_jw(jw_projection(args.p, args.k, max_dim=args.max_dim))
+    return {**asdict(report), "dim": int(round(dim_irrep(args.p, args.k)))}
 
 
-def _run_isometry(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
-    iso = isometry(p, t, max_dim=cfg.max_dim)
+def _run_isometry(args: argparse.Namespace) -> dict:
+    iso = isometry(args.p, args.t, max_dim=args.max_dim)
     gram = iso.reduced.T @ iso.reduced
-    ortho = float(np.abs(gram - np.eye(gram.shape[0])).max())
     return {
-        "triple": asdict(t),
+        "triple": asdict(args.t),
         "scale": iso.scale,
         "theta_closed": iso.theta_closed,
         "theta_trace": iso.theta_trace,
-        "orthonormality_residual": ortho,
+        "orthonormality_residual": float(np.abs(gram - np.eye(gram.shape[0])).max()),
         "equivariance_residual": verify_equivariance_proxy(iso),
     }
 
 
-def _run_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
-    iso = isometry(p, t, max_dim=cfg.max_dim)
-    report = schmidt_spectrum(witness_image(iso))
-    lam = math.exp(lambda_log(p, t))
+def _run_schmidt(args: argparse.Namespace) -> dict:
+    report = schmidt_spectrum(witness_image(isometry(args.p, args.t, max_dim=args.max_dim)))
+    lam = math.exp(lambda_log(args.p, args.t))
     payload = {
         **asdict(report),
-        "triple": asdict(t),
+        "triple": asdict(args.t),
         "input": "alternating-word",
         "coefficients": report.coefficients[report.coefficients > 1e-14],
         "closed_form_max": lam,
         "residual": report.max - lam,
     }
-    return _in_log_base(payload, cfg)
+    return _in_log_base(payload, args)
 
 
-def _run_max_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
+def _run_max_schmidt(args: argparse.Namespace) -> dict:
     res = max_schmidt_optimizer(
-        p,
-        t,
-        restarts=cfg.restarts,
-        tol=cfg.tol,
-        seed=cfg.seed,
-        max_dim=cfg.max_dim,
+        args.p, args.t, restarts=args.restarts, tol=args.tol, seed=args.seed,
+        max_dim=args.max_dim,
     )
-    closed = math.sqrt(math.exp(lambda_log(p, t)))
+    closed = math.sqrt(math.exp(lambda_log(args.p, args.t)))
     return {
-        "triple": asdict(t),
+        "triple": asdict(args.t),
         "value": res.value,
         "value_squared": res.value * res.value,
         "closed_form": closed,
@@ -382,66 +182,56 @@ def _run_max_schmidt(args: argparse.Namespace, cfg: JobConfig) -> dict:
     }
 
 
-def _run_saturation(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
-    return asdict(verify_saturation(p, t, max_dim=cfg.max_dim))
+def _run_saturation(args: argparse.Namespace) -> dict:
+    return asdict(verify_saturation(args.p, args.t, max_dim=args.max_dim))
 
 
-def _run_channel(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
-    ch = channel(p, t, _direction(args), max_dim=cfg.max_dim)
-    rep = channel_norm_report(ch, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol)
+def _run_channel(args: argparse.Namespace) -> dict:
+    ch = channel(args.p, args.t, _TRACED[args.direction], max_dim=args.max_dim)
+    rep = channel_norm_report(ch, restarts=args.restarts, seed=args.seed, tol=args.tol)
     return {**asdict(rep), "direction": ch.direction}
 
 
-def _moe_payload(ch: EquivariantChannel, cfg: JobConfig) -> dict:
+def _moe(ch, args: argparse.Namespace) -> dict:
     bracket = moe_bracket(
-        ch, samples=cfg.samples, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol
+        ch, samples=args.samples, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
-    return _in_log_base(asdict(bracket), cfg)
+    return _in_log_base(asdict(bracket), args)
 
 
-def _run_moe(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
-    return _moe_payload(channel(p, t, _direction(args), max_dim=cfg.max_dim), cfg)
+def _run_moe(args: argparse.Namespace) -> dict:
+    return _moe(channel(args.p, args.t, _TRACED[args.direction], max_dim=args.max_dim), args)
 
 
-def _run_choi(args: argparse.Namespace, cfg: JobConfig) -> dict:
-    p, t = _params_and_triple(cfg)
+def _run_choi(args: argparse.Namespace) -> dict:
     rep = choi_witness_value(
-        p,
-        t,
-        args.d,
-        args.scale,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        max_dim=cfg.max_dim,
+        args.p, args.t, args.d, args.scale, samples=args.samples, seed=args.seed,
+        max_dim=args.max_dim,
     )
     return {**asdict(rep), "prediction_residual": rep.witness_value - rep.predicted_value}
 
 
-def _sweep_row(
-    p: QParams, t: AdmissibleTriple, cfg: JobConfig
-) -> dict:
+def _sweep_row(p, t: AdmissibleTriple, args: argparse.Namespace) -> dict:
     row = {
         "n": p.n,
         **asdict(t),
-        "skipped": False,
-        "skip_reason": "",
+        "skipped": True,
+        "skip_reason": "rapid-decay constant requires rank >= 3 (q < 1)",
     }
     if p.n < 3:
-        row["skip_reason"] = "rapid-decay constant requires rank >= 3 (q < 1)"
-    elif p.n ** (t.l + t.m) > cfg.max_dim or p.n**t.k > cfg.max_dim:
-        row["skip_reason"] = f"ambient dimension exceeds cap {cfg.max_dim}"
-    if row["skip_reason"]:
-        row["skipped"] = True
         return row
-    iso = isometry(p, t, max_dim=cfg.max_dim)
+    try:
+        iso = isometry(p, t, max_dim=args.max_dim)  # raises before it allocates
+    except DimensionCapError:
+        row["skip_reason"] = f"ambient dimension exceeds cap {args.max_dim}"
+        return row
     lam, coarse = rd_bound(p, t)
-    moe = _moe_payload(channel(p, t, max_dim=cfg.max_dim), cfg)
+    moe = _moe(channel(p, t, max_dim=args.max_dim), args)
     family = witness_family_size(p, t)
     row.update(
         {
+            "skipped": False,
+            "skip_reason": "",
             "dim_k": int(round(dim_irrep(p, t.k))),
             "theta_closed": iso.theta_closed,
             "theta_trace": iso.theta_trace,
@@ -457,7 +247,7 @@ def _sweep_row(
     return row
 
 
-def _run_sweep(args: argparse.Namespace, cfg: JobConfig) -> dict:
+def _run_sweep(args: argparse.Namespace) -> dict:
     if args.n_max < args.n_min:
         raise ValueError(f"--n-max {args.n_max} below --n-min {args.n_min}")
     rows = []
@@ -466,8 +256,7 @@ def _run_sweep(args: argparse.Namespace, cfg: JobConfig) -> dict:
         for l in range(1, args.max_l + 1):
             for m in range(1, args.max_m + 1):
                 for k in range(abs(l - m), l + m + 1, 2):
-                    rows.append(_sweep_row(p, AdmissibleTriple(k, l, m), cfg))
-    skipped = sum(1 for row in rows if row["skipped"])
+                    rows.append(_sweep_row(p, AdmissibleTriple(k, l, m), args))
     return {
         "n_min": args.n_min,
         "n_max": args.n_max,
@@ -475,29 +264,93 @@ def _run_sweep(args: argparse.Namespace, cfg: JobConfig) -> dict:
         "max_m": args.max_m,
         "rows": rows,
         "row_count": len(rows),
-        "skipped_count": skipped,
-        "log_base": cfg.log_base,
+        "skipped_count": sum(1 for row in rows if row["skipped"]),
+        "log_base": args.log_base,
     }
 
 
-_RUNNERS = {
-    "dims": _run_dims,
-    "theta": _run_theta,
-    "jw-verify": _run_jw_verify,
-    "isometry": _run_isometry,
-    "schmidt": _run_schmidt,
-    "max-schmidt": _run_max_schmidt,
-    "saturation": _run_saturation,
-    "channel": _run_channel,
-    "moe": _run_moe,
-    "choi": _run_choi,
-    "sweep": _run_sweep,
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+_COMMON = (
+    ("--seed", {"type": int, "default": 0, "help": "RNG seed (default 0)"}),
+    ("--restarts", {"type": _POSITIVE, "default": 20, "help": "optimizer restarts"}),
+    ("--tol", {"type": _POSITIVE_FINITE, "default": 1e-12,
+               "help": "optimizer convergence tolerance"}),
+    ("--max-dim", {"type": _POSITIVE, "default": DEFAULT_DIM_CAP,
+                   "help": f"ambient dimension cap (default {DEFAULT_DIM_CAP})"}),
+    ("--samples", {"type": _POSITIVE, "default": 200, "help": "random sample count"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json", "help": "output format"}),
+    ("--log-base", {"choices": ("e", "2"), "default": "e",
+                    "help": "logarithm base for entropies"}),
+)
+_N = ("--n", {"type": _RANK, "required": True, "help": "rank N >= 2"})
+_K = ("--k", {"type": _NONNEG, "required": True})
+_TRIPLE = (
+    _N,
+    _K,
+    ("--l", {"type": _NONNEG, "required": True}),
+    ("--m", {"type": _NONNEG, "required": True}),
+)
+_DIRECTION = ("--direction", {"choices": tuple(_TRACED), "default": "first",
+                              "help": "which tensor factor is traced out (first = left)"})
+
+# name: (runner, help, takes --n/--k/--l/--m, extra flags)
+_COMMANDS = {
+    "dims": (_run_dims, "dimensions of the irreducible spaces", False,
+             (_N, ("--max-k", {"type": _NONNEG, "required": True}))),
+    "theta": (_run_theta, "closed-form vs trace-computed theta net", True, ()),
+    "jw-verify": (_run_jw_verify, "residuals of a Jones-Wenzl projection", False, (_N, _K)),
+    "isometry": (_run_isometry, "equivariant isometry diagnostics", True, ()),
+    "schmidt": (_run_schmidt, "Schmidt spectrum of the embedded alternating-word state",
+                True, ()),
+    "max-schmidt": (_run_max_schmidt, "largest Schmidt coefficient over the embedded space",
+                    True, ()),
+    "saturation": (_run_saturation,
+                   "Schmidt plateau of the witness state against the closed form", True, ()),
+    "channel": (_run_channel, "S1 -> Sinf norm of the channel", True, (_DIRECTION,)),
+    "moe": (_run_moe, "minimum-output-entropy bracket", True, (_DIRECTION,)),
+    "choi": (_run_choi, "Choi-matrix d-positivity witness", True,
+             (("--d", {"type": _POSITIVE, "required": True}),
+              ("--scale", {"type": _FINITE, "required": True}))),
+    "sweep": (_run_sweep, "one report row per admissible triple over rank and leg ranges",
+              False,
+              (("--n-min", {"type": _RANK, "default": 3}),
+               ("--n-max", {"type": _RANK, "default": 5}),
+               ("--max-l", {"type": _POSITIVE, "default": 2}),
+               ("--max-m", {"type": _POSITIVE, "default": 2}))),
 }
+
+_RUNNERS = {name: spec[0] for name, spec in _COMMANDS.items()}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _CliParser(
+        prog="wenzl-lab",
+        description=(
+            "Irreducible-space calculus over the deformed tensor categories: "
+            "projections, vertices, Schmidt analysis, channels, Choi tests."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, takes_triple, extras) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in _COMMON + (_TRIPLE if takes_triple else ()) + extras:
+            command.add_argument(flag, **options)
+    return parser
 
 
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
+
+def _plain(value):
+    """json.dumps hook: numpy arrays and scalars become lists and Python scalars."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
 
 def _flatten(prefix: str, value, out: dict) -> None:
     if isinstance(value, dict):
@@ -513,34 +366,29 @@ def _flatten(prefix: str, value, out: dict) -> None:
 
 def _emit_csv(report: dict, stream) -> None:
     rows = report.get("rows")
-    header_src = [dict(r) for r in rows] if isinstance(rows, list) else [report]
     flat_rows = []
-    for row in header_src:
+    for row in rows if isinstance(rows, list) else [report]:
         flat: dict = {}
         _flatten("", row, flat)
         flat_rows.append(flat)
     fields = sorted({key for flat in flat_rows for key in flat})
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(stream, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for flat in flat_rows:
-        writer.writerow(flat)
-    stream.write(buffer.getvalue())
+    writer.writerows(flat_rows)
 
 
 def emit(report: dict, fmt: str, stream=None) -> None:
     """Write the report; a NaN or infinite value raises before any output."""
     stream = stream or sys.stdout
-    report = _jsonable(report)
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False, default=_plain)
     except ValueError as exc:
         raise InvariantViolation(f"report holds a non-finite number: {exc}") from None
     if fmt == "json":
         stream.write(text)
         stream.write("\n")
     else:
-        _emit_csv(report, stream)
+        _emit_csv(json.loads(text), stream)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -548,14 +396,17 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        cfg = JobConfig.from_args(args)
         report = {
             "schema": SCHEMA,
             "command": args.command,
-            "config": asdict(cfg),
+            "config": {key: getattr(args, key, None) for key in _CONFIG},
         }
-        report.update(_RUNNERS[args.command](args, cfg))
-        emit(report, cfg.format)
+        if hasattr(args, "n"):
+            args.p = quantum_parameter(args.n)
+        if hasattr(args, "m"):
+            args.t = AdmissibleTriple(args.k, args.l, args.m)
+        report.update(_RUNNERS[args.command](args))
+        emit(report, args.format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,7 +38,6 @@ __all__ = [
     "jw_projection",
     "verify_jw",
     "onb_of_irrep",
-    "jw_fixes",
     "clear_caches",
 ]
 
@@ -238,10 +237,3 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
         _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)
     return _basis_cache[(p.n, k)]
 
-
-def jw_fixes(jw: JwProjection, v: np.ndarray) -> float:
-    """||p_k v - v|| for a flat N^k vector; vanishes on words with no adjacent repeated letter."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (jw.op.in_shape.dim,):
-        raise ValueError(f"vector shape {v.shape} does not match p_k on {jw.op.in_shape}")
-    return float(np.linalg.norm(jw.op.data @ v - v))

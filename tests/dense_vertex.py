@@ -6,7 +6,8 @@ is built here from the dense Wenzl projections: the cup insertion is a
 fancy-indexed scatter and the two projections act leg-wise.  The package
 builds the same map in leg coordinates without any p; the tests compare
 the two.  The elementary tensors of words, the cup vectors T_r and the
-Choi matrix are the other ambient N^legs objects the tests check against.
+Choi matrix are the other ambient N^legs objects the tests check against;
+jw_fixes measures ||p_k v - v|| with the dense p_k.
 All vectors are flat arrays in row-major leg order, leftmost leg slowest.
 """
 
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from wenzl_lab.errors import InvariantViolation
-from wenzl_lab.jones_wenzl import jw_projection
+from wenzl_lab.jones_wenzl import JwProjection, jw_projection
 from wenzl_lab.qnum import AdmissibleTriple, QParams
 from wenzl_lab.tensor_core import (
     DEFAULT_DIM_CAP,
@@ -57,6 +58,14 @@ def alternating_vector(
         raise ValueError("alternating word needs two distinct letters")
     word = [i if s % 2 == 0 else j for s in range(shape.legs)]
     return basis_vector(shape, word, max_dim=max_dim)
+
+
+def jw_fixes(jw: JwProjection, v: np.ndarray) -> float:
+    """||p_k v - v|| for a flat N^k vector; vanishes on words with no adjacent repeated letter."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (jw.op.in_shape.dim,):
+        raise ValueError(f"vector shape {v.shape} does not match p_k on {jw.op.in_shape}")
+    return float(np.linalg.norm(jw.op.data @ v - v))
 
 
 def cup_vector(p: QParams, r: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:

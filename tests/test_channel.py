@@ -270,6 +270,28 @@ def test_moe_rejects_too_few_samples(samples):
         moe_bracket(channel(P3, MIDDLE), samples=samples)
 
 
+BAD_COUNTS = [
+    (call, kwargs)
+    for call in ("moe", "choi")
+    for kwargs in ({"samples": 2.5}, {"samples": True}, {"seed": 1.5}, {"seed": -1})
+] + [("threshold", {"d": True}), ("threshold", {"d": 2.0})]
+
+
+@pytest.mark.parametrize(
+    "call, kwargs",
+    BAD_COUNTS,
+    ids=[f"{call}-{key}={value}" for call, kwargs in BAD_COUNTS for key, value in kwargs.items()],
+)
+def test_channel_rejects_non_integer_counts(call, kwargs):
+    calls = {
+        "moe": lambda **kw: moe_bracket(channel(P3, MIDDLE), **kw),
+        "choi": lambda **kw: choi_witness_value(P3, BELL, 1, 1.0, **kw),
+        "threshold": lambda **kw: d_positivity_threshold(P3, BELL, **kw),
+    }
+    with pytest.raises(ValueError, match="must be"):
+        calls[call](**kwargs)
+
+
 def test_moe_deterministic():
     a = moe_bracket(channel(P3, MIDDLE), samples=30, seed=42)
     b = moe_bracket(channel(P3, MIDDLE), samples=30, seed=42)

@@ -316,12 +316,33 @@ def test_exit_4_on_inadmissible_triple(capsys):
     assert "parity" in err
 
 
-def test_exit_4_on_bad_flags(capsys):
-    assert run_cli(capsys, "bogus", "--n", "3")[0] == 4
-    assert run_cli(capsys, "dims", "--n", "1", "--max-k", "3")[0] == 4
-    assert run_cli(capsys, "dims", "--n", "3")[0] == 4  # missing --max-k
-    assert run_cli(capsys, "choi", "--n", "3", "--k", "0", "--l", "1", "--m", "1",
-                   "--d", "0", "--scale", "1.0")[0] == 4
+TRIPLE = ["--n", "3", "--k", "1", "--l", "1", "--m", "2"]
+CHOI = ["choi", "--n", "3", "--k", "0", "--l", "1", "--m", "1"]
+BAD_FLAGS = [
+    ("command", ["bogus", "--n", "3"]),
+    ("--n", ["dims", "--n", "1", "--max-k", "3"]),
+    ("--max-k", ["dims", "--n", "3"]),  # missing
+    ("--d", [*CHOI, "--d", "0", "--scale", "1.0"]),
+    ("--restarts", ["max-schmidt", *TRIPLE, "--restarts", "0"]),
+    ("--samples", ["moe", *TRIPLE, "--samples", "0"]),
+    ("--max-dim", ["theta", *TRIPLE, "--max-dim", "0"]),
+    ("--k", ["theta", "--n", "3", "--k", "-1", "--l", "1", "--m", "2"]),
+    ("--max-k", ["dims", "--n", "3", "--max-k", "-1"]),
+    ("--n-min", ["sweep", "--n-min", "1"]),
+    ("--max-l", ["sweep", "--max-l", "0"]),
+    ("--scale", [*CHOI, "--d", "1", "--scale", "inf"]),
+    ("--seed", ["theta", *TRIPLE, "--seed", "abc"]),
+    ("--format", ["theta", *TRIPLE, "--format", "xml"]),
+    ("--direction", ["channel", *TRIPLE, "--direction", "up"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", BAD_FLAGS, ids=["_".join(argv) for _, argv in BAD_FLAGS])
+def test_exit_4_on_bad_flags(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert flag in err
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "abc"])
@@ -371,7 +392,7 @@ def test_exit_4_on_non_finite_scale(capsys, scale):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_exit_2_on_non_finite_report_value(capsys, monkeypatch, fmt, bad):
-    monkeypatch.setitem(cli._RUNNERS, "dims", lambda args, cfg: {"dims": [1.0, bad]})
+    monkeypatch.setitem(cli._RUNNERS, "dims", lambda args: {"dims": [1.0, bad]})
     code, out, err = run_cli(capsys, "dims", "--n", "3", "--max-k", "2", "--format", fmt)
     assert code == 2
     assert out == ""
@@ -379,7 +400,7 @@ def test_exit_2_on_non_finite_report_value(capsys, monkeypatch, fmt, bad):
 
 
 def test_exit_3_on_memory_error(capsys, monkeypatch):
-    def exhausted(args, cfg):
+    def exhausted(args):
         raise MemoryError("Unable to allocate 2.9 GiB")
 
     monkeypatch.setitem(cli._RUNNERS, "dims", exhausted)
@@ -397,7 +418,7 @@ def test_exit_3_on_dimension_cap(capsys):
 
 
 def test_exit_2_on_invariant_violation(capsys, monkeypatch):
-    def boom(args, cfg):
+    def boom(args):
         raise InvariantViolation("deliberately violated for the exit-code test")
 
     monkeypatch.setitem(cli._RUNNERS, "dims", boom)
@@ -408,7 +429,14 @@ def test_exit_2_on_invariant_violation(capsys, monkeypatch):
 
 
 def test_help_exits_zero(capsys):
+    assert set(cli._RUNNERS) == {case["argv"][0] for case in GOLDEN}
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--help"])
     assert excinfo.value.code == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    top = capsys.readouterr().out
+    for command in cli._RUNNERS:
+        assert command in top
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: wenzl-lab {command}")

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from dense_vertex import alternating_vector, basis_vector
+from dense_vertex import alternating_vector, basis_vector, jw_fixes
 from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
 from wenzl_lab import entangle, vertex
@@ -25,7 +25,7 @@ from wenzl_lab.entangle import (
     witness_image,
 )
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
-from wenzl_lab.jones_wenzl import jw_fixes, jw_projection, onb_of_irrep
+from wenzl_lab.jones_wenzl import jw_projection, onb_of_irrep
 from wenzl_lab.qnum import AdmissibleTriple, admissible_triples, q_int, quantum_parameter
 from wenzl_lab.tensor_core import TensorShape
 from wenzl_lab.vertex import EquivariantIsometry, isometry

@@ -1,5 +1,7 @@
-"""Static checks: no package module imports a name it never uses, and
-every name a module lists in `__all__` is bound in that module.
+"""Static checks: no package module imports a name it never uses, every
+name a module lists in `__all__` is bound in that module, and no line is
+wider than 100 columns (so the tracked line count cannot drop by joining
+lines).
 
 `__init__` re-exports by importing, so it is exempt from the first check;
 elsewhere a name listed in the module's `__all__` counts as used.
@@ -92,3 +94,13 @@ ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_exports_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+MAX_COLUMNS = 100
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_lines_fit_in_100_columns(path):
+    lines = path.read_text().splitlines()
+    wide = [f"line {i}: {len(line)}" for i, line in enumerate(lines, 1) if len(line) > MAX_COLUMNS]
+    assert wide == []

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from dense_vertex import alternating_vector, basis_vector, cup_vector
+from dense_vertex import alternating_vector, basis_vector, cup_vector, jw_fixes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from wenzl_lab.jones_wenzl import (
     IrrepBasis,
     JwProjection,
     clear_caches,
-    jw_fixes,
     jw_projection,
     onb_of_irrep,
     verify_jw,
