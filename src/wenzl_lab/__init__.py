@@ -1,7 +1,7 @@
 """Numerical Jones-Wenzl calculus for free orthogonal quantum groups.
 
-Subpackages build on each other in this order: qnum (scalar quantum
-arithmetic), tensor_core (dense operators and the dimension cap), jones_wenzl
+Modules build on each other in this order: errors (exception types and
+the dimension cap), qnum (scalar quantum arithmetic), jones_wenzl
 (projections and irrep bases), vertex (equivariant isometries
 in leg coordinates), entangle (Schmidt analysis and witnesses),
 channel (equivariant quantum channels and Choi diagnostics), cli.
@@ -44,10 +44,9 @@ from .entangle import (
     witness_image,
     witness_family_size,
 )
-from .errors import DimensionCapError, InvariantViolation, WenzlLabError
+from .errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation, WenzlLabError
 from .jones_wenzl import (
     IrrepBasis,
-    JwProjection,
     JwVerification,
     jw_projection,
     onb_of_irrep,
@@ -69,15 +68,10 @@ from .qnum import (
     theta_net,
     theta_net_log,
 )
-from .tensor_core import (
-    DEFAULT_DIM_CAP,
-    TensorOperator,
-    TensorShape,
-    reversal_permutation,
-)
 from .vertex import (
     EquivariantIsometry,
     isometry,
+    reversal_permutation,
     verify_equivariance_proxy,
 )
 

@@ -29,9 +29,8 @@ from .entangle import (
     schmidt_spectrum,
     witness_image,
 )
-from .errors import InvariantViolation
+from .errors import DEFAULT_DIM_CAP, InvariantViolation
 from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
-from .tensor_core import DEFAULT_DIM_CAP
 from .vertex import EquivariantIsometry, isometry
 
 # Input states are rejected when their smallest eigenvalue drops below
@@ -347,6 +346,8 @@ def choi_witness_value(
     """
     _check_count("samples", samples, 1)
     _check_count("seed", seed, 0)
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be a finite number, got {scale}")
     threshold = d_positivity_threshold(p, t, d)
     if t.r < 1:
         raise ValueError(

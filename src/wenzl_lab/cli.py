@@ -39,10 +39,9 @@ from .entangle import (
     witness_family_size,
     witness_image,
 )
-from .errors import DimensionCapError, InvariantViolation
+from .errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation
 from .jones_wenzl import jw_projection, verify_jw
 from .qnum import AdmissibleTriple, dim_irrep, lambda_log, quantum_parameter, rd_bound
-from .tensor_core import DEFAULT_DIM_CAP
 from .vertex import isometry, verify_equivariance_proxy
 
 SCHEMA = "wenzl-lab/1"
@@ -134,13 +133,14 @@ def _run_theta(args: argparse.Namespace) -> dict:
 
 
 def _run_jw_verify(args: argparse.Namespace) -> dict:
-    report = verify_jw(jw_projection(args.p, args.k, max_dim=args.max_dim))
+    report = verify_jw(args.p, args.k, jw_projection(args.p, args.k, max_dim=args.max_dim))
     return {**asdict(report), "dim": int(round(dim_irrep(args.p, args.k)))}
 
 
 def _run_isometry(args: argparse.Namespace) -> dict:
     iso = isometry(args.p, args.t, max_dim=args.max_dim)
-    gram = iso.reduced.T @ iso.reduced
+    reduced = iso.reduced
+    gram = reduced.T @ reduced
     return {
         "triple": asdict(args.t),
         "scale": iso.scale,

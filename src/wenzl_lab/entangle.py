@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import DEFAULT_DIM_CAP, InvariantViolation
 from .jones_wenzl import onb_of_irrep
 from .qnum import (
     AdmissibleTriple,
@@ -39,7 +39,6 @@ from .qnum import (
     log_dim,
     rd_bound,
 )
-from .tensor_core import DEFAULT_DIM_CAP
 from .vertex import EquivariantIsometry, _cup_gather, isometry
 
 __all__ = [
@@ -96,6 +95,8 @@ def schmidt_spectrum(mat: np.ndarray) -> SchmidtReport:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"Schmidt spectrum needs a matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("Schmidt spectrum needs finite entries")
     if float(np.einsum("ij,ij->", mat, mat)) <= 1e-300:
         raise ValueError("Schmidt spectrum of the zero vector is undefined")
     sigma = np.linalg.svd(mat, compute_uv=False)
@@ -598,8 +599,10 @@ def separability_witness_highest_weight(
     """
     if i == j:
         raise ValueError("separability witness needs two distinct letters")
-    if not (1 <= i <= p.n and 1 <= j <= p.n):
-        raise ValueError(f"letters {i}, {j} out of range 1..{p.n}")
+    if not all(
+        type(x) is not bool and isinstance(x, (int, np.integer)) and 1 <= x <= p.n for x in (i, j)
+    ):
+        raise ValueError(f"letters {i!r}, {j!r} out of range: need integers 1..{p.n}")
     left = _alternating_letters(l, i, j)
     right = _alternating_letters(m, i, j) if l % 2 == 0 else _alternating_letters(m, j, i)
     iso = isometry(p, AdmissibleTriple(l + m, l, m), max_dim=max_dim)

@@ -18,7 +18,9 @@ formed: Q = I - V T V^T in compact-WY form (Schreiber-Van Loan 1989), so
 applying it costs two thin products.  The dense p_k stays the oracle that
 B_k B_k^T is checked against.
 
-Projections and bases are cached per (N, k) in memory.
+Operators are plain float64 arrays in the standard product basis,
+row-major with the leftmost leg slowest; everything the calculus builds
+is real there.  Projections and bases are cached per (N, k) in memory.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
 from .qnum import QParams, dim_irrep, q_int
-from .tensor_core import DEFAULT_DIM_CAP, TensorOperator, TensorShape, _check_cap
 
 __all__ = [
-    "JwProjection",
     "JwVerification",
     "IrrepBasis",
     "jw_projection",
@@ -47,17 +47,8 @@ TRACE_RTOL = 1e-8
 CAP_ANNIHILATION_TOL = 1e-9
 FUSION_GRAM_TOL = 1e-9
 
-_jw_cache: dict[tuple[int, int], "JwProjection"] = {}
+_jw_cache: dict[tuple[int, int], np.ndarray] = {}
 _basis_cache: dict[tuple[int, int], "IrrepBasis"] = {}
-
-
-@dataclass(frozen=True)
-class JwProjection:
-    """A Jones-Wenzl projection: level k over rank params.n."""
-
-    params: QParams
-    k: int
-    op: TensorOperator
 
 
 @dataclass(frozen=True)
@@ -105,8 +96,8 @@ def _wenzl_step(p: QParams, k: int, prev: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> JwProjection:
-    """The level-k Jones-Wenzl projection, built (and cached) bottom-up.
+def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """The level-k Jones-Wenzl projection as an N^k x N^k array, built (and cached) bottom-up.
 
     k = 0 is the scalar 1 on the empty tensor power; k = 1 the identity.
     """
@@ -121,15 +112,11 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> JwProje
     while start > 1 and (p.n, start - 1) not in _jw_cache:
         start -= 1
     for level in range(start, k + 1):
-        shape = TensorShape(p.n, level)
-        if level == 0:
-            op = TensorOperator(shape, shape, np.ones((1, 1)))
-        elif level == 1:
-            op = TensorOperator(shape, shape, np.eye(p.n))
+        if level < 2:
+            data = np.eye(p.n**level)
         else:
-            prev = _jw_cache[(p.n, level - 1)].op.data
-            op = TensorOperator(shape, shape, _wenzl_step(p, level, prev))
-        _jw_cache[(p.n, level)] = JwProjection(p, level, op)
+            data = _wenzl_step(p, level, _jw_cache[(p.n, level - 1)])
+        _jw_cache[(p.n, level)] = data
     return _jw_cache[key]
 
 
@@ -152,10 +139,11 @@ def _cap_annihilation_residual(data: np.ndarray, n: int, k: int) -> float:
     return worst
 
 
-def verify_jw(jw: JwProjection) -> JwVerification:
-    """Residuals of idempotence, symmetry, trace, and cap annihilation."""
-    data = jw.op.data
-    p, k = jw.params, jw.k
+def verify_jw(p: QParams, k: int, data: np.ndarray) -> JwVerification:
+    """Residuals of idempotence, symmetry, trace, and cap annihilation of an N^k x N^k p_k."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.shape != (p.n**k, p.n**k):
+        raise ValueError(f"p_{k} at N={p.n} is {p.n**k} x {p.n**k}, got shape {data.shape}")
     idem = float(np.abs(data @ data - data).max())
     sym = float(np.abs(data - data.T).max())
     want_trace = dim_irrep(p, k)

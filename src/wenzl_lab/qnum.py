@@ -108,7 +108,7 @@ class AdmissibleTriple:
 
     def __post_init__(self) -> None:
         for name, value in (("k", self.k), ("l", self.l), ("m", self.m)):
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:  # a bool or np.int64 is not a label
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if (self.l + self.m - self.k) % 2 != 0:
             raise ValueError(

@@ -15,31 +15,25 @@ irrep bases of `jones_wenzl.onb_of_irrep` (the recoupling picture of
 Kauffman-Lins on Wenzl's fusion bases).  Since B_l B_l^T = p_l, the
 projections p_l, p_m are never formed: the cup is a row gather of B_m
 and two matmuls do the rest.  The ambient N^{l+m} x [k+1]_q `reduced`
-is a lift built on first use, for the checks that need it.
+is lifted on each read, never cached, for the checks that need it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
 from .jones_wenzl import IrrepBasis, jw_projection, onb_of_irrep
 from .qnum import AdmissibleTriple, QParams, lambda_log, theta_net_log
-from .tensor_core import (
-    DEFAULT_DIM_CAP,
-    TensorOperator,
-    TensorShape,
-    _check_cap,
-    reversal_permutation,
-)
 
 __all__ = [
     "EquivariantIsometry",
     "isometry",
     "verify_equivariance_proxy",
+    "reversal_permutation",
     "clear_caches",
 ]
 
@@ -52,36 +46,36 @@ def clear_caches() -> None:
     _iso_cache.clear()
 
 
+class _LiftedOnRead:
+    """`iso.reduced` = iso.lift(iso.legs), lifted on each read, never cached.
+
+    A non-data descriptor, unlike a property, so an attribute set on an
+    instance still shadows it: perfbench's self-test scales `reduced` on a
+    copy to see its isometry check fail.
+    """
+
+    def __get__(self, iso, owner=None):
+        return self if iso is None else iso.lift(iso.legs)
+
+
+@dataclass(eq=False)  # one cached instance per triple, compared and hashed by identity
 class EquivariantIsometry:
     """alpha_k^{l,m}: H_k -> H_l (x) H_m with alpha^* alpha = identity.
 
     `legs` maps IrrepBasis(k) coordinates to B_l (x) B_m coordinates;
-    `reduced` is the same map lifted to the ambient N^{l+m} product
-    space and `ambient` additionally precomposes B_k^T.  Both lifts are
-    built on first access and cached, because only checks read them.
+    `reduced` is the same map in the ambient N^{l+m} product space,
+    lifted on each read and never cached, because only checks read it.
     """
 
-    def __init__(
-        self,
-        triple: AdmissibleTriple,
-        params: QParams,
-        basis: IrrepBasis,
-        basis_l: IrrepBasis,
-        basis_m: IrrepBasis,
-        legs: np.ndarray,
-        scale: float,
-        theta_closed: float,
-        theta_trace: float,
-    ):
-        self.triple = triple
-        self.params = params
-        self.basis = basis
-        self.basis_l = basis_l
-        self.basis_m = basis_m
-        self.legs = legs
-        self.scale = scale
-        self.theta_closed = theta_closed
-        self.theta_trace = theta_trace
+    triple: AdmissibleTriple
+    params: QParams
+    basis: IrrepBasis
+    basis_l: IrrepBasis
+    basis_m: IrrepBasis
+    legs: np.ndarray
+    scale: float
+    theta_closed: float
+    theta_trace: float
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """(B_l (x) B_m) x: leg coordinates (d_l d_m[, c]) to the ambient N^{l+m}[, c]."""
@@ -90,16 +84,22 @@ class EquivariantIsometry:
         half = half.reshape(bl.shape[0], bm.shape[1], -1)
         return (bm @ half).reshape(bl.shape[0] * bm.shape[0], *x.shape[1:])
 
-    @cached_property
-    def reduced(self) -> np.ndarray:
-        return self.lift(self.legs)
+    reduced = _LiftedOnRead()
 
-    @cached_property
-    def ambient(self) -> TensorOperator:
-        n, t = self.params.n, self.triple
-        return TensorOperator(
-            TensorShape(n, t.l + t.m), TensorShape(n, t.k), self.reduced @ self.basis.columns.T
-        )
+
+def reversal_permutation(n: int, r: int) -> np.ndarray:
+    """Flat index of the leg-reversed multi-index, for each of the n**r indices.
+
+    This is exactly the cup vector T_r = sum_i e_i (x) e_{i reversed} on
+    2r legs, reshaped along its middle cut: T_r[i, j] = 1 iff j == reversal[i].
+    """
+    idx = np.arange(n**r, dtype=np.int64)
+    rev = np.zeros_like(idx)
+    x = idx.copy()
+    for _ in range(r):  # peel digits least-significant first
+        rev = rev * n + x % n
+        x //= n
+    return rev
 
 
 def _cup_gather(n: int, t: AdmissibleTriple, bm: np.ndarray) -> np.ndarray:
@@ -171,10 +171,10 @@ def verify_equivariance_proxy(iso: EquivariantIsometry) -> float:
     """
     p = iso.params
     t = iso.triple
-    amb = iso.ambient.data
-    pl = jw_projection(p, t.l).op.data
-    pm = jw_projection(p, t.m).op.data
+    amb = iso.reduced @ iso.basis.columns.T
+    pl = jw_projection(p, t.l)
+    pm = jw_projection(p, t.m)
     res_range = float(np.abs(_project_sides(amb, pl, pm) - amb).max())
-    pk = jw_projection(p, t.k).op.data
+    pk = jw_projection(p, t.k)
     res_domain = float(np.abs(amb @ pk - amb).max())
     return max(res_range, res_domain)

@@ -13,59 +13,49 @@ All vectors are flat arrays in row-major leg order, leftmost leg slowest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from wenzl_lab.errors import InvariantViolation
-from wenzl_lab.jones_wenzl import JwProjection, jw_projection
+from wenzl_lab.errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
+from wenzl_lab.jones_wenzl import jw_projection
 from wenzl_lab.qnum import AdmissibleTriple, QParams
-from wenzl_lab.tensor_core import (
-    DEFAULT_DIM_CAP,
-    TensorOperator,
-    TensorShape,
-    _check_cap,
-    reversal_permutation,
-)
-from wenzl_lab.vertex import _project_sides, isometry
+from wenzl_lab.vertex import _project_sides, isometry, reversal_permutation
 
 
 def basis_vector(
-    shape: TensorShape, multi_index: Sequence[int], max_dim: int = DEFAULT_DIM_CAP
+    n: int, multi_index: Sequence[int], max_dim: int = DEFAULT_DIM_CAP
 ) -> np.ndarray:
-    """Elementary tensor e_{i(1)} (x) ... (x) e_{i(k)} for 1-based indices."""
-    _check_cap(shape.n, shape.legs, max_dim)
+    """Elementary tensor e_{i(1)} (x) ... (x) e_{i(k)} in (C^n)^{(x) k}, 1-based indices."""
     idx = tuple(multi_index)
-    if len(idx) != shape.legs:
-        raise ValueError(f"expected {shape.legs} indices, got {len(idx)}")
+    _check_cap(n, len(idx), max_dim)
     for i in idx:
-        if not 1 <= i <= shape.n:
-            raise ValueError(f"index {i} out of range 1..{shape.n}")
-    data = np.zeros(shape.dim)
+        if not 1 <= i <= n:
+            raise ValueError(f"index {i} out of range 1..{n}")
+    data = np.zeros(n ** len(idx))
     flat = 0
     for i in idx:  # row-major, leftmost leg slowest
-        flat = flat * shape.n + (i - 1)
+        flat = flat * n + (i - 1)
     data[flat] = 1.0
     return data
 
 
 def alternating_vector(
-    shape: TensorShape, i: int, j: int, max_dim: int = DEFAULT_DIM_CAP
+    n: int, legs: int, i: int, j: int, max_dim: int = DEFAULT_DIM_CAP
 ) -> np.ndarray:
-    """The alternating word e_i (x) e_j (x) e_i (x) ... on shape.legs legs."""
+    """The alternating word e_i (x) e_j (x) e_i (x) ... on `legs` legs of C^n."""
     if i == j:
         raise ValueError("alternating word needs two distinct letters")
-    word = [i if s % 2 == 0 else j for s in range(shape.legs)]
-    return basis_vector(shape, word, max_dim=max_dim)
+    word = [i if s % 2 == 0 else j for s in range(legs)]
+    return basis_vector(n, word, max_dim=max_dim)
 
 
-def jw_fixes(jw: JwProjection, v: np.ndarray) -> float:
+def jw_fixes(pk: np.ndarray, v: np.ndarray) -> float:
     """||p_k v - v|| for a flat N^k vector; vanishes on words with no adjacent repeated letter."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (jw.op.in_shape.dim,):
-        raise ValueError(f"vector shape {v.shape} does not match p_k on {jw.op.in_shape}")
-    return float(np.linalg.norm(jw.op.data @ v - v))
+    if v.shape != (pk.shape[1],):
+        raise ValueError(f"vector shape {v.shape} does not match p_k of shape {pk.shape}")
+    return float(np.linalg.norm(pk @ v - v))
 
 
 def cup_vector(p: QParams, r: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:
@@ -93,14 +83,6 @@ def choi_matrix(p: QParams, t: AdmissibleTriple, scale: float) -> np.ndarray:
     return iso.lift(half.T)
 
 
-@dataclass(frozen=True)
-class ThreeVertex:
-    """The unnormalized vertex A_k^{l,m} as an ambient dense operator."""
-
-    triple: AdmissibleTriple
-    op: TensorOperator
-
-
 def _insert_cup(cols: np.ndarray, n: int, l: int, m: int, r: int) -> np.ndarray:
     """Apply iota^{(x) l-r} (x) T_r (x) iota^{(x) m-r} to N^k-leg columns.
 
@@ -121,26 +103,20 @@ def _insert_cup(cols: np.ndarray, n: int, l: int, m: int, r: int) -> np.ndarray:
 def _vertex_columns(p: QParams, t: AdmissibleTriple, cols: np.ndarray) -> np.ndarray:
     """The vertex applied to N^k-leg columns, through dense p_l and p_m."""
     mid = _insert_cup(cols, p.n, t.l, t.m, t.r)
-    pl = jw_projection(p, t.l).op.data
-    pm = jw_projection(p, t.m).op.data
-    return _project_sides(mid, pl, pm)
+    return _project_sides(mid, jw_projection(p, t.l), jw_projection(p, t.m))
 
 
 def three_vertex(
     p: QParams, t: AdmissibleTriple, max_dim: int = DEFAULT_DIM_CAP
-) -> ThreeVertex:
-    """The dense ambient vertex A_k^{l,m}: N^k -> N^{l+m}."""
+) -> np.ndarray:
+    """The unnormalized dense vertex A_k^{l,m}: N^k -> N^{l+m}, an N^{l+m} x N^k array."""
     _check_cap(p.n, max(t.k, t.l + t.m), max_dim)
-    pk = jw_projection(p, t.k, max_dim=max_dim).op.data
-    data = _vertex_columns(p, t, pk)
+    data = _vertex_columns(p, t, jw_projection(p, t.k, max_dim=max_dim))
     if not np.any(data):
         raise InvariantViolation(f"vertex {t} collapsed to zero")
-    return ThreeVertex(
-        t, TensorOperator(TensorShape(p.n, t.l + t.m), TensorShape(p.n, t.k), data)
-    )
+    return data
 
 
-def theta_by_trace(v: ThreeVertex) -> float:
+def theta_by_trace(data: np.ndarray) -> float:
     """Tr(A^* A) = squared Frobenius norm; brute-force route to the theta-net."""
-    data = v.op.data
     return float(np.einsum("ij,ij->", data, data))

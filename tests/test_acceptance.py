@@ -129,7 +129,7 @@ def test_criterion_02_jones_wenzl():
     for p in PARAMS:
         k = 0
         while p.n**k <= DIM_CAP:
-            rep = verify_jw(jw_projection(p, k))
+            rep = verify_jw(p, k, jw_projection(p, k))
             assert rep.idempotence <= JW_RESIDUAL_TOL, (p.n, k, rep)
             assert rep.symmetry <= JW_RESIDUAL_TOL, (p.n, k, rep)
             assert rep.cap_annihilation <= JW_RESIDUAL_TOL, (p.n, k, rep)
@@ -137,7 +137,7 @@ def test_criterion_02_jones_wenzl():
             assert rep.ok
             cols = onb_of_irrep(p, k).columns
             assert cols.shape[1] == round(dim_irrep(p, k)), (p.n, k)
-            fixed = float(np.abs(jw_projection(p, k).op.data @ cols - cols).max())
+            fixed = float(np.abs(jw_projection(p, k) @ cols - cols).max())
             assert fixed <= JW_RESIDUAL_TOL, (p.n, k, fixed)
             gram = cols.T @ cols
             gram[np.diag_indices_from(gram)] -= 1.0
@@ -160,8 +160,8 @@ def test_criterion_03_isometry_contract():
         worst_gram = max(worst_gram, float(np.abs(gram).max()))
 
         nl, nm = p.n**t.l, p.n**t.m
-        pl = jw_projection(p, t.l).op.data
-        pm = jw_projection(p, t.m).op.data
+        pl = jw_projection(p, t.l)
+        pm = jw_projection(p, t.m)
         flat = reduced.reshape(nl, nm * dim_k)
         worst_range = max(worst_range, float(np.abs(pl @ flat - flat).max()))
         cube = reduced.reshape(nl, nm, dim_k)

@@ -411,6 +411,9 @@ def test_witness_rejects_unusable_parameters():
     for samples in (0, -1):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             choi_witness_value(P3, BELL, 1, 1.0, samples=samples)
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="scale must be a finite number"):
+            choi_witness_value(P3, BELL, 1, scale, samples=3)
 
 
 def test_sampled_min_respects_positivity_below_threshold():

@@ -27,7 +27,6 @@ from wenzl_lab.entangle import (
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.jones_wenzl import jw_projection, onb_of_irrep
 from wenzl_lab.qnum import AdmissibleTriple, admissible_triples, q_int, quantum_parameter
-from wenzl_lab.tensor_core import TensorShape
 from wenzl_lab.vertex import EquivariantIsometry, isometry
 
 
@@ -45,7 +44,7 @@ def _image(p, t, v):
 def test_schmidt_of_bell_image():
     p = quantum_parameter(3)
     t = AdmissibleTriple(0, 1, 1)
-    v = _image(p, t, basis_vector(TensorShape(3, 0), ()))
+    v = _image(p, t, basis_vector(3, ()))
     rep = schmidt_spectrum(v)
     np.testing.assert_allclose(rep.coefficients, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert rep.entropy == pytest.approx(math.log(3.0), rel=1e-10)
@@ -54,8 +53,8 @@ def test_schmidt_of_bell_image():
 
 def test_schmidt_of_separable_vector():
     n = 3
-    a = basis_vector(TensorShape(n, 1), (2,))
-    b = basis_vector(TensorShape(n, 2), (1, 2))
+    a = basis_vector(n, (2,))
+    b = basis_vector(n, (1, 2))
     rep = schmidt_spectrum(np.outer(a, b))
     assert rep.max == pytest.approx(1.0, rel=1e-12)
     assert rep.entropy == pytest.approx(0.0, abs=1e-12)
@@ -65,7 +64,7 @@ def test_schmidt_of_separable_vector():
 def test_schmidt_of_highest_weight_image_is_rank_one():
     p = quantum_parameter(3)
     t = AdmissibleTriple(2, 1, 1)
-    v = _image(p, t, alternating_vector(TensorShape(3, 2), 1, 2))
+    v = _image(p, t, alternating_vector(3, 2, 1, 2))
     rep = schmidt_spectrum(v)
     assert rep.numerical_rank == 1
     assert rep.max == pytest.approx(1.0, rel=1e-9)
@@ -90,6 +89,14 @@ def test_schmidt_needs_a_matrix(shape):
         schmidt_spectrum(np.ones(shape))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_schmidt_needs_finite_entries(bad):
+    mat = np.eye(3)
+    mat[1, 2] = bad
+    with pytest.raises(ValueError, match="finite entries"):
+        schmidt_spectrum(mat)
+
+
 def test_schmidt_vectors_live_in_projected_ranges():
     # singular vectors with weight lie in range(p_l) and range(p_m)
     p = quantum_parameter(3)
@@ -100,8 +107,8 @@ def test_schmidt_vectors_live_in_projected_ranges():
     coords /= np.linalg.norm(coords)
     mat = (iso.reduced @ coords).reshape(3, 9)
     u, s, vt = np.linalg.svd(mat)
-    pl = jw_projection(p, 1).op.data
-    pm = jw_projection(p, 2).op.data
+    pl = jw_projection(p, 1)
+    pm = jw_projection(p, 2)
     for col in range(len(s)):
         if s[col] <= 1e-8:
             continue
@@ -497,7 +504,7 @@ def test_witness_rejects_highest_weight_and_rank_two():
 def test_witness_xi_is_alternating_word():
     p = quantum_parameter(3)
     wit = saturation_witness(p, AdmissibleTriple(2, 2, 2))
-    want = alternating_vector(TensorShape(3, 2), 1, 2)
+    want = alternating_vector(3, 2, 1, 2)
     np.testing.assert_allclose(wit.xi, onb_of_irrep(p, 2).columns.T @ want, rtol=0, atol=1e-15)
 
 
@@ -544,14 +551,14 @@ def test_witness_legs_match_ambient_oracle(p, t):
     # xi and every family row are B^T e_w of the dense word vector, and
     # every family word is fixed by its dense Jones-Wenzl projection
     wit = saturation_witness(p, t)
-    xi_word = alternating_vector(TensorShape(p.n, t.k), 1, 2)
+    xi_word = alternating_vector(p.n, t.k, 1, 2)
     np.testing.assert_allclose(wit.xi, iso.basis.columns.T @ xi_word, rtol=0, atol=1e-15)
     words = _family_words(p.n, t)
     assert len(words) == wit.family_size
     jw_l, jw_m = jw_projection(p, t.l), jw_projection(p, t.m)
     for row, (eta_word, zeta_word) in enumerate(words):
-        eta = basis_vector(TensorShape(p.n, t.l), eta_word)
-        zeta = basis_vector(TensorShape(p.n, t.m), zeta_word)
+        eta = basis_vector(p.n, eta_word)
+        zeta = basis_vector(p.n, zeta_word)
         np.testing.assert_allclose(
             wit.eta_family[row], iso.basis_l.columns.T @ eta, rtol=0, atol=1e-15
         )
@@ -657,7 +664,7 @@ def test_higher_rank_floor_flag_behaviour():
 def test_separability_witness_words(l, m, i, j, word_l, word_r):
     p = quantum_parameter(3)
     rep = separability_witness_highest_weight(p, l, m, i, j)
-    left, right = basis_vector(TensorShape(3, l), word_l), basis_vector(TensorShape(3, m), word_r)
+    left, right = basis_vector(3, word_l), basis_vector(3, word_r)
     # the leg matrix lifts to the ambient product of the two words
     bl, bm = onb_of_irrep(p, l).columns, onb_of_irrep(p, m).columns
     np.testing.assert_allclose(bl @ rep.vector @ bm.T, np.outer(left, right), atol=1e-12)
@@ -670,7 +677,7 @@ def test_separability_witness_rejects_equal_letters():
         separability_witness_highest_weight(quantum_parameter(3), 1, 1, 2, 2)
 
 
-@pytest.mark.parametrize("i,j", [(1, 4), (0, 2)])
+@pytest.mark.parametrize("i,j", [(1, 4), (0, 2), (1.5, 2), (2, 1.0), (True, 2)])
 def test_separability_witness_rejects_letters_out_of_range(i, j):
     with pytest.raises(ValueError, match="out of range"):
         separability_witness_highest_weight(quantum_parameter(3), 1, 1, i, j)

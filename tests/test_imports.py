@@ -1,7 +1,7 @@
 """Static checks: no package module imports a name it never uses, every
-name a module lists in `__all__` is bound in that module, and no line is
-wider than 100 columns (so the tracked line count cannot drop by joining
-lines).
+name a module lists in `__all__` is bound in that module, each module
+imports only from modules below it in LAYERS, and no line is wider than
+100 columns (so the tracked line count cannot drop by joining lines).
 
 `__init__` re-exports by importing, so it is exempt from the first check;
 elsewhere a name listed in the module's `__all__` counts as used.
@@ -94,6 +94,48 @@ ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_exports_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+# the package's modules, lowest first; `__init__` sits above them all
+LAYERS = ("errors", "qnum", "jones_wenzl", "vertex", "entangle", "channel", "cli")
+
+
+def layer_violations(name: str, source: str) -> list[str]:
+    """Relative imports of module `name` that do not come from a lower layer."""
+    below = LAYERS[: LAYERS.index(name)] if name in LAYERS else ()
+    return [
+        f"line {node.lineno}: from .{node.module}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module not in below
+    ]
+
+
+def test_layer_checker_flags_upward_and_unknown_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy\n"
+        "from .errors import DEFAULT_DIM_CAP\n"
+        "from .entangle import schmidt_spectrum\n"
+        "from .vertex import isometry\n"
+        "from .tensor_core import _check_cap\n"
+    )
+    assert layer_violations("vertex", source) == [
+        "line 4: from .entangle", "line 5: from .vertex", "line 6: from .tensor_core"
+    ]
+    assert layer_violations("extra", "from .errors import WenzlLabError\n") == [
+        "line 1: from .errors"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_only_lower_layers(path):
+    assert layer_violations(path.stem, path.read_text()) == []
+
+
+def test_package_docstring_states_the_layers():
+    doc = ast.get_docstring(ast.parse((PACKAGE / "__init__.py").read_text()))
+    positions = [doc.find(name) for name in LAYERS]
+    assert -1 not in positions and positions == sorted(positions), positions
 
 
 MAX_COLUMNS = 100

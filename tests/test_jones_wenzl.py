@@ -14,14 +14,12 @@ from wenzl_lab import jones_wenzl as jwmod
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.jones_wenzl import (
     IrrepBasis,
-    JwProjection,
     clear_caches,
     jw_projection,
     onb_of_irrep,
     verify_jw,
 )
 from wenzl_lab.qnum import dim_irrep, quantum_parameter
-from wenzl_lab.tensor_core import TensorShape
 
 ATOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -40,16 +38,16 @@ def _fresh_caches():
 
 def test_level_zero_and_one():
     p = quantum_parameter(3)
-    assert jw_projection(p, 0).op.data.shape == (1, 1)
-    assert jw_projection(p, 0).op.data[0, 0] == 1.0
-    np.testing.assert_array_equal(jw_projection(p, 1).op.data, np.eye(3))
+    assert jw_projection(p, 0).shape == (1, 1)
+    assert jw_projection(p, 0)[0, 0] == 1.0
+    np.testing.assert_array_equal(jw_projection(p, 1), np.eye(3))
 
 
 def test_level_two_closed_form():
     p = quantum_parameter(3)
     t1 = cup_vector(p, 1)
     want = np.eye(9) - np.outer(t1, t1) / 3.0
-    got = jw_projection(p, 2).op.data
+    got = jw_projection(p, 2)
     np.testing.assert_allclose(got, want, atol=ATOL)
     assert np.trace(got) == pytest.approx(8.0, rel=1e-12)
 
@@ -60,7 +58,7 @@ def test_level_two_closed_form():
 )
 def test_trace_equals_irrep_dimension(n, k, want):
     p = quantum_parameter(n)
-    got = float(np.trace(jw_projection(p, k).op.data))
+    got = float(np.trace(jw_projection(p, k)))
     assert got == pytest.approx(want, rel=1e-10)
     assert dim_irrep(p, k) == pytest.approx(want, rel=1e-9)
 
@@ -90,7 +88,7 @@ def test_cap_exceeded():
 
 def test_verify_identity_level_is_exact():
     p = quantum_parameter(4)
-    rep = verify_jw(jw_projection(p, 1))
+    rep = verify_jw(p, 1, jw_projection(p, 1))
     assert rep.idempotence == 0.0
     assert rep.symmetry == 0.0
     assert rep.trace_rel == 0.0
@@ -101,7 +99,7 @@ def test_verify_identity_level_is_exact():
 @pytest.mark.parametrize("n,k", [(3, 4), (3, 5), (4, 4), (5, 3)])
 def test_verify_recursion_built_levels(n, k):
     p = quantum_parameter(n)
-    rep = verify_jw(jw_projection(p, k))
+    rep = verify_jw(p, k, jw_projection(p, k))
     assert rep.ok, rep
     assert rep.idempotence <= 1e-9
     assert rep.symmetry <= 1e-12
@@ -111,18 +109,22 @@ def test_verify_recursion_built_levels(n, k):
 
 def test_verify_flags_corrupted_projection():
     p = quantum_parameter(3)
-    good = jw_projection(p, 2)
-    bad_data = good.op.data.copy()
-    bad_data[0, 0] += 0.01
-    bad = JwProjection(p, 2, type(good.op)(good.op.out_shape, good.op.in_shape, bad_data))
-    rep = verify_jw(bad)
+    bad = jw_projection(p, 2).copy()
+    bad[0, 0] += 0.01
+    rep = verify_jw(p, 2, bad)
     assert rep.idempotence > 1e-4
     assert not rep.ok
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (9,), (9, 3), (27, 27)])
+def test_verify_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError, match="p_2 at N=3 is 9 x 9"):
+        verify_jw(quantum_parameter(3), 2, np.zeros(shape))
+
+
 def test_spectrum_clusters_at_zero_and_one():
     p = quantum_parameter(3)
-    vals = np.linalg.eigvalsh(jw_projection(p, 4).op.data)
+    vals = np.linalg.eigvalsh(jw_projection(p, 4))
     near0 = np.abs(vals) <= 1e-9
     near1 = np.abs(vals - 1.0) <= 1e-9
     assert np.all(near0 | near1)
@@ -131,8 +133,8 @@ def test_spectrum_clusters_at_zero_and_one():
 def test_absorption():
     p = quantum_parameter(3)
     for k in (2, 3, 4):
-        pk = jw_projection(p, k).op.data
-        prev = jw_projection(p, k - 1).op.data
+        pk = jw_projection(p, k)
+        prev = jw_projection(p, k - 1)
         lifted = np.kron(np.eye(3), prev)
         np.testing.assert_allclose(pk @ lifted, pk, atol=1e-10)
 
@@ -161,7 +163,7 @@ def test_onb_columns_orthonormal_and_fixed():
     basis = onb_of_irrep(p, 3)
     cols = basis.columns
     np.testing.assert_allclose(cols.T @ cols, np.eye(cols.shape[1]), atol=1e-10)
-    pk = jw_projection(p, 3).op.data
+    pk = jw_projection(p, 3)
     np.testing.assert_allclose(pk @ cols, cols, atol=1e-9)
 
 
@@ -186,7 +188,7 @@ def test_onb_spans_range_of_projection(n, k):
     p = quantum_parameter(n)
     cols = onb_of_irrep(p, k).columns
     assert cols.shape == (n**k, round(dim_irrep(p, k)))
-    pk = jw_projection(p, k).op.data
+    pk = jw_projection(p, k)
     np.testing.assert_allclose(cols @ cols.T, pk, atol=RESIDUAL_TOL)
     np.testing.assert_allclose(cols.T @ cols, np.eye(cols.shape[1]), atol=RESIDUAL_TOL)
 
@@ -251,19 +253,19 @@ def test_basis_never_forms_complete_q(monkeypatch):
 
 def test_fixes_alternating_word_exactly_at_level_two():
     p = quantum_parameter(3)
-    v = alternating_vector(TensorShape(3, 2), 1, 2)
+    v = alternating_vector(3, 2, 1, 2)
     assert jw_fixes(jw_projection(p, 2), v) <= 1e-12
 
 
 def test_fixes_alternating_word_level_four():
     p = quantum_parameter(3)
-    v = alternating_vector(TensorShape(3, 4), 1, 2)
+    v = alternating_vector(3, 4, 1, 2)
     assert jw_fixes(jw_projection(p, 4), v) <= RESIDUAL_TOL
 
 
 def test_repeated_letter_word_is_moved():
     p = quantum_parameter(3)
-    v = basis_vector(TensorShape(3, 2), (1, 1))
+    v = basis_vector(3, (1, 1))
     res = jw_fixes(jw_projection(p, 2), v)
     assert res == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
     assert res > 0.3
@@ -279,12 +281,12 @@ def test_repeated_letter_word_is_moved():
 )
 def test_fixes_all_mixed_alternating_words(n, k, letters):
     p = quantum_parameter(n)
-    v = alternating_vector(TensorShape(n, k), *letters)
+    v = alternating_vector(n, k, *letters)
     assert jw_fixes(jw_projection(p, k), v) <= RESIDUAL_TOL
 
 
 def test_fixes_shape_mismatch_rejected():
     p = quantum_parameter(3)
-    v = basis_vector(TensorShape(3, 3), (1, 2, 1))
+    v = basis_vector(3, (1, 2, 1))
     with pytest.raises(ValueError):
         jw_fixes(jw_projection(p, 2), v)

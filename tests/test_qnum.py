@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,11 +196,21 @@ def test_admissible_triple_computes_r():
 
 @pytest.mark.parametrize(
     "k,l,m",
-    [(1, 1, 1), (4, 1, 1), (1, 0, 0), (2, 1, 0), (0, 1, 2)],
+    [
+        (1, 1, 1), (4, 1, 1), (1, 0, 0), (2, 1, 0), (0, 1, 2),
+        # a bool is not a label, and an np.int64 label would make n**k an int64
+        (True, 0, 1), (2, True, 1), (np.int64(2), 1, 1),
+    ],
 )
 def test_admissible_triple_rejects_bad_labels(k, l, m):
     with pytest.raises(ValueError):
         AdmissibleTriple(k, l, m)
+
+
+@pytest.mark.parametrize("l,m", [(True, 1), (1, True)])
+def test_admissible_triples_rejects_bool_legs(l, m):
+    with pytest.raises(ValueError):
+        admissible_triples(l, m)
 
 
 def test_admissible_triple_rejects_negative():

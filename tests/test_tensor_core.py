@@ -1,5 +1,5 @@
-"""Tests for the row-major leg layout: shapes, the reversal permutation,
-and the ambient oracles of `dense_vertex` (basis vectors, cups, words)."""
+"""Tests for the row-major leg layout: the reversal permutation and the
+ambient oracles of `dense_vertex` (basis vectors, cups, words)."""
 
 from __future__ import annotations
 
@@ -13,45 +13,36 @@ from hypothesis import strategies as st
 
 from wenzl_lab.errors import DimensionCapError
 from wenzl_lab.qnum import quantum_parameter
-from wenzl_lab.tensor_core import TensorShape, reversal_permutation
+from wenzl_lab.vertex import reversal_permutation
 
 ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# shapes and basis vectors
+# basis vectors
 # ---------------------------------------------------------------------------
 
-def test_shape_dim():
-    assert TensorShape(3, 4).dim == 81
-    assert TensorShape(5, 0).dim == 1
-    with pytest.raises(ValueError):
-        TensorShape(0, 2)
-
-
 def test_basis_vector_simple():
-    v = basis_vector(TensorShape(3, 1), (1,))
+    v = basis_vector(3, (1,))
     np.testing.assert_array_equal(v, [1.0, 0.0, 0.0])
 
 
 def test_basis_vector_layout_leftmost_slowest():
-    v = basis_vector(TensorShape(2, 2), (1, 2))
+    v = basis_vector(2, (1, 2))
     # flat position of (1,2) is 0*2 + 1 = 1 in row-major order
     np.testing.assert_array_equal(v, [0.0, 1.0, 0.0, 0.0])
 
 
 def test_basis_vector_zero_legs():
-    v = basis_vector(TensorShape(3, 0), ())
+    v = basis_vector(3, ())
     np.testing.assert_array_equal(v, [1.0])
 
 
 def test_basis_vector_rejects_bad_index():
     with pytest.raises(ValueError):
-        basis_vector(TensorShape(3, 2), (1, 4))
+        basis_vector(3, (1, 4))
     with pytest.raises(ValueError):
-        basis_vector(TensorShape(3, 2), (0, 1))
-    with pytest.raises(ValueError):
-        basis_vector(TensorShape(3, 2), (1,))
+        basis_vector(3, (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +112,19 @@ def test_cup_vector_cap():
 # ---------------------------------------------------------------------------
 
 def test_alternating_vector_examples():
-    v = alternating_vector(TensorShape(3, 1), 1, 2)
-    np.testing.assert_array_equal(v, basis_vector(TensorShape(3, 1), (1,)))
-    v = alternating_vector(TensorShape(3, 3), 1, 2)
-    want = basis_vector(TensorShape(3, 3), (1, 2, 1))
+    v = alternating_vector(3, 1, 1, 2)
+    np.testing.assert_array_equal(v, basis_vector(3, (1,)))
+    v = alternating_vector(3, 3, 1, 2)
+    want = basis_vector(3, (1, 2, 1))
     np.testing.assert_array_equal(v, want)
-    v = alternating_vector(TensorShape(3, 2), 2, 3)
-    want = basis_vector(TensorShape(3, 2), (2, 3))
+    v = alternating_vector(3, 2, 2, 3)
+    want = basis_vector(3, (2, 3))
     np.testing.assert_array_equal(v, want)
 
 
 def test_alternating_vector_rejects_equal_letters():
     with pytest.raises(ValueError):
-        alternating_vector(TensorShape(3, 2), 1, 1)
+        alternating_vector(3, 2, 1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,13 +140,13 @@ def test_alternating_junction_property(k, m, letters):
     # continues the alternation where the first one stopped
     i, j = letters
     n = 3
-    left = alternating_vector(TensorShape(n, k), i, j)
+    left = alternating_vector(n, k, i, j)
     if k % 2 == 0:
-        right = alternating_vector(TensorShape(n, m), i, j)
+        right = alternating_vector(n, m, i, j)
     else:
-        right = alternating_vector(TensorShape(n, m), j, i)
+        right = alternating_vector(n, m, j, i)
     joined = np.kron(left, right)
-    want = alternating_vector(TensorShape(n, k + m), i, j)
+    want = alternating_vector(n, k + m, i, j)
     np.testing.assert_array_equal(joined, want)
 
 
@@ -165,9 +156,9 @@ def test_alternating_junction_property(k, m, letters):
 
 def test_tensor_product_basis_vectors():
     n = 3
-    a = basis_vector(TensorShape(n, 1), (1,))
-    b = basis_vector(TensorShape(n, 1), (2,))
-    want = basis_vector(TensorShape(n, 2), (1, 2))
+    a = basis_vector(n, (1,))
+    b = basis_vector(n, (2,))
+    want = basis_vector(n, (1, 2))
     np.testing.assert_array_equal(np.kron(a, b), want)
 
 
@@ -181,8 +172,8 @@ def test_partial_trace_of_cup_projector():
 def test_matricize_rank_one():
     # a product vector reshaped along its cut is the rank-1 outer product
     n = 3
-    a = basis_vector(TensorShape(n, 1), (2,))
-    b = basis_vector(TensorShape(n, 2), (1, 3))
+    a = basis_vector(n, (2,))
+    b = basis_vector(n, (1, 3))
     mat = np.kron(a, b).reshape(n, n**2)
     np.testing.assert_allclose(mat, np.outer(a, b), atol=ATOL)
     assert np.linalg.matrix_rank(mat) == 1

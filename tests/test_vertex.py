@@ -60,7 +60,7 @@ def test_bell_vertex_is_cup():
     p = quantum_parameter(3)
     v = three_vertex(p, AdmissibleTriple(0, 1, 1))
     np.testing.assert_allclose(
-        v.op.data[:, 0], cup_vector(p, 1), atol=1e-12
+        v[:, 0], cup_vector(p, 1), atol=1e-12
     )
     assert theta_by_trace(v) == pytest.approx(3.0, rel=1e-12)
 
@@ -68,7 +68,7 @@ def test_bell_vertex_is_cup():
 def test_highest_weight_vertex_is_projection():
     p = quantum_parameter(3)
     v = three_vertex(p, AdmissibleTriple(2, 1, 1))
-    np.testing.assert_allclose(v.op.data, jw_projection(p, 2).op.data, atol=1e-10)
+    np.testing.assert_allclose(v, jw_projection(p, 2), atol=1e-10)
     assert theta_by_trace(v) == pytest.approx(8.0, rel=THETA_RTOL)
 
 
@@ -104,7 +104,7 @@ def test_vertex_norm_bounded_by_qint():
     for n, k, l, m in [(3, 0, 1, 1), (3, 1, 1, 2), (3, 2, 2, 2), (4, 0, 2, 2)]:
         p = quantum_parameter(n)
         t = AdmissibleTriple(k, l, m)
-        top = np.linalg.svd(three_vertex(p, t).op.data, compute_uv=False)[0]
+        top = np.linalg.svd(three_vertex(p, t), compute_uv=False)[0]
         assert top**2 <= q_int(p, t.r + 1) * (1 + 1e-10)
 
 
@@ -134,7 +134,7 @@ def test_highest_weight_isometry_has_unit_scale():
     iso = isometry(p, AdmissibleTriple(2, 1, 1))
     assert iso.scale == pytest.approx(1.0, rel=1e-9)
     np.testing.assert_allclose(
-        iso.ambient.data, jw_projection(p, 2).op.data, atol=1e-9
+        iso.reduced @ iso.basis.columns.T, jw_projection(p, 2), atol=1e-9
     )
     # on basis coordinates the inclusion is exactly the basis itself
     np.testing.assert_allclose(iso.reduced, onb_of_irrep(p, 2).columns, atol=1e-9)
@@ -172,16 +172,6 @@ def test_cached_isometry_still_honours_cap():
     assert isometry(p, t, max_dim=81) is isometry(p, t)
 
 
-def test_ambient_shape_and_factorization():
-    p = quantum_parameter(3)
-    iso = isometry(p, AdmissibleTriple(1, 1, 2))
-    amb = iso.ambient
-    assert amb.data.shape == (27, 3)
-    np.testing.assert_allclose(
-        amb.data, iso.reduced @ iso.basis.columns.T, atol=1e-12
-    )
-
-
 DENSE_ORACLE = [(p, t) for p, t in SWEEP_FULL if p.n ** (t.l + t.m) <= 1024]
 
 
@@ -201,9 +191,13 @@ def test_legs_match_dense_vertex(p, t):
     assert np.abs(iso.reduced - dense).max() <= 1e-12
 
 
-def test_pipeline_never_builds_dense_objects(capsys):
+def test_pipeline_never_builds_dense_objects(capsys, monkeypatch):
     # the pipeline works on legs alone: no Wenzl projection is formed and
     # no isometry is lifted to the ambient space
+    def no_lift(iso, x):
+        pytest.fail(f"the pipeline lifted {iso.triple} to the ambient space")
+
+    monkeypatch.setattr(vxmod.EquivariantIsometry, "lift", no_lift)
     clear_jw()
     for n, k, l, m in [(4, 2, 2, 2), (3, 4, 2, 2)]:
         p, t = quantum_parameter(n), AdmissibleTriple(k, l, m)
@@ -228,8 +222,6 @@ def test_pipeline_never_builds_dense_objects(capsys):
     capsys.readouterr()
     assert not jwmod._jw_cache
     assert vxmod._iso_cache
-    for iso in vxmod._iso_cache.values():
-        assert "reduced" not in vars(iso), iso.triple
 
 
 def test_theta_disagreement_is_hard_error(monkeypatch):
