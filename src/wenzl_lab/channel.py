@@ -24,6 +24,7 @@ from .entangle import (
     PLATEAU_RTOL,
     _check_count,
     _entropy_from_lambdas,
+    _one_blas_thread,
     max_schmidt_optimizer,
     saturation_witness,
     schmidt_spectrum,
@@ -211,7 +212,9 @@ def moe_bracket(
     The upper estimate minimizes over three candidate families: the
     deterministic alternating-word witness (the best known minimizer,
     and exactly separable on highest-weight triples), the argmax of the
-    Schmidt optimizer, and `samples` Haar-ish random pure inputs.
+    Schmidt optimizer, and `samples` Haar-ish random pure inputs.  The
+    optimizer's sweeps and the samples' images and SVD stack run on one
+    BLAS thread.
     """
     _check_count("samples", samples, 1)
     _check_count("seed", seed, 0)
@@ -230,8 +233,9 @@ def moe_bracket(
     # column 0 is the optimizer's argmax, the rest are the random inputs
     cols = np.column_stack([res.xi, draws.T])
     cols /= np.linalg.norm(cols, axis=0)
-    stack = np.moveaxis(_leg_matrices(ch, cols), 2, 0)
-    svals = np.linalg.svd(stack, compute_uv=False)
+    with _one_blas_thread():
+        stack = np.moveaxis(_leg_matrices(ch, cols), 2, 0)
+        svals = np.linalg.svd(stack, compute_uv=False)
     entropies = [_entropy_from_lambdas(row * row) for row in svals]
     optimizer_entropy = entropies[0]
     sampled_entropy = float(np.min(entropies[1:]))

@@ -22,8 +22,15 @@ result vector is returned in irrep-basis coordinates.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +74,50 @@ PLATEAU_RTOL = 1e-8
 PLATEAU_GAP = 1e-10
 WITNESS_FIX_TOL = 1e-9
 SIDE_AGREEMENT_TOL = 1e-9
+
+
+@functools.cache
+def _openblas_set_threads():
+    """numpy's bundled OpenBLAS `openblas_set_num_threads_local`, or None without it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = ctypes.c_int
+            return fn
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_scopes = [0, 0]  # open scopes, and the count the last one to close restores
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, for products too small to split.
+
+    numpy's bundled OpenBLAS applies `openblas_set_num_threads_local` to
+    the whole process, so the first scope to open sets 1 and the last to
+    close restores what that call returned: nested scopes, and scopes in
+    other Python threads, leave the count as they found it.  Without the
+    symbol this does nothing.
+    """
+    set_threads = _openblas_set_threads()
+    if set_threads is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_scopes[0] == 0:
+            _blas_scopes[1] = set_threads(1)
+        _blas_scopes[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_scopes[0] -= 1
+            if _blas_scopes[0] == 0:
+                set_threads(_blas_scopes[1])
 
 
 def _entropy_from_lambdas(lambdas: np.ndarray) -> float:
@@ -145,8 +196,9 @@ def rd_certificate(
 
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
-    samples (at least 1) and seed (at least 0) must be integers, else
-    ValueError.
+    The images and their SVD stack run on one BLAS thread, the isometry
+    build on the default.  samples (at least 1) and seed (at least 0)
+    must be integers, else ValueError.
     """
     _check_count("samples", samples, 1)
     _check_count("seed", seed, 0)
@@ -155,9 +207,10 @@ def rd_certificate(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal((d, samples))
     x /= np.linalg.norm(x, axis=0)
-    images = iso.legs @ x  # leg coordinates, one column per sample
-    stack = images.T.reshape(samples, iso.basis_l.dim, iso.basis_m.dim)
-    sigma = np.linalg.svd(stack, compute_uv=False)
+    with _one_blas_thread():
+        images = iso.legs @ x  # leg coordinates, one column per sample
+        stack = images.T.reshape(samples, iso.basis_l.dim, iso.basis_m.dim)
+        sigma = np.linalg.svd(stack, compute_uv=False)
     max_observed = float((sigma[:, 0] ** 2).max())
     exact, coarse = rd_bound(p, t)
     return RdCertificate(
@@ -317,60 +370,65 @@ def max_schmidt_optimizer(
     The best value wins, ties broken by lowest restart index.  The
     winner's xi and the reported value come from one direct product
     with `legs`, which must agree with the iterated value to
-    SIDE_AGREEMENT_TOL, else InvariantViolation.  restarts, max_iters
-    (at least 1) and seed (at least 0) must be integers, else ValueError.
+    SIDE_AGREEMENT_TOL, else InvariantViolation.  Everything from the
+    draws on runs on one BLAS thread; building alpha and C does not.
+    restarts, max_iters (at least 1) and seed (at least 0) must be
+    integers, and tol a positive finite real (not a bool), else ValueError.
     """
     _check_count("restarts", restarts, 1)
     _check_count("max_iters", max_iters, 1)
     _check_count("seed", seed, 0)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a positive finite real, got {tol!r}")
     iso = isometry(p, t, max_dim=max_dim)
-    legs, bl, bm = iso.legs, iso.basis_l.columns, iso.basis_m.columns
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
-    sizes = (legs.shape[1], bl.shape[0], bm.shape[0])
-    draws = [[rng.standard_normal(size) for size in sizes] for rng in rngs]
-    xi, _, zeta = (_unit_rows(np.array(vecs), rngs, range(restarts)) for vecs in zip(*draws))
-    zeta = zeta @ bm
     comp = _complement_legs(p, t, max_dim)
-    if comp is None:
-        cup = _cup_gather(p.n, t, bm)
-        step, ops = _alpha_sweep, (iso.scale * iso.basis.columns, bl, cup)
-        state = xi
-        carry = (zeta @ cup.reshape(-1, cup.shape[2]).T).reshape(restarts, *cup.shape[:2])
-    else:
-        step, ops = _complement_sweep, (comp, bl.shape[1])
-        state, carry = xi @ legs.T, zeta
-    value = np.full(restarts, -1.0)  # each restart's last objective
-    sweeps = np.full(restarts, max_iters)
-    converged = np.zeros(restarts, dtype=bool)
-    last_eta = np.empty((restarts, bl.shape[1]))
-    last_zeta = np.empty((restarts, bm.shape[1]))
-    live = np.arange(restarts)  # restart index of each row still iterating
-    prev = np.full(restarts, -1.0)
-    for sweep in range(1, max_iters + 1):
-        eta, zeta, state, carry = step(ops, state, carry, lambda rows: _unit_rows(rows, rngs, live))
-        obj = np.linalg.norm(state, axis=1)
-        done = np.abs(obj - prev) <= tol * np.maximum(1.0, obj)
-        leave = done | (sweep == max_iters)
-        if leave.any():
-            out = live[leave]
-            value[out], sweeps[out], converged[out] = obj[leave], sweep, done[leave]
-            last_eta[out], last_zeta[out] = eta[leave], zeta[leave]
-            if leave.all():
-                break
-            keep = ~leave
-            live, obj, state, carry = live[keep], obj[keep], state[keep], carry[keep]
-        prev = obj
-        state = _unit_rows(state, rngs, live, obj)
-    win = int(np.argmax(value))
-    eta, zeta = last_eta[win], last_zeta[win]
-    raw = np.kron(eta, zeta) @ legs
-    direct = float(np.linalg.norm(raw))
-    if abs(direct - value[win]) > SIDE_AGREEMENT_TOL:
-        raise InvariantViolation(
-            f"optimizer at {t}: direct value {direct!r} != iterated value {float(value[win])!r}"
-        )
+    legs, bl, bm = iso.legs, iso.basis_l.columns, iso.basis_m.columns
+    with _one_blas_thread():
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
+        sizes = (legs.shape[1], bl.shape[0], bm.shape[0])
+        draws = [[rng.standard_normal(size) for size in sizes] for rng in rngs]
+        xi, _, zeta = (_unit_rows(np.array(vecs), rngs, range(restarts)) for vecs in zip(*draws))
+        zeta = zeta @ bm
+        if comp is None:
+            cup = _cup_gather(p.n, t, bm)
+            step, ops = _alpha_sweep, (iso.scale * iso.basis.columns, bl, cup)
+            state = xi
+            carry = (zeta @ cup.reshape(-1, cup.shape[2]).T).reshape(restarts, *cup.shape[:2])
+        else:
+            step, ops = _complement_sweep, (comp, bl.shape[1])
+            state, carry = xi @ legs.T, zeta
+        value = np.full(restarts, -1.0)  # each restart's last objective
+        sweeps = np.full(restarts, max_iters)
+        converged = np.zeros(restarts, dtype=bool)
+        last_eta = np.empty((restarts, bl.shape[1]))
+        last_zeta = np.empty((restarts, bm.shape[1]))
+        live = np.arange(restarts)  # restart index of each row still iterating
+        prev = np.full(restarts, -1.0)
+        for sweep in range(1, max_iters + 1):
+            eta, zeta, state, carry = step(
+                ops, state, carry, lambda rows: _unit_rows(rows, rngs, live)
+            )
+            obj = np.linalg.norm(state, axis=1)
+            done = np.abs(obj - prev) <= tol * np.maximum(1.0, obj)
+            leave = done | (sweep == max_iters)
+            if leave.any():
+                out = live[leave]
+                value[out], sweeps[out], converged[out] = obj[leave], sweep, done[leave]
+                last_eta[out], last_zeta[out] = eta[leave], zeta[leave]
+                if leave.all():
+                    break
+                keep = ~leave
+                live, obj, state, carry = live[keep], obj[keep], state[keep], carry[keep]
+            prev = obj
+            state = _unit_rows(state, rngs, live, obj)
+        win = int(np.argmax(value))
+        eta, zeta = last_eta[win], last_zeta[win]
+        raw = np.kron(eta, zeta) @ legs
+        direct = float(np.linalg.norm(raw))
+        if abs(direct - value[win]) > SIDE_AGREEMENT_TOL:
+            raise InvariantViolation(
+                f"optimizer at {t}: direct value {direct!r} != iterated value {float(value[win])!r}"
+            )
     return MaxSchmidtResult(
         value=direct,
         xi=raw / direct,

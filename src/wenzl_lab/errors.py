@@ -8,6 +8,8 @@ allocates on N^legs legs checks it and raises DimensionCapError.
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = ["DEFAULT_DIM_CAP", "WenzlLabError", "DimensionCapError", "InvariantViolation"]
 
 DEFAULT_DIM_CAP = 4096
@@ -30,6 +32,10 @@ class InvariantViolation(WenzlLabError):
 
 
 def _check_cap(n: int, legs: int, max_dim: int) -> None:
+    """DimensionCapError if N^legs exceeds max_dim, which must be a positive
+    integer (a bool is not), else ValueError."""
+    if isinstance(max_dim, bool) or not isinstance(max_dim, numbers.Integral) or max_dim < 1:
+        raise ValueError(f"max_dim must be a positive integer, got {max_dim!r}")
     dim = n**legs
     if dim > max_dim:
         raise DimensionCapError(

@@ -20,7 +20,9 @@ B_k B_k^T is checked against.
 
 Operators are plain float64 arrays in the standard product basis,
 row-major with the leftmost leg slowest; everything the calculus builds
-is real there.  Projections and bases are cached per (N, k) in memory.
+is real there.  Projections and bases are cached per (N, k) in memory,
+as read-only arrays, so a caller's write raises instead of corrupting
+every later level.
 """
 
 from __future__ import annotations
@@ -116,6 +118,7 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndar
             data = np.eye(p.n**level)
         else:
             data = _wenzl_step(p, level, _jw_cache[(p.n, level - 1)])
+        data.flags.writeable = False
         _jw_cache[(p.n, level)] = data
     return _jw_cache[key]
 
@@ -222,6 +225,7 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
             up = _basis_cache[(p.n, level - 1)].columns
             down = _basis_cache[(p.n, level - 2)].columns
             cols = _fusion_step(p, level, up, down)
+        cols.flags.writeable = False
         _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)
     return _basis_cache[(p.n, k)]
 

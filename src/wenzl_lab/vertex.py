@@ -127,7 +127,8 @@ def _leg_vertex(
 def isometry(
     p: QParams, t: AdmissibleTriple, max_dim: int = DEFAULT_DIM_CAP
 ) -> EquivariantIsometry:
-    """The scaled vertex alpha = ([k+1]_q/theta)^{1/2} A, cached per triple.
+    """The scaled vertex alpha = ([k+1]_q/theta)^{1/2} A, cached per triple
+    with read-only `legs`.
 
     The closed-form theta and the Frobenius-trace theta must agree to
     1e-6 relative; disagreement means a construction bug, so it is a
@@ -149,6 +150,7 @@ def isometry(
         )
     scale = math.exp(0.5 * lambda_log(p, t))
     raw *= scale
+    raw.flags.writeable = False
     iso = EquivariantIsometry(t, p, *bases, raw, scale, theta_closed, theta_trace)
     _iso_cache[key] = iso
     return iso

@@ -1,7 +1,18 @@
 """Shared pytest plumbing: collects acceptance-criterion outcomes and
-prints one PASS/FAIL line per criterion in the terminal summary."""
+prints one PASS/FAIL line per criterion in the terminal summary, and
+fails any test that leaves the BLAS thread count changed."""
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+
+import numpy as np
+import pytest
+
+from wenzl_lab import entangle
 
 _criterion_lines: dict[int, str] = {}
 
@@ -20,3 +31,52 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for number in sorted(_criterion_lines):
         terminalreporter.write_line(_criterion_lines[number])
+
+
+@functools.cache
+def _openblas_get_threads():
+    """numpy's bundled OpenBLAS thread-count getter, or None without one."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn
+    return None
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count OpenBLAS will use now, or None if it cannot be read."""
+    get = _openblas_get_threads()
+    return None if get is None else get()
+
+
+needs_blas_threads = pytest.mark.skipif(
+    entangle._openblas_set_threads() is None or blas_threads() is None,
+    reason="numpy's BLAS has no openblas_set_num_threads_local or no thread-count getter",
+)
+
+
+def record_blas_threads(monkeypatch, module, name, seen, when=lambda *args: True):
+    """Wrap module.name so that each call it takes (and `when` accepts)
+    appends the BLAS thread count in force to `seen`."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if when(*args):
+            seen.append(blas_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.fixture(autouse=True)
+def _blas_threads_restored():
+    before = blas_threads()
+    yield
+    after = blas_threads()
+    if after != before:
+        pytest.fail(f"test left the BLAS thread count at {after}, found it at {before}")

@@ -8,10 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import blas_threads, needs_blas_threads, record_blas_threads
 from dense_vertex import choi_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wenzl_lab import entangle
 from wenzl_lab.channel import (
     TRACE_FIRST,
     TRACE_LAST,
@@ -290,6 +292,26 @@ def test_channel_rejects_non_integer_counts(call, kwargs):
     }
     with pytest.raises(ValueError, match="must be"):
         calls[call](**kwargs)
+
+
+@pytest.mark.parametrize("tol", [True, "x", 0.0])
+def test_moe_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be a positive finite real"):
+        moe_bracket(channel(P3, MIDDLE), samples=5, tol=tol)
+
+
+@needs_blas_threads
+def test_moe_sampling_on_one_blas_thread(monkeypatch):
+    ch = channel(P3, SQUARE)
+    caller = blas_threads()
+    sweeps, images, stacks = [], [], []
+    record_blas_threads(monkeypatch, entangle, "_alpha_sweep", sweeps)
+    record_blas_threads(monkeypatch, channel_module, "_leg_matrices", images)
+    record_blas_threads(monkeypatch, np.linalg, "svd", stacks, lambda a, *rest: a.ndim == 3)
+    moe_bracket(ch, samples=5, restarts=3)
+    assert sweeps and set(sweeps) == {1}
+    assert images == [1] and stacks == [1]
+    assert blas_threads() == caller
 
 
 def test_moe_deterministic():

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
+from conftest import blas_threads, needs_blas_threads, record_blas_threads
 from dense_vertex import alternating_vector, basis_vector, jw_fixes
 from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
@@ -317,6 +319,14 @@ def test_optimizer_rejects_broken_complement(monkeypatch, corrupt, message):
     # complement's C^T C = I check and column count catch it up front.
     # Orthonormal columns taken from alpha_4's own range pass that check
     # but leave the wrong projector, which the direct value exposes.
+    p, t = _break_complement(monkeypatch, corrupt)
+    with pytest.raises(InvariantViolation, match=message):
+        max_schmidt_optimizer(p, t, restarts=4, seed=0)
+
+
+def _break_complement(monkeypatch, corrupt):
+    """Put a corrupted alpha_2 at N=3 (2, 2, 2) into the isometry cache,
+    where the optimizer at (4, 2, 2) reads it as its complement C."""
     p = quantum_parameter(3)
     t = AdmissibleTriple(4, 2, 2)
     other = isometry(p, AdmissibleTriple(2, 2, 2))
@@ -332,8 +342,7 @@ def test_optimizer_rejects_broken_complement(monkeypatch, corrupt, message):
         other.theta_trace,
     )
     monkeypatch.setitem(vertex._iso_cache, (3, 2, 2, 2), bad)
-    with pytest.raises(InvariantViolation, match=message):
-        max_schmidt_optimizer(p, t, restarts=4, seed=0)
+    return p, t
 
 
 def test_optimizer_restart_record():
@@ -455,6 +464,9 @@ def test_optimizer_redraws_degenerate_xi(monkeypatch):
         {"tol": 0.0},
         {"tol": float("nan")},
         {"tol": float("inf")},
+        {"tol": True},
+        {"tol": "x"},
+        {"tol": 1e-12 + 0j},
         {"max_iters": 0},
         {"restarts": 0},
         {"restarts": 2.5},
@@ -469,6 +481,94 @@ def test_optimizer_redraws_degenerate_xi(monkeypatch):
 def test_optimizer_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError):
         max_schmidt_optimizer(quantum_parameter(3), AdmissibleTriple(1, 1, 2), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread for the sweeps and the sampling stacks
+# ---------------------------------------------------------------------------
+
+@needs_blas_threads
+@pytest.mark.parametrize(
+    "k,l,m,sweep", [(2, 2, 2, "_alpha_sweep"), (4, 2, 2, "_complement_sweep")]
+)
+def test_optimizer_sweeps_on_one_blas_thread(monkeypatch, k, l, m, sweep):
+    caller = blas_threads()
+    sweeps, builds = [], []
+    record_blas_threads(monkeypatch, entangle, sweep, sweeps)
+    for build in ("isometry", "_complement_legs"):
+        record_blas_threads(monkeypatch, entangle, build, builds)
+    max_schmidt_optimizer(quantum_parameter(3), AdmissibleTriple(k, l, m), restarts=3, seed=0)
+    assert sweeps and set(sweeps) == {1}
+    assert builds and set(builds) == {caller}
+    assert blas_threads() == caller
+
+
+@needs_blas_threads
+def test_rd_certificate_samples_on_one_blas_thread(monkeypatch):
+    caller = blas_threads()
+    stacks = []
+    record_blas_threads(monkeypatch, np.linalg, "svd", stacks, lambda a, *rest: a.ndim == 3)
+    rd_certificate(quantum_parameter(3), AdmissibleTriple(2, 2, 2), samples=5)
+    assert stacks == [1]
+    assert blas_threads() == caller
+
+
+@needs_blas_threads
+def test_optimizer_restores_blas_threads_after_invariant_violation(monkeypatch):
+    p, t = _break_complement(monkeypatch, lambda cols, top: top[:, : cols.shape[1]].copy())
+    caller = blas_threads()
+    sweeps = []
+    record_blas_threads(monkeypatch, entangle, "_complement_sweep", sweeps)
+    with pytest.raises(InvariantViolation, match="direct value"):
+        max_schmidt_optimizer(p, t, restarts=4, seed=0)
+    assert sweeps and set(sweeps) == {1}
+    assert blas_threads() == caller
+
+
+@needs_blas_threads
+def test_one_blas_thread_scopes_nest_and_overlap_across_threads():
+    caller = blas_threads()
+    with entangle._one_blas_thread():
+        with entangle._one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+    assert blas_threads() == caller
+    # two threads open scopes in one order and close them in the same order
+    a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+    seen = []
+
+    def first():
+        with entangle._one_blas_thread():
+            a_open.set()
+            b_open.wait(10)
+        a_closed.set()
+
+    def second():
+        a_open.wait(10)
+        with entangle._one_blas_thread():
+            b_open.set()
+            a_closed.wait(10)
+            seen.append(blas_threads())
+
+    workers = [threading.Thread(target=first), threading.Thread(target=second)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(30)
+    assert seen == [1]
+    assert blas_threads() == caller
+
+
+def test_one_blas_thread_without_the_symbol_changes_nothing(monkeypatch):
+    p, t = quantum_parameter(3), AdmissibleTriple(2, 2, 2)
+    want = max_schmidt_optimizer(p, t, restarts=3, seed=0)
+    monkeypatch.setattr(entangle, "_openblas_set_threads", lambda: None)
+    caller = blas_threads()
+    with entangle._one_blas_thread():
+        assert blas_threads() == caller
+    got = max_schmidt_optimizer(p, t, restarts=3, seed=0)
+    assert got.restart_sweeps == want.restart_sweeps
+    assert got.value == pytest.approx(want.value, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

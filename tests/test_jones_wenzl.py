@@ -82,6 +82,33 @@ def test_cap_exceeded():
         jw_projection(p3, 5, max_dim=3**5 - 1)
 
 
+BAD_CAPS = [float("nan"), None, True, False, 0, -1, 2.5, 4096.0, "4096"]
+
+
+@pytest.mark.parametrize("max_dim", BAD_CAPS, ids=repr)
+def test_cap_must_be_a_positive_integer(max_dim):
+    p = quantum_parameter(3)
+    for build in (jw_projection, onb_of_irrep):
+        with pytest.raises(ValueError, match="max_dim must be a positive integer"):
+            build(p, 2, max_dim=max_dim)
+
+
+def test_cap_takes_numpy_integers():
+    assert jw_projection(quantum_parameter(3), 2, max_dim=np.int64(9)).shape == (9, 9)
+
+
+def test_cached_arrays_are_read_only():
+    p = quantum_parameter(3)
+    for level in range(4):
+        for arr in (jw_projection(p, level), onb_of_irrep(p, level).columns):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[0] = 1.0
+    for level in (2, 3):
+        assert verify_jw(p, level, jw_projection(p, level)).ok
+
+
 # ---------------------------------------------------------------------------
 # verification report
 # ---------------------------------------------------------------------------

@@ -172,6 +172,23 @@ def test_cached_isometry_still_honours_cap():
     assert isometry(p, t, max_dim=81) is isometry(p, t)
 
 
+@pytest.mark.parametrize("max_dim", [float("nan"), None, True, 0, 81.0])
+def test_isometry_cap_must_be_a_positive_integer(max_dim):
+    with pytest.raises(ValueError, match="max_dim must be a positive integer"):
+        isometry(quantum_parameter(3), AdmissibleTriple(2, 1, 1), max_dim=max_dim)
+
+
+def test_cached_legs_are_read_only():
+    p = quantum_parameter(3)
+    t = AdmissibleTriple(2, 2, 2)
+    before = isometry(p, t).legs.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        isometry(p, t).legs[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        isometry(p, t).legs.reshape(-1)[:] *= 2
+    np.testing.assert_array_equal(isometry(p, t).legs, before)
+
+
 DENSE_ORACLE = [(p, t) for p, t in SWEEP_FULL if p.n ** (t.l + t.m) <= 1024]
 
 
