@@ -22,7 +22,6 @@ import numpy as np
 
 from .entangle import (
     PLATEAU_RTOL,
-    _check_count,
     _entropy_from_lambdas,
     _one_blas_thread,
     max_schmidt_optimizer,
@@ -30,7 +29,7 @@ from .entangle import (
     schmidt_spectrum,
     witness_image,
 )
-from .errors import DEFAULT_DIM_CAP, InvariantViolation
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real
 from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
 from .vertex import EquivariantIsometry, isometry
 
@@ -216,8 +215,7 @@ def moe_bracket(
     optimizer's sweeps and the samples' images and SVD stack run on one
     BLAS thread.
     """
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
+    samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     p, t = ch.params, ch.triple
     lower = -lambda_log(p, t)
     coarse_lower = -math.log(rd_bound(p, t)[1])
@@ -270,9 +268,7 @@ def moe_bracket(
 
 def d_positivity_threshold(p: QParams, t: AdmissibleTriple, d: int) -> float:
     """theta_q(k,l,m) / (d [k+1]_q): the largest scale kept d-positive."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"Schmidt-rank parameter d must be a positive integer, got {d}")
-    return math.exp(-lambda_log(p, t)) / d
+    return math.exp(-lambda_log(p, t)) / _check_int("d", d, 1)
 
 
 @dataclass(frozen=True)
@@ -348,10 +344,8 @@ def choi_witness_value(
     negative); the random sampling is a falsification attempt below it,
     never a proof of positivity.
     """
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be a finite number, got {scale}")
+    samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
+    scale = _check_real("scale", scale, "a finite number", -math.inf, math.inf)
     threshold = d_positivity_threshold(p, t, d)
     if t.r < 1:
         raise ValueError(

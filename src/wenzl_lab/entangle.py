@@ -28,14 +28,13 @@ import functools
 import glob
 import itertools
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_DIM_CAP, InvariantViolation
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real
 from .jones_wenzl import onb_of_irrep
 from .qnum import (
     AdmissibleTriple,
@@ -177,14 +176,6 @@ class RdCertificate:
     violated: bool
 
 
-def _check_count(name: str, value: object, least: int) -> None:
-    """ValueError unless value is an integer (a bool is not) and at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-
-
 def rd_certificate(
     p: QParams,
     t: AdmissibleTriple,
@@ -200,8 +191,7 @@ def rd_certificate(
     build on the default.  samples (at least 1) and seed (at least 0)
     must be integers, else ValueError.
     """
-    _check_count("samples", samples, 1)
-    _check_count("seed", seed, 0)
+    samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     iso = isometry(p, t, max_dim=max_dim)
     d = iso.legs.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -375,11 +365,9 @@ def max_schmidt_optimizer(
     restarts, max_iters (at least 1) and seed (at least 0) must be
     integers, and tol a positive finite real (not a bool), else ValueError.
     """
-    _check_count("restarts", restarts, 1)
-    _check_count("max_iters", max_iters, 1)
-    _check_count("seed", seed, 0)
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be a positive finite real, got {tol!r}")
+    restarts, seed = _check_int("restarts", restarts, 1), _check_int("seed", seed, 0)
+    max_iters = _check_int("max_iters", max_iters, 1)
+    tol = _check_real("tol", tol, "a positive finite real", 0.0, math.inf)
     iso = isometry(p, t, max_dim=max_dim)
     comp = _complement_legs(p, t, max_dim)
     legs, bl, bm = iso.legs, iso.basis_l.columns, iso.basis_m.columns
@@ -655,11 +643,10 @@ def separability_witness_highest_weight(
     residual = ||alpha alpha^* v - v||; rank-1 separability plus a tiny
     residual shows the embedded subspace touches the product-state set.
     """
+    l, m = _check_int("l", l, 0), _check_int("m", m, 0)
     if i == j:
         raise ValueError("separability witness needs two distinct letters")
-    if not all(
-        type(x) is not bool and isinstance(x, (int, np.integer)) and 1 <= x <= p.n for x in (i, j)
-    ):
+    if max(_check_int("letter", i, 1), _check_int("letter", j, 1)) > p.n:
         raise ValueError(f"letters {i!r}, {j!r} out of range: need integers 1..{p.n}")
     left = _alternating_letters(l, i, j)
     right = _alternating_letters(m, i, j) if l % 2 == 0 else _alternating_letters(m, j, i)
@@ -694,8 +681,7 @@ class EntropyDimTradeoff:
 
 
 def entropy_dim_tradeoff(p: QParams, t: AdmissibleTriple, mu: float) -> EntropyDimTradeoff:
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must be in (0, 1), got {mu}")
+    mu = _check_real("mu", mu, "in (0, 1)", 0.0, 1.0)
     entropy_lower = -lambda_log(p, t)
     dim_term = log_dim(p, t.k) - log_dim(p, t.l) - log_dim(p, t.m)
     return EntropyDimTradeoff(

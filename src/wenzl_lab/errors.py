@@ -1,9 +1,12 @@
-"""Exception types shared across the package, and the ambient-dimension cap.
+"""Exception types shared across the package, the ambient-dimension cap,
+and the one home of the integer and real argument rules.
 
 The CLI maps these onto process exit codes, so anything user-facing
 should raise one of them rather than a bare Exception.  The cap (default
 N^legs <= 4096 per side) keeps every dense object at desk scale; whatever
-allocates on N^legs legs checks it and raises DimensionCapError.
+allocates on N^legs legs checks it and raises DimensionCapError.  Every
+count, level, letter and cap goes through `_check_int`, every real
+parameter through `_check_real`.
 """
 
 from __future__ import annotations
@@ -31,12 +34,27 @@ class InvariantViolation(WenzlLabError):
     """
 
 
+def _check_int(name: str, value: object, least: int) -> int:
+    """`value` as a Python int, so N ** value cannot wrap; ValueError for a
+    bool, a non-integral value or one below `least`, which is 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        sign = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value: object, rule: str, low: float, high: float) -> float:
+    """`value` as a float; ValueError, naming `rule`, for a bool, a non-real
+    value or one outside the open interval (low, high)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < high:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
 def _check_cap(n: int, legs: int, max_dim: int) -> None:
-    """DimensionCapError if N^legs exceeds max_dim, which must be a positive
-    integer (a bool is not), else ValueError."""
-    if isinstance(max_dim, bool) or not isinstance(max_dim, numbers.Integral) or max_dim < 1:
-        raise ValueError(f"max_dim must be a positive integer, got {max_dim!r}")
-    dim = n**legs
+    """DimensionCapError if N^legs exceeds max_dim; both go through `_check_int`."""
+    max_dim = _check_int("max_dim", max_dim, 1)
+    dim = n ** _check_int("legs", legs, 0)
     if dim > max_dim:
         raise DimensionCapError(
             f"ambient dimension {n}^{legs} = {dim} exceeds cap {max_dim}"

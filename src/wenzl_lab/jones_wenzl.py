@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap, _check_int
 from .qnum import QParams, dim_irrep, q_int
 
 __all__ = [
@@ -103,8 +103,7 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndar
 
     k = 0 is the scalar 1 on the empty tensor power; k = 1 the identity.
     """
-    if k < 0:
-        raise ValueError(f"level must be >= 0, got {k}")
+    k = _check_int("k", k, 0)
     _check_cap(p.n, k, max_dim)
     key = (p.n, k)
     hit = _jw_cache.get(key)
@@ -213,8 +212,7 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
 
     B_0 = [[1]], B_1 = I_N and B_k from `_fusion_step`; no dense p_k is formed.
     """
-    if k < 0:
-        raise ValueError(f"level must be >= 0, got {k}")
+    k = _check_int("k", k, 0)
     _check_cap(p.n, k, max_dim)
     for level in range(k + 1):
         if (p.n, level) in _basis_cache:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _check_int
 
 __all__ = [
     "QParams",
@@ -39,57 +39,21 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class QParams:
-    """Rank N together with its quantum parameter and growable value caches.
+    """Rank N together with its quantum parameter q, the root in (0, 1] of q + 1/q = N."""
 
-    Instances are cheap to create but are meant to be shared: the quantum
-    integer and log-factorial tables grow on demand, append-only, and are
-    reused by every module downstream.
-    """
+    n: int
+    q: float
 
-    __slots__ = ("n", "q", "log_q", "_qint", "_qfact_log")
 
-    def __init__(self, n: int, q: float):
-        self.n = n
-        self.q = q
-        self.log_q = math.log(q)
-        self._qint = [0.0, 1.0]  # _qint[m] == [m]_q
-        self._qfact_log = [0.0, 0.0]  # _qfact_log[m] == log([m]_q!)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"QParams(n={self.n}, q={self.q!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QParams) and other.n == self.n
-
-    def __hash__(self) -> int:
-        return hash(("QParams", self.n))
-
-    # -- internal table management -------------------------------------
-
-    def _log_qint(self, m: int) -> float:
-        """log [m]_q for m >= 1, evaluated stably (no overflow)."""
-        if self.n == 2:
-            return math.log(m)
-        # [m]_q = q^{-(m-1)} (1 - q^{2m}) / (1 - q^2)
-        q = self.q
-        return -(m - 1) * self.log_q + math.log1p(-q ** (2 * m)) - math.log1p(-q * q)
-
-    def _ensure(self, m: int) -> None:
-        """Grow both tables so that index m is valid."""
-        while len(self._qint) <= m:
-            s = len(self._qint)
-            lg = self._log_qint(s)
-            if lg < 36.0:
-                # [s] is an integer for integer rank; the three-term
-                # recursion keeps it bit-exact while it fits in float
-                value = self.n * self._qint[s - 1] - self._qint[s - 2]
-            elif lg < 709.0:
-                value = math.exp(lg)
-            else:
-                value = math.inf
-            self._qint.append(value)
-            self._qfact_log.append(self._qfact_log[s - 1] + lg)
+def _log_qint(p: QParams, m: int) -> float:
+    """log [m]_q for m >= 1, evaluated stably (no overflow)."""
+    if p.n == 2:
+        return math.log(m)
+    # [m]_q = q^{-(m-1)} (1 - q^{2m}) / (1 - q^2)
+    q = p.q
+    return -(m - 1) * math.log(q) + math.log1p(-q ** (2 * m)) - math.log1p(-q * q)
 
 
 @dataclass(frozen=True)
@@ -141,28 +105,33 @@ def q_int(p: QParams, m: int) -> float:
     Raises OverflowError once [m]_q exceeds float range; use
     q_factorial_log for log-space work at such sizes.
     """
-    if m < 0:
-        raise ValueError(f"quantum integer index must be >= 0, got {m}")
-    p._ensure(m)
-    value = p._qint[m]
-    if math.isinf(value):
+    m = _check_int("m", m, 0)
+    if m < 2 or p.n == 2:
+        return float(m)
+    lg = _log_qint(p, m)
+    if lg >= 709.0:
         raise OverflowError(f"[{m}]_q overflows float range at n={p.n}")
-    return value
+    if lg >= 36.0:
+        return math.exp(lg)
+    # [m] is an integer for integer rank; the three-term recursion
+    # [s+1] = N [s] - [s-1] keeps it exact, and it fits a float exactly
+    prev, cur = 0, 1
+    for _ in range(m - 1):
+        prev, cur = cur, p.n * cur - prev
+    return float(cur)
 
 
 def q_factorial_log(p: QParams, m: int) -> float:
     """log of the quantum factorial [m]_q! = prod_{s=1..m} [s]_q, with [0]! = 1."""
-    if m < 0:
-        raise ValueError(f"quantum factorial index must be >= 0, got {m}")
-    p._ensure(m)
-    return p._qfact_log[m]
+    total = 0.0  # left to right in s, not `sum`, which compensates on Python >= 3.12
+    for s in range(2, _check_int("m", m, 0) + 1):
+        total += _log_qint(p, s)
+    return total
 
 
 def dim_irrep(p: QParams, k: int) -> float:
     """Dimension [k+1]_q of the k-th irreducible H_k."""
-    if k < 0:
-        raise ValueError(f"irrep label must be >= 0, got {k}")
-    return q_int(p, k + 1)
+    return q_int(p, _check_int("k", k, 0) + 1)
 
 
 def log_dim(p: QParams, k: int) -> float:
@@ -252,6 +221,5 @@ def admissible_triples(l: int, m: int) -> list[AdmissibleTriple]:
     These are exactly the irreducible summands of H_l (x) H_m:
     k = l + m - 2r for r = 0 .. min(l, m), each with multiplicity one.
     """
-    if l < 0 or m < 0:
-        raise ValueError(f"legs must be >= 0, got l={l}, m={m}")
+    l, m = _check_int("l", l, 0), _check_int("m", m, 0)
     return [AdmissibleTriple(l + m - 2 * r, l, m) for r in range(min(l, m) + 1)]

@@ -134,7 +134,7 @@ def isometry(
     1e-6 relative; disagreement means a construction bug, so it is a
     hard error rather than a silent renormalization.
     """
-    _check_cap(p.n, max(t.k, t.l + t.m), max_dim)
+    _check_cap(p.n, t.l + t.m, max_dim)  # k <= l + m
     key = (p.n, t.k, t.l, t.m)
     hit = _iso_cache.get(key)
     if hit is not None:

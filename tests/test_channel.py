@@ -268,7 +268,7 @@ def test_moe_bracket_ordering_small_sweep():
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_moe_rejects_too_few_samples(samples):
-    with pytest.raises(ValueError, match="samples must be at least 1"):
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
         moe_bracket(channel(P3, MIDDLE), samples=samples)
 
 
@@ -431,9 +431,9 @@ def test_witness_rejects_unusable_parameters():
     with pytest.raises(ValueError, match="index family size"):
         choi_witness_value(P3, BELL, 4, 1.0)
     for samples in (0, -1):
-        with pytest.raises(ValueError, match="samples must be at least 1"):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
             choi_witness_value(P3, BELL, 1, 1.0, samples=samples)
-    for scale in (math.nan, math.inf, -math.inf):
+    for scale in (math.nan, math.inf, -math.inf, "x", True):
         with pytest.raises(ValueError, match="scale must be a finite number"):
             choi_witness_value(P3, BELL, 1, scale, samples=3)
 

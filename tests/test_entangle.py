@@ -152,7 +152,7 @@ def test_rd_certificate_deterministic():
 
 @pytest.mark.parametrize("samples", [0, -1])
 def test_rd_certificate_rejects_too_few_samples(samples):
-    with pytest.raises(ValueError, match="samples must be at least 1"):
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
         rd_certificate(quantum_parameter(3), AdmissibleTriple(1, 1, 2), samples=samples)
 
 
@@ -779,7 +779,8 @@ def test_separability_witness_rejects_equal_letters():
 
 @pytest.mark.parametrize("i,j", [(1, 4), (0, 2), (1.5, 2), (2, 1.0), (True, 2)])
 def test_separability_witness_rejects_letters_out_of_range(i, j):
-    with pytest.raises(ValueError, match="out of range"):
+    rule = "out of range" if j == 4 else "letter must be a positive integer"
+    with pytest.raises(ValueError, match=rule):
         separability_witness_highest_weight(quantum_parameter(3), 1, 1, i, j)
 
 
@@ -832,6 +833,6 @@ def test_tradeoff_positive_below_half_on_spots():
 
 def test_tradeoff_rejects_bad_mu():
     p = quantum_parameter(3)
-    for mu in (0.0, 1.0, -0.2, 1.5):
+    for mu in (0.0, 1.0, -0.2, 1.5, "x", True, math.nan):
         with pytest.raises(ValueError):
             entropy_dim_tradeoff(p, AdmissibleTriple(0, 1, 1), mu)

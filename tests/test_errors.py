@@ -1,0 +1,100 @@
+"""Tests for the argument rules in `errors`: integer levels and counts, real
+parameters, and the ambient-dimension cap on numpy-integer levels."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from wenzl_lab import jones_wenzl as jwmod
+from wenzl_lab.entangle import rd_certificate, separability_witness_highest_weight
+from wenzl_lab.errors import DimensionCapError, _check_cap, _check_int, _check_real
+from wenzl_lab.jones_wenzl import clear_caches, jw_projection, onb_of_irrep
+from wenzl_lab.qnum import (
+    AdmissibleTriple,
+    admissible_triples,
+    dim_irrep,
+    q_factorial_log,
+    q_int,
+    quantum_parameter,
+)
+
+P3 = quantum_parameter(3)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_check_int_returns_a_python_int():
+    value = _check_int("k", np.int64(40), 0)
+    assert type(value) is int and value == 40
+    assert 3**value == 3**40  # an np.int64 power would wrap
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, "2", None, -1])
+def test_check_int_refuses(value):
+    with pytest.raises(ValueError, match="k must be a non-negative integer"):
+        _check_int("k", value, 0)
+
+
+def test_check_real_returns_a_float_inside_the_open_interval():
+    assert _check_real("mu", np.float64(0.5), "in (0, 1)", 0.0, 1.0) == 0.5
+    for value in (True, "x", None, math.nan, 0.0, 1.0):
+        with pytest.raises(ValueError, match=r"mu must be in \(0, 1\)"):
+            _check_real("mu", value, "in (0, 1)", 0.0, 1.0)
+
+
+def test_cap_counts_numpy_integer_legs_exactly():
+    with pytest.raises(DimensionCapError):
+        _check_cap(3, np.int64(40), 4096)
+
+
+@pytest.mark.parametrize("build", [jw_projection, onb_of_irrep])
+def test_builders_refuse_numpy_level_over_cap_before_building(build, monkeypatch):
+    def refuse(*args):
+        pytest.fail("a level was built past the cap")
+
+    monkeypatch.setattr(jwmod, "_wenzl_step", refuse)
+    monkeypatch.setattr(jwmod, "_fusion_step", refuse)
+    with pytest.raises(DimensionCapError):
+        build(P3, np.int64(40))
+
+
+BAD_LEVELS = [
+    ("onb_of_irrep", lambda: onb_of_irrep(P3, 2.5)),
+    ("jw_projection", lambda: jw_projection(P3, 2.0)),
+    ("q_int", lambda: q_int(P3, 2.5)),
+    ("dim_irrep", lambda: dim_irrep(P3, 1.5)),
+    ("q_factorial_log", lambda: q_factorial_log(P3, 2.5)),
+    ("onb_of_irrep-bool", lambda: onb_of_irrep(P3, True)),
+    ("jw_projection-bool", lambda: jw_projection(P3, True)),
+    ("q_int-bool", lambda: q_int(P3, True)),
+    ("separability-l", lambda: separability_witness_highest_weight(P3, 1.5, 1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in BAD_LEVELS], ids=[i for i, _ in BAD_LEVELS])
+def test_non_integer_levels_raise_value_error(call):
+    with pytest.raises(ValueError, match="must be a non-negative integer"):
+        call()
+
+
+def test_numpy_integer_levels_and_counts_work():
+    two = np.int64(2)
+    assert q_int(P3, two) == q_int(P3, 2) == 3.0
+    assert q_factorial_log(P3, np.int64(5)) == q_factorial_log(P3, 5)
+    assert dim_irrep(P3, two) == 8.0
+    assert onb_of_irrep(P3, two) is onb_of_irrep(P3, 2)
+    assert jw_projection(P3, two) is jw_projection(P3, 2)
+    assert admissible_triples(np.int64(1), np.int64(1)) == admissible_triples(1, 1)
+    t = AdmissibleTriple(1, 1, 2)
+    counted = rd_certificate(P3, t, samples=np.int64(8), seed=np.int64(1))
+    assert counted == rd_certificate(P3, t, samples=8, seed=1)
+    rep = separability_witness_highest_weight(P3, two, np.int64(1), np.int64(1), 2)
+    assert rep.schmidt_rank == 1

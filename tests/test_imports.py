@@ -1,7 +1,8 @@
 """Static checks: no package module imports a name it never uses, every
 name a module lists in `__all__` is bound in that module, each module
-imports only from modules below it in LAYERS, and no line is wider than
-100 columns (so the tracked line count cannot drop by joining lines).
+imports only from modules below it in LAYERS, no line is wider than
+100 columns (so the tracked line count cannot drop by joining lines), and
+only `errors` tests for `bool`, inside its one integer and real rule.
 
 `__init__` re-exports by importing, so it is exempt from the first check;
 elsewhere a name listed in the module's `__all__` counts as used.
@@ -146,3 +147,35 @@ def test_module_lines_fit_in_100_columns(path):
     lines = path.read_text().splitlines()
     wide = [f"line {i}: {len(line)}" for i, line in enumerate(lines, 1) if len(line) > MAX_COLUMNS]
     assert wide == []
+
+
+def bool_checks(source: str) -> list[str]:
+    """Lines that call `isinstance(..., bool)`, alone or in a tuple of types."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            continue
+        types = node.args[1] if len(node.args) == 2 else None
+        names = types.elts if isinstance(types, ast.Tuple) else [types]
+        if any(isinstance(name, ast.Name) and name.id == "bool" for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_bool_checker_flags_only_bool_isinstance():
+    source = (
+        "isinstance(x, bool)\n"
+        "isinstance(x, (int, bool))\n"
+        "isinstance(x, int)\n"
+        "type(x) is bool\n"
+    )
+    assert bool_checks(source) == ["line 1", "line 2"]
+
+
+RULE_USERS = [p for p in MODULES if p.stem != "errors"]
+
+
+@pytest.mark.parametrize("path", RULE_USERS, ids=[p.stem for p in RULE_USERS])
+def test_only_errors_checks_for_bool(path):
+    """The integer and real rules live in `errors._check_int` and `_check_real`."""
+    assert bool_checks(path.read_text()) == []
