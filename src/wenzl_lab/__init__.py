@@ -22,10 +22,8 @@ from .channel import (
     choi_witness_value,
     d_positivity_threshold,
     moe_bracket,
-    von_neumann_entropy,
 )
 from .entangle import (
-    EntropyDimTradeoff,
     HigherRankReport,
     MaxSchmidtResult,
     RdCertificate,
@@ -33,7 +31,6 @@ from .entangle import (
     SaturationWitness,
     SchmidtReport,
     SeparabilityWitness,
-    entropy_dim_tradeoff,
     higher_rank_value,
     max_schmidt_optimizer,
     rd_certificate,
@@ -64,7 +61,6 @@ from .qnum import (
     quantum_parameter,
     rd_bound,
     rd_constant,
-    theta_bound_ratio,
     theta_net,
     theta_net_log,
 )

@@ -29,7 +29,7 @@ from .entangle import (
     schmidt_spectrum,
     witness_image,
 )
-from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real, _check_real_array
 from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
 from .vertex import EquivariantIsometry, isometry
 
@@ -85,7 +85,7 @@ def channel(
 
 
 def _check_state(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
-    arr = np.asarray(rho, dtype=np.float64)
+    arr = _check_real_array(what, rho)
     if arr.shape != (dim, dim):
         raise ValueError(f"{what} must be a {dim} x {dim} matrix, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -384,12 +384,3 @@ def choi_witness_value(
         family_size=family_size,
         witness_rank=len(etas),
     )
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lambda log lambda over the spectrum, with 0 log 0 = 0."""
-    arr = np.asarray(rho, dtype=np.float64)
-    w = np.linalg.eigvalsh(_check_state(arr, arr.shape[0] if arr.ndim else 0, "state"))
-    if w[0] < -INPUT_PSD_TOL:
-        raise ValueError(f"state has negative eigenvalue {w[0]:.3e}")
-    return _entropy_from_lambdas(np.clip(w, 0.0, None))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real, _check_real_array
 from .jones_wenzl import onb_of_irrep
 from .qnum import (
     AdmissibleTriple,
@@ -42,7 +42,6 @@ from .qnum import (
     admissible_triples,
     dim_irrep,
     lambda_log,
-    log_dim,
     rd_bound,
 )
 from .vertex import EquivariantIsometry, _cup_gather, isometry
@@ -55,7 +54,6 @@ __all__ = [
     "SaturationReport",
     "HigherRankReport",
     "SeparabilityWitness",
-    "EntropyDimTradeoff",
     "schmidt_spectrum",
     "rd_certificate",
     "max_schmidt_optimizer",
@@ -65,7 +63,6 @@ __all__ = [
     "verify_saturation",
     "higher_rank_value",
     "separability_witness_highest_weight",
-    "entropy_dim_tradeoff",
 ]
 
 RANK_TOL = 1e-8
@@ -142,7 +139,7 @@ def schmidt_spectrum(mat: np.ndarray) -> SchmidtReport:
     Coefficients are squared singular values and sum to ||mat||_F^2; the
     entropy is computed on the normalized spectrum, natural log.
     """
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = _check_real_array("Schmidt spectrum input", mat)
     if mat.ndim != 2:
         raise ValueError(f"Schmidt spectrum needs a matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -659,34 +656,3 @@ def separability_witness_highest_weight(
     residual = float(np.linalg.norm(iso.legs @ (iso.legs.T @ flat) - flat))
     rank = schmidt_spectrum(x).numerical_rank
     return SeparabilityWitness(vector=x, schmidt_rank=rank, residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# entropy / dimension trade-off surrogate
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EntropyDimTradeoff:
-    """Lower-bound surrogate: entropy floor plus mu-weighted dimension gap.
-
-    entropy_lower = log(theta/[k+1]) bounds every output entropy from
-    below; dim_term = log [k+1] - log([l+1][m+1]) is never positive.
-    This is a reporting quantity, not the true regularized trade-off.
-    """
-
-    mu: float
-    entropy_lower: float
-    dim_term: float
-    value: float
-
-
-def entropy_dim_tradeoff(p: QParams, t: AdmissibleTriple, mu: float) -> EntropyDimTradeoff:
-    mu = _check_real("mu", mu, "in (0, 1)", 0.0, 1.0)
-    entropy_lower = -lambda_log(p, t)
-    dim_term = log_dim(p, t.k) - log_dim(p, t.l) - log_dim(p, t.m)
-    return EntropyDimTradeoff(
-        mu=mu,
-        entropy_lower=entropy_lower,
-        dim_term=dim_term,
-        value=entropy_lower + mu * dim_term,
-    )

@@ -6,12 +6,15 @@ should raise one of them rather than a bare Exception.  The cap (default
 N^legs <= 4096 per side) keeps every dense object at desk scale; whatever
 allocates on N^legs legs checks it and raises DimensionCapError.  Every
 count, level, letter and cap goes through `_check_int`, every real
-parameter through `_check_real`.
+parameter through `_check_real`, and every array that must be real
+through `_check_real_array`.
 """
 
 from __future__ import annotations
 
 import numbers
+
+import numpy as np
 
 __all__ = ["DEFAULT_DIM_CAP", "WenzlLabError", "DimensionCapError", "InvariantViolation"]
 
@@ -51,11 +54,22 @@ def _check_real(name: str, value: object, rule: str, low: float, high: float) ->
     return float(value)
 
 
+def _check_real_array(what: str, value: object) -> np.ndarray:
+    """`value` as a float64 array; ValueError if any imaginary part is nonzero,
+    which a bare float64 cast would drop with only a warning."""
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr) and np.any(arr.imag):
+        raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+    return np.asarray(arr.real, dtype=np.float64)
+
+
 def _check_cap(n: int, legs: int, max_dim: int) -> None:
-    """DimensionCapError if N^legs exceeds max_dim; both go through `_check_int`."""
+    """DimensionCapError if N^legs exceeds max_dim; both go through `_check_int`.
+
+    For N >= 2, N^legs >= 2^legs > max_dim once legs reaches the bit length
+    of max_dim, so a huge level is refused before N^legs is formed.
+    """
     max_dim = _check_int("max_dim", max_dim, 1)
-    dim = n ** _check_int("legs", legs, 0)
-    if dim > max_dim:
-        raise DimensionCapError(
-            f"ambient dimension {n}^{legs} = {dim} exceeds cap {max_dim}"
-        )
+    legs = _check_int("legs", legs, 0)
+    if n > 1 and (legs >= max_dim.bit_length() or n**legs > max_dim):
+        raise DimensionCapError(f"ambient dimension {n}^{legs} exceeds cap {max_dim}")

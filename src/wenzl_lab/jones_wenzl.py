@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap, _check_int
+from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap, _check_int, _check_real_array
 from .qnum import QParams, dim_irrep, q_int
 
 __all__ = [
@@ -105,21 +105,16 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndar
     """
     k = _check_int("k", k, 0)
     _check_cap(p.n, k, max_dim)
-    key = (p.n, k)
-    hit = _jw_cache.get(key)
-    if hit is not None:
-        return hit
-    start = k
-    while start > 1 and (p.n, start - 1) not in _jw_cache:
-        start -= 1
-    for level in range(start, k + 1):
+    for level in range(k + 1):
+        if (p.n, level) in _jw_cache:
+            continue
         if level < 2:
             data = np.eye(p.n**level)
         else:
             data = _wenzl_step(p, level, _jw_cache[(p.n, level - 1)])
         data.flags.writeable = False
         _jw_cache[(p.n, level)] = data
-    return _jw_cache[key]
+    return _jw_cache[(p.n, k)]
 
 
 def _cap_annihilation_residual(data: np.ndarray, n: int, k: int) -> float:
@@ -143,7 +138,7 @@ def _cap_annihilation_residual(data: np.ndarray, n: int, k: int) -> float:
 
 def verify_jw(p: QParams, k: int, data: np.ndarray) -> JwVerification:
     """Residuals of idempotence, symmetry, trace, and cap annihilation of an N^k x N^k p_k."""
-    data = np.asarray(data, dtype=np.float64)
+    data = _check_real_array(f"p_{k}", data)
     if data.shape != (p.n**k, p.n**k):
         raise ValueError(f"p_{k} at N={p.n} is {p.n**k} x {p.n**k}, got shape {data.shape}")
     idem = float(np.abs(data @ data - data).max())

@@ -34,7 +34,6 @@ __all__ = [
     "lambda_log",
     "rd_constant",
     "rd_bound",
-    "theta_bound_ratio",
     "admissible_triples",
 ]
 
@@ -93,7 +92,8 @@ def quantum_parameter(n: int) -> QParams:
     The quantum parameter is the root in (0, 1] of q + 1/q = n, computed
     in the cancellation-free form q = 2 / (n + sqrt(n^2 - 4)).
     """
-    if not isinstance(n, int) or n < 2:
+    n = _check_int("rank", n, 1)
+    if n < 2:
         raise ValueError(f"rank must be an integer >= 2, got {n!r}")
     q = 2.0 / (n + math.sqrt(n * n - 4.0))
     return QParams(n, q)
@@ -204,15 +204,6 @@ def rd_bound(p: QParams, t: AdmissibleTriple) -> tuple[float, float]:
             f"exact bound {exact} exceeds coarse bound {coarse} for {t}"
         )
     return exact, coarse
-
-
-def theta_bound_ratio(p: QParams, t: AdmissibleTriple) -> float:
-    """Ratio [r+1]_q [k+1]_q / theta(k, l, m); always >= 1.
-
-    The numerator dominates theta, which pins the vertex operator norm:
-    ||A||^2 = [r+1]_q [k+1]_q / theta <= [r+1]_q.
-    """
-    return math.exp(log_dim(p, t.r) + lambda_log(p, t))
 
 
 def admissible_triples(l: int, m: int) -> list[AdmissibleTriple]:

@@ -417,6 +417,14 @@ def test_exit_3_on_dimension_cap(capsys):
     assert "cap" in err.lower()
 
 
+def test_exit_3_on_a_level_whose_dimension_has_too_many_digits(capsys):
+    # 3^10000 has 4,772 digits, past Python's int-to-str limit
+    code, out, err = run_cli(capsys, "jw-verify", "--n", "3", "--k", "10000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("dimension cap: ")
+
+
 def test_exit_2_on_invariant_violation(capsys, monkeypatch):
     def boom(args):
         raise InvariantViolation("deliberately violated for the exit-code test")

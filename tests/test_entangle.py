@@ -16,7 +16,6 @@ from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 from wenzl_lab import entangle, vertex
 from wenzl_lab.entangle import (
     SIDE_AGREEMENT_TOL,
-    entropy_dim_tradeoff,
     higher_rank_value,
     max_schmidt_optimizer,
     rd_certificate,
@@ -28,7 +27,7 @@ from wenzl_lab.entangle import (
 )
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.jones_wenzl import jw_projection, onb_of_irrep
-from wenzl_lab.qnum import AdmissibleTriple, admissible_triples, q_int, quantum_parameter
+from wenzl_lab.qnum import AdmissibleTriple, admissible_triples, quantum_parameter
 from wenzl_lab.vertex import EquivariantIsometry, isometry
 
 
@@ -782,57 +781,3 @@ def test_separability_witness_rejects_letters_out_of_range(i, j):
     rule = "out of range" if j == 4 else "letter must be a positive integer"
     with pytest.raises(ValueError, match=rule):
         separability_witness_highest_weight(quantum_parameter(3), 1, 1, i, j)
-
-
-# ---------------------------------------------------------------------------
-# entropy / dimension trade-off
-# ---------------------------------------------------------------------------
-
-def test_tradeoff_bell_limit():
-    p = quantum_parameter(3)
-    rep = entropy_dim_tradeoff(p, AdmissibleTriple(0, 2, 2), mu=1e-9)
-    assert rep.entropy_lower == pytest.approx(math.log(8.0), rel=1e-9)
-    assert rep.value == pytest.approx(math.log(8.0), rel=1e-6)
-
-
-def test_tradeoff_highest_weight_negative():
-    p = quantum_parameter(3)
-    rep = entropy_dim_tradeoff(p, AdmissibleTriple(2, 1, 1), mu=0.3)
-    assert rep.entropy_lower == pytest.approx(0.0, abs=1e-12)
-    assert rep.dim_term < 0
-    assert rep.value == pytest.approx(0.3 * rep.dim_term, rel=1e-12)
-
-
-def test_tradeoff_frozen_value():
-    # (2, 2, 2) at N = 3: entropy floor log(theta/[3]) = log(7/3), and the
-    # relative-dimension term uses the true subspace dimensions, i.e.
-    # log [3] - 2 log [3] = -log 8 (H_2 x H_2 has dimension 64, not 9).
-    p = quantum_parameter(3)
-    rep = entropy_dim_tradeoff(p, AdmissibleTriple(2, 2, 2), mu=0.4)
-    want = math.log(7.0 / 3.0) + 0.4 * (math.log(8.0) - 2.0 * math.log(8.0))
-    assert rep.entropy_lower == pytest.approx(math.log(7.0 / 3.0), rel=1e-12)
-    assert rep.dim_term == pytest.approx(-math.log(8.0), rel=1e-12)
-    assert rep.value == pytest.approx(want, rel=1e-10)
-    assert rep.value == pytest.approx(0.0155212437, abs=1e-9)
-
-
-def test_tradeoff_positive_below_half_on_spots():
-    # On the (0, l, l) spot the value is (1 - 2 mu) log [l+1] with the true
-    # dimension counting, hence strictly positive exactly for mu < 1/2.
-    for n in (3, 4, 5):
-        p = quantum_parameter(n)
-        for level in (1, 2, 3):
-            t = AdmissibleTriple(0, level, level)
-            below = entropy_dim_tradeoff(p, t, mu=0.49)
-            above = entropy_dim_tradeoff(p, t, mu=0.51)
-            expect = (1.0 - 2.0 * 0.49) * math.log(q_int(p, level + 1))
-            assert below.value == pytest.approx(expect, rel=1e-10)
-            assert below.value > 0.0
-            assert above.value < 0.0
-
-
-def test_tradeoff_rejects_bad_mu():
-    p = quantum_parameter(3)
-    for mu in (0.0, 1.0, -0.2, 1.5, "x", True, math.nan):
-        with pytest.raises(ValueError):
-            entropy_dim_tradeoff(p, AdmissibleTriple(0, 1, 1), mu)

@@ -1,5 +1,6 @@
-"""Tests for the argument rules in `errors`: integer levels and counts, real
-parameters, and the ambient-dimension cap on numpy-integer levels."""
+"""Tests for the argument rules in `errors`: integer levels, counts and ranks,
+real parameters, real arrays, and the ambient-dimension cap on numpy-integer
+and huge levels."""
 
 from __future__ import annotations
 
@@ -9,9 +10,14 @@ import numpy as np
 import pytest
 
 from wenzl_lab import jones_wenzl as jwmod
-from wenzl_lab.entangle import rd_certificate, separability_witness_highest_weight
+from wenzl_lab.channel import channel, channel_apply
+from wenzl_lab.entangle import (
+    rd_certificate,
+    schmidt_spectrum,
+    separability_witness_highest_weight,
+)
 from wenzl_lab.errors import DimensionCapError, _check_cap, _check_int, _check_real
-from wenzl_lab.jones_wenzl import clear_caches, jw_projection, onb_of_irrep
+from wenzl_lab.jones_wenzl import clear_caches, jw_projection, onb_of_irrep, verify_jw
 from wenzl_lab.qnum import (
     AdmissibleTriple,
     admissible_triples,
@@ -53,6 +59,17 @@ def test_check_real_returns_a_float_inside_the_open_interval():
 def test_cap_counts_numpy_integer_legs_exactly():
     with pytest.raises(DimensionCapError):
         _check_cap(3, np.int64(40), 4096)
+
+
+@pytest.mark.parametrize("n,legs", [(3, 10**5), (2, 15000)])
+def test_cap_refuses_huge_levels_with_a_cap_error(n, legs):
+    # N^legs has more than 4,300 digits, past Python's int-to-str limit
+    with pytest.raises(DimensionCapError, match=rf"{n}\^{legs} exceeds cap 4096"):
+        _check_cap(n, legs, 4096)
+
+
+def test_cap_never_refuses_rank_one():
+    _check_cap(1, 10**9, 1)
 
 
 @pytest.mark.parametrize("build", [jw_projection, onb_of_irrep])
@@ -98,3 +115,35 @@ def test_numpy_integer_levels_and_counts_work():
     assert counted == rd_certificate(P3, t, samples=8, seed=1)
     rep = separability_witness_highest_weight(P3, two, np.int64(1), np.int64(1), 2)
     assert rep.schmidt_rank == 1
+
+
+def test_quantum_parameter_takes_a_numpy_rank_as_a_python_int():
+    p = quantum_parameter(np.int64(3))
+    assert type(p.n) is int and p == quantum_parameter(3)
+    for bad in (2.0, True, "3"):
+        with pytest.raises(ValueError, match="rank must be a positive integer"):
+            quantum_parameter(bad)
+
+
+def test_schmidt_spectrum_refuses_complex_input():
+    # the float cast alone would report max 1.0; the true value is (3 + sqrt 5) / 2
+    with pytest.raises(ValueError, match="must be real"):
+        schmidt_spectrum(np.array([[1, 1j], [0, 1]]))
+    real = schmidt_spectrum(np.array([[1, 0j], [0, 1]]))  # a zero imaginary part is real
+    assert real.max == pytest.approx(1.0)
+
+
+def test_channel_apply_refuses_complex_state():
+    ch = channel(P3, AdmissibleTriple(1, 1, 2))
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho[0, 1], rho[1, 0] = 0.1j, -0.1j
+    with pytest.raises(ValueError, match="input state must be real"):
+        channel_apply(ch, rho)
+
+
+def test_verify_jw_refuses_complex_projection():
+    data = jw_projection(P3, 2).astype(complex)
+    data[0, 1] += 0.3j
+    data[1, 0] -= 0.3j
+    with pytest.raises(ValueError, match="p_2 must be real"):
+        verify_jw(P3, 2, data)

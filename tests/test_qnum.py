@@ -20,12 +20,13 @@ from wenzl_lab.qnum import (
     AdmissibleTriple,
     admissible_triples,
     dim_irrep,
+    lambda_log,
+    log_dim,
     q_factorial_log,
     q_int,
     quantum_parameter,
     rd_bound,
     rd_constant,
-    theta_bound_ratio,
     theta_net,
     theta_net_log,
 )
@@ -344,6 +345,11 @@ def test_qint_reciprocal_brackets(n, r):
     lo = p.q**r * (1.0 - p.q * p.q)
     hi = p.q**r
     assert lo * (1 - 1e-12) <= inv <= hi * (1 + 1e-12)
+
+
+def theta_bound_ratio(p, t):
+    """[r+1]_q [k+1]_q / theta(k, l, m), which the bound theta <= [r+1][k+1] keeps >= 1."""
+    return math.exp(log_dim(p, t.r) + lambda_log(p, t))
 
 
 def test_theta_bound_ratio_frozen_values():
