@@ -22,7 +22,7 @@ import numpy as np
 
 from .entangle import (
     PLATEAU_RTOL,
-    _entropy_from_lambdas,
+    _gram_spectra,
     _one_blas_thread,
     max_schmidt_optimizer,
     saturation_witness,
@@ -98,8 +98,8 @@ def _check_state(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def _leg_matrices(ch: EquivariantChannel, cols: np.ndarray) -> np.ndarray:
-    """alpha applied to coordinate columns, as d_l x d_m matrices stacked on axis 2."""
-    return (ch.iso.legs @ cols).reshape(ch.iso.basis_l.dim, ch.iso.basis_m.dim, -1)
+    """alpha applied to coordinate columns, as d_l x d_m matrices stacked on axis 0."""
+    return (cols.T @ ch.iso.legs.T).reshape(-1, ch.iso.basis_l.dim, ch.iso.basis_m.dim)
 
 
 def channel_apply(ch: EquivariantChannel, rho: np.ndarray) -> np.ndarray:
@@ -117,9 +117,9 @@ def channel_apply(ch: EquivariantChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"input state has negative eigenvalue {w[0]:.3e}")
     stack = _leg_matrices(ch, u * np.sqrt(np.clip(w, 0.0, None)))
     if ch.direction == TRACE_FIRST:
-        out = np.einsum("abj,acj->bc", stack, stack)
+        out = np.einsum("jab,jac->bc", stack, stack)
     else:
-        out = np.einsum("baj,caj->bc", stack, stack)
+        out = np.einsum("jba,jca->bc", stack, stack)
     out = 0.5 * (out + out.T)
     if abs(np.trace(out) - 1.0) > OUTPUT_TRACE_TOL:
         raise InvariantViolation(
@@ -211,9 +211,13 @@ def moe_bracket(
     The upper estimate minimizes over three candidate families: the
     deterministic alternating-word witness (the best known minimizer,
     and exactly separable on highest-weight triples), the argmax of the
-    Schmidt optimizer, and `samples` Haar-ish random pure inputs.  The
-    optimizer's sweeps and the samples' images and SVD stack run on one
-    BLAS thread.
+    Schmidt optimizer, and `samples` Haar-ish random pure inputs.  An
+    input's output state has the nonzero spectrum of its image's Gram on
+    either side, so all candidates' spectra come from one eigvalsh stack
+    on the smaller side (`entangle._gram_spectra`), and their entropies
+    from one expression over it, with rounding's negative eigenvalues
+    read as 0.  The optimizer's sweeps and the samples' images and Gram
+    spectra run on one BLAS thread.
     """
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     p, t = ch.params, ch.triple
@@ -232,11 +236,12 @@ def moe_bracket(
     cols = np.column_stack([res.xi, draws.T])
     cols /= np.linalg.norm(cols, axis=0)
     with _one_blas_thread():
-        stack = np.moveaxis(_leg_matrices(ch, cols), 2, 0)
-        svals = np.linalg.svd(stack, compute_uv=False)
-    entropies = [_entropy_from_lambdas(row * row) for row in svals]
-    optimizer_entropy = entropies[0]
-    sampled_entropy = float(np.min(entropies[1:]))
+        probs = np.clip(_gram_spectra(_leg_matrices(ch, cols)), 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+    logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    entropies = -(probs * logs).sum(axis=1)
+    optimizer_entropy = float(entropies[0])
+    sampled_entropy = float(entropies[1:].min())
 
     entries = [
         ("saturation-witness", witness_entropy),

@@ -116,6 +116,17 @@ def _one_blas_thread():
                 set_threads(_blas_scopes[1])
 
 
+def _gram_spectra(stack: np.ndarray) -> np.ndarray:
+    """Squared singular values, ascending, of each matrix of a (samples, a, b) stack.
+
+    They are the eigenvalues of its Gram on the smaller side, M M^T or
+    M^T M, which one eigvalsh over the stack reads more cheaply than an
+    SVD; rounding can leave the ones that vanish slightly negative.
+    """
+    flip = stack.transpose(0, 2, 1)
+    return np.linalg.eigvalsh(stack @ flip if stack.shape[1] <= stack.shape[2] else flip @ stack)
+
+
 def _entropy_from_lambdas(lambdas: np.ndarray) -> float:
     """Entropy (natural log) of a nonnegative spectrum, normalized to sum 1."""
     total = float(lambdas.sum())
@@ -184,9 +195,11 @@ def rd_certificate(
 
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
-    The images and their SVD stack run on one BLAS thread, the isometry
-    build on the default.  samples (at least 1) and seed (at least 0)
-    must be integers, else ValueError.
+    Each sample's lambda_1 is the top eigenvalue of its image's Gram on
+    the smaller side (`_gram_spectra`).  The images and their Gram
+    spectra run on one BLAS thread, the isometry build on the default.
+    samples (at least 1) and seed (at least 0) must be integers, else
+    ValueError.
     """
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     iso = isometry(p, t, max_dim=max_dim)
@@ -195,10 +208,9 @@ def rd_certificate(
     x = rng.standard_normal((d, samples))
     x /= np.linalg.norm(x, axis=0)
     with _one_blas_thread():
-        images = iso.legs @ x  # leg coordinates, one column per sample
-        stack = images.T.reshape(samples, iso.basis_l.dim, iso.basis_m.dim)
-        sigma = np.linalg.svd(stack, compute_uv=False)
-    max_observed = float((sigma[:, 0] ** 2).max())
+        images = x.T @ iso.legs.T  # leg coordinates, one row per sample
+        stack = images.reshape(samples, iso.basis_l.dim, iso.basis_m.dim)
+        max_observed = float(_gram_spectra(stack)[:, -1].max())
     exact, coarse = rd_bound(p, t)
     return RdCertificate(
         triple=t,
@@ -245,11 +257,12 @@ def _unit_rows(
     """Divide each row by its norm (given, or computed here) in place.
 
     Row j of norm below 1e-300 is first redrawn from rngs[live[j]], the
-    generator of the restart it belongs to.
+    generator of the restart it belongs to.  The norms are the bare ufunc
+    form of `np.linalg.norm(rows, axis=1)`, bit for bit, without its wrapper.
     """
     if norms is None:
-        norms = np.linalg.norm(rows, axis=1)
-    if norms.min() < 1e-300:
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    if np.minimum.reduce(norms) < 1e-300:
         norms = norms.copy()
         for j in np.flatnonzero(norms < 1e-300):
             rows[j] = rngs[live[j]].standard_normal(rows.shape[1])
@@ -282,16 +295,18 @@ def _alpha_sweep(ops, xi: np.ndarray, cz: np.ndarray, unit):
 def _complement_sweep(ops, img: np.ndarray, zeta: np.ndarray, unit):
     """One sweep through the complement, for rows of unit img = alpha(xi) in leg coordinates.
 
-    ops = (C, d_l).  eta <- M zeta and zeta <- M^T eta with M = img as a
+    ops = (C, C^T, d_l), C^T as a C-contiguous copy so the product with
+    it reads rows.  eta <- M zeta and zeta <- M^T eta with M = img as a
     d_l x d_m matrix, then img <- (1 - C C^T)(eta (x) zeta).  Returns
     eta, zeta, that img unnormalized, and zeta.
     """
-    comp, dl = ops
+    comp, comp_t, dl = ops
     mats = img.reshape(img.shape[0], dl, -1)
     eta = unit((mats @ zeta[:, :, None])[:, :, 0])
     zeta = unit((eta[:, None, :] @ mats)[:, 0, :])
     outer = (eta[:, :, None] * zeta[:, None, :]).reshape(img.shape[0], -1)
-    return eta, zeta, outer - (outer @ comp) @ comp.T, zeta
+    outer -= (outer @ comp) @ comp_t
+    return eta, zeta, outer, zeta
 
 
 def _complement_legs(p: QParams, t: AdmissibleTriple, max_dim: int) -> np.ndarray | None:
@@ -380,7 +395,7 @@ def max_schmidt_optimizer(
             state = xi
             carry = (zeta @ cup.reshape(-1, cup.shape[2]).T).reshape(restarts, *cup.shape[:2])
         else:
-            step, ops = _complement_sweep, (comp, bl.shape[1])
+            step, ops = _complement_sweep, (comp, np.ascontiguousarray(comp.T), bl.shape[1])
             state, carry = xi @ legs.T, zeta
         value = np.full(restarts, -1.0)  # each restart's last objective
         sweeps = np.full(restarts, max_iters)
@@ -389,14 +404,16 @@ def max_schmidt_optimizer(
         last_zeta = np.empty((restarts, bm.shape[1]))
         live = np.arange(restarts)  # restart index of each row still iterating
         prev = np.full(restarts, -1.0)
+
+        def unit(rows):  # reads `live` at call time, so one closure serves every sweep
+            return _unit_rows(rows, rngs, live)
+
         for sweep in range(1, max_iters + 1):
-            eta, zeta, state, carry = step(
-                ops, state, carry, lambda rows: _unit_rows(rows, rngs, live)
-            )
-            obj = np.linalg.norm(state, axis=1)
+            eta, zeta, state, carry = step(ops, state, carry, unit)
+            obj = np.sqrt(np.add.reduce(state * state, axis=1))
             done = np.abs(obj - prev) <= tol * np.maximum(1.0, obj)
-            leave = done | (sweep == max_iters)
-            if leave.any():
+            if done.any() or sweep == max_iters:
+                leave = done | (sweep == max_iters)
                 out = live[leave]
                 value[out], sweeps[out], converged[out] = obj[leave], sweep, done[leave]
                 last_eta[out], last_zeta[out] = eta[leave], zeta[leave]

@@ -56,11 +56,15 @@ def _check_real(name: str, value: object, rule: str, low: float, high: float) ->
 
 def _check_real_array(what: str, value: object) -> np.ndarray:
     """`value` as a float64 array; ValueError if any imaginary part is nonzero,
-    which a bare float64 cast would drop with only a warning."""
+    which a bare float64 cast would drop with only a warning, or if an entry
+    is no number at all, where the cast raises TypeError."""
     arr = np.asarray(value)
     if np.iscomplexobj(arr) and np.any(arr.imag):
         raise ValueError(f"{what} must be real, got a nonzero imaginary part")
-    return np.asarray(arr.real, dtype=np.float64)
+    try:
+        return np.asarray(arr.real, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be real, got an entry that is not a real number") from exc
 
 
 def _check_cap(n: int, legs: int, max_dim: int) -> None:

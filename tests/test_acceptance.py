@@ -165,7 +165,7 @@ def test_criterion_03_isometry_contract():
         flat = reduced.reshape(nl, nm * dim_k)
         worst_range = max(worst_range, float(np.abs(pl @ flat - flat).max()))
         cube = reduced.reshape(nl, nm, dim_k)
-        proj = np.einsum("bc,acd->abd", pm, cube)
+        proj = pm @ cube
         worst_range = max(worst_range, float(np.abs(proj - cube).max()))
     assert worst_gram <= ISOMETRY_TOL, f"worst gram residual {worst_gram:.3e}"
     assert worst_range <= ISOMETRY_TOL, f"worst range residual {worst_range:.3e}"

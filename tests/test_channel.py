@@ -12,6 +12,7 @@ from conftest import blas_threads, needs_blas_threads, record_blas_threads
 from dense_vertex import choi_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import SWEEP_SMALL
 
 from wenzl_lab import entangle
 from wenzl_lab.channel import (
@@ -24,8 +25,10 @@ from wenzl_lab.channel import (
     d_positivity_threshold,
     moe_bracket,
 )
+from wenzl_lab.entangle import max_schmidt_optimizer, rd_certificate
 from wenzl_lab.errors import InvariantViolation
 from wenzl_lab.qnum import AdmissibleTriple, quantum_parameter, rd_constant
+from wenzl_lab.vertex import isometry
 
 # the package re-exports the function `channel`, which shadows the submodule
 channel_module = importlib.import_module("wenzl_lab.channel")
@@ -313,11 +316,49 @@ def test_moe_sampling_on_one_blas_thread(monkeypatch):
     sweeps, images, stacks = [], [], []
     record_blas_threads(monkeypatch, entangle, "_alpha_sweep", sweeps)
     record_blas_threads(monkeypatch, channel_module, "_leg_matrices", images)
-    record_blas_threads(monkeypatch, np.linalg, "svd", stacks, lambda a, *rest: a.ndim == 3)
+    record_blas_threads(monkeypatch, np.linalg, "eigvalsh", stacks, lambda a, *rest: a.ndim == 3)
     moe_bracket(ch, samples=5, restarts=3)
     assert sweeps and set(sweeps) == {1}
     assert images == [1] and stacks == [1]
     assert blas_threads() == caller
+
+
+def _entropy_by_svd(stack: np.ndarray) -> list[float]:
+    """Entropy of each matrix's normalized squared singular values, 0 log 0 = 0."""
+    out = []
+    for sigma in np.linalg.svd(stack, compute_uv=False):
+        lam = sigma * sigma
+        lam = lam[lam > 0.0] / lam.sum()
+        out.append(float(-(lam * np.log(lam)).sum()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,t", SWEEP_SMALL, ids=[f"N{p.n}-{t.k}{t.l}{t.m}" for p, t in SWEEP_SMALL]
+)
+def test_gram_spectra_match_svd(p, t):
+    # rd_certificate and moe_bracket read spectra off eigvalsh of Grams;
+    # rebuild their images here and take the SVD instead
+    iso = isometry(p, t)
+    shape = (-1, iso.basis_l.dim, iso.basis_m.dim)
+    x = np.random.default_rng(np.random.SeedSequence(0)).standard_normal((iso.basis.dim, 200))
+    x /= np.linalg.norm(x, axis=0)
+    stack = (iso.legs @ x).T.reshape(shape)
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    width = sigma.shape[1]
+    np.testing.assert_allclose(
+        entangle._gram_spectra(stack)[:, ::-1][:, :width], sigma * sigma, rtol=0, atol=1e-14
+    )
+    assert abs(rd_certificate(p, t).max_observed - float((sigma[:, 0] ** 2).max())) <= 1e-14
+
+    b = moe_bracket(channel(p, t), samples=200, restarts=2, seed=0)
+    xi = max_schmidt_optimizer(p, t, restarts=2, seed=0).xi
+    draws = np.random.default_rng(0).standard_normal((200, iso.basis.dim))
+    cols = np.column_stack([xi, draws.T])
+    cols /= np.linalg.norm(cols, axis=0)
+    entropies = _entropy_by_svd((iso.legs @ cols).T.reshape(shape))
+    assert b.optimizer_entropy == pytest.approx(entropies[0], rel=0, abs=1e-12)
+    assert b.sampled_entropy == pytest.approx(min(entropies[1:]), rel=0, abs=1e-12)
 
 
 def test_moe_deterministic():

@@ -287,6 +287,31 @@ def test_optimizer_matches_serial_oracle(n, k, l, m):
     assert res.restart_sweeps == tuple(row[2] for row in rows)
 
 
+@pytest.mark.parametrize("n,k,l,m", [(5, 4, 2, 2), (4, 4, 3, 3)])
+def test_optimizer_tails_match_serial_oracle(n, k, l, m):
+    # one complement-side and one alpha-side triple where a few restarts
+    # run on alone for hundreds of sweeps after the rest left the batch
+    p = quantum_parameter(n)
+    t = AdmissibleTriple(k, l, m)
+    res = max_schmidt_optimizer(p, t, restarts=12, seed=0)
+    rows, _ = _serial_optimizer(p, t, restarts=12, seed=0)
+    assert max(res.restart_sweeps) == 1000 and min(res.restart_sweeps) < 500
+    assert res.restart_sweeps == tuple(row[2] for row in rows)
+    assert res.restart_converged == tuple(row[1] for row in rows)
+
+
+def test_bare_row_norm_is_linalg_norm_bit_for_bit():
+    # `_unit_rows` and the optimizer's objective take row norms in this
+    # bare form; a numpy that summed `norm` otherwise would move the
+    # pinned sweep counts without a word
+    rng = np.random.default_rng(0)
+    for length in range(1, 701):
+        rows = rng.standard_normal((3, length))
+        np.testing.assert_array_equal(
+            np.sqrt(np.add.reduce(rows * rows, axis=1)), np.linalg.norm(rows, axis=1)
+        )
+
+
 FUSION_LEGS = sorted({(p.n, t.l, t.m) for p, t in SWEEP_SMALL})
 
 
@@ -506,7 +531,7 @@ def test_optimizer_sweeps_on_one_blas_thread(monkeypatch, k, l, m, sweep):
 def test_rd_certificate_samples_on_one_blas_thread(monkeypatch):
     caller = blas_threads()
     stacks = []
-    record_blas_threads(monkeypatch, np.linalg, "svd", stacks, lambda a, *rest: a.ndim == 3)
+    record_blas_threads(monkeypatch, np.linalg, "eigvalsh", stacks, lambda a, *rest: a.ndim == 3)
     rd_certificate(quantum_parameter(3), AdmissibleTriple(2, 2, 2), samples=5)
     assert stacks == [1]
     assert blas_threads() == caller

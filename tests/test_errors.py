@@ -147,3 +147,26 @@ def test_verify_jw_refuses_complex_projection():
     data[1, 0] -= 0.3j
     with pytest.raises(ValueError, match="p_2 must be real"):
         verify_jw(P3, 2, data)
+
+
+def _with_object_entry(arr):
+    """arr as an object array whose entry [0, 1] is no number at all."""
+    out = np.asarray(arr, dtype=object).copy()
+    out[0, 1] = object()
+    return out
+
+
+def test_schmidt_spectrum_refuses_object_entries():
+    with pytest.raises(ValueError, match="Schmidt spectrum input must be real"):
+        schmidt_spectrum([[1, object()]])
+
+
+def test_channel_apply_refuses_object_entries():
+    ch = channel(P3, AdmissibleTriple(1, 1, 2))
+    with pytest.raises(ValueError, match="input state must be real"):
+        channel_apply(ch, _with_object_entry(np.eye(3) / 3.0))
+
+
+def test_verify_jw_refuses_object_entries():
+    with pytest.raises(ValueError, match="p_2 must be real"):
+        verify_jw(P3, 2, _with_object_entry(jw_projection(P3, 2)))
