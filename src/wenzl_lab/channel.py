@@ -23,13 +23,13 @@ import numpy as np
 from .entangle import (
     PLATEAU_RTOL,
     _gram_spectra,
-    _one_blas_thread,
     max_schmidt_optimizer,
     saturation_witness,
     schmidt_spectrum,
     witness_image,
 )
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real, _check_real_array
+from .jones_wenzl import _one_blas_thread
 from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
 from .vertex import EquivariantIsometry, isometry
 

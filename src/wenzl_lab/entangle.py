@@ -22,20 +22,14 @@ result vector is returned in irrep-basis coordinates.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import glob
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real, _check_real_array
-from .jones_wenzl import onb_of_irrep
+from .jones_wenzl import _one_blas_thread, onb_of_irrep
 from .qnum import (
     AdmissibleTriple,
     QParams,
@@ -70,50 +64,6 @@ PLATEAU_RTOL = 1e-8
 PLATEAU_GAP = 1e-10
 WITNESS_FIX_TOL = 1e-9
 SIDE_AGREEMENT_TOL = 1e-9
-
-
-@functools.cache
-def _openblas_set_threads():
-    """numpy's bundled OpenBLAS `openblas_set_num_threads_local`, or None without it."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
-        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
-        if fn is not None:
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = ctypes.c_int
-            return fn
-    return None
-
-
-_blas_lock = threading.Lock()
-_blas_scopes = [0, 0]  # open scopes, and the count the last one to close restores
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, for products too small to split.
-
-    numpy's bundled OpenBLAS applies `openblas_set_num_threads_local` to
-    the whole process, so the first scope to open sets 1 and the last to
-    close restores what that call returned: nested scopes, and scopes in
-    other Python threads, leave the count as they found it.  Without the
-    symbol this does nothing.
-    """
-    set_threads = _openblas_set_threads()
-    if set_threads is None:
-        yield
-        return
-    with _blas_lock:
-        if _blas_scopes[0] == 0:
-            _blas_scopes[1] = set_threads(1)
-        _blas_scopes[0] += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_scopes[0] -= 1
-            if _blas_scopes[0] == 0:
-                set_threads(_blas_scopes[1])
 
 
 def _gram_spectra(stack: np.ndarray) -> np.ndarray:
@@ -197,7 +147,8 @@ def rd_certificate(
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
     Each sample's lambda_1 is the top eigenvalue of its image's Gram on
     the smaller side (`_gram_spectra`).  The images and their Gram
-    spectra run on one BLAS thread, the isometry build on the default.
+    spectra run on one BLAS thread; the isometry build picks its count
+    by size (`jones_wenzl.SPLIT_FLOPS`).
     samples (at least 1) and seed (at least 0) must be integers, else
     ValueError.
     """
@@ -373,7 +324,8 @@ def max_schmidt_optimizer(
     winner's xi and the reported value come from one direct product
     with `legs`, which must agree with the iterated value to
     SIDE_AGREEMENT_TOL, else InvariantViolation.  Everything from the
-    draws on runs on one BLAS thread; building alpha and C does not.
+    draws on runs on one BLAS thread; building alpha and C picks its
+    count by size (`jones_wenzl.SPLIT_FLOPS`).
     restarts, max_iters (at least 1) and seed (at least 0) must be
     integers, and tol a positive finite real (not a bool), else ValueError.
     """

@@ -18,6 +18,13 @@ formed: Q = I - V T V^T in compact-WY form (Schreiber-Van Loan 1989), so
 applying it costs two thin products.  The dense p_k stays the oracle that
 B_k B_k^T is checked against.
 
+This module also owns the package's BLAS thread scope,
+`_one_blas_thread`, and the rule `_blas_threads_for`: a build of fewer
+than SPLIT_FLOPS flops, such as a small fusion level or leg vertex, is too
+small to split and runs on one thread; a larger one keeps the caller's
+count.  numpy's OpenBLAS applies the count process-wide, so a small build
+also holds other Python threads' BLAS work to one thread while it runs.
+
 Operators are plain float64 arrays in the standard product basis,
 row-major with the leftmost leg slowest; everything the calculus builds
 is real there.  Projections and bases are cached per (N, k) in memory,
@@ -27,6 +34,12 @@ every later level.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +61,11 @@ SYMMETRY_TOL = 1e-12
 TRACE_RTOL = 1e-8
 CAP_ANNIHILATION_TOL = 1e-9
 FUSION_GRAM_TOL = 1e-9
+# Dense builds below this many flops run on one BLAS thread.  On 2 cores with
+# OpenBLAS 0.3.31, a second thread saved about a tenth of such a build's wall
+# time, for twice the CPU, and cost several times over when the second core was
+# descheduled; above it, two threads were 8-37 % faster (table in CHANGES.md).
+SPLIT_FLOPS = 1e8
 
 _jw_cache: dict[tuple[int, int], np.ndarray] = {}
 _basis_cache: dict[tuple[int, int], "IrrepBasis"] = {}
@@ -77,6 +95,55 @@ class IrrepBasis:
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
+
+
+@functools.cache
+def _openblas_set_threads():
+    """numpy's bundled OpenBLAS `openblas_set_num_threads_local`, or None without it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = ctypes.c_int
+            return fn
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_scopes = [0, 0]  # open scopes, and the count the last one to close restores
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread, for products too small to split.
+
+    numpy's bundled OpenBLAS applies `openblas_set_num_threads_local` to
+    the whole process, so the first scope to open sets 1 and the last to
+    close restores what that call returned: nested scopes, and scopes in
+    other Python threads, leave the count as they found it.  Without the
+    symbol this does nothing.
+    """
+    set_threads = _openblas_set_threads()
+    if set_threads is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_scopes[0] == 0:
+            _blas_scopes[1] = set_threads(1)
+        _blas_scopes[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_scopes[0] -= 1
+            if _blas_scopes[0] == 0:
+                set_threads(_blas_scopes[1])
+
+
+def _blas_threads_for(flops: float):
+    """One BLAS thread for a build of fewer than SPLIT_FLOPS flops, else the caller's count."""
+    return _one_blas_thread() if flops < SPLIT_FLOPS else contextlib.nullcontext()
 
 
 def clear_caches() -> None:
@@ -206,6 +273,8 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
     """Orthonormal basis of H_k = range(p_k), built (and cached) bottom-up.
 
     B_0 = [[1]], B_1 = I_N and B_k from `_fusion_step`; no dense p_k is formed.
+    Each step costs 2 N^k d_{k-2} (d_{k-1} + d_k) flops, which picks its
+    BLAS thread count (`_blas_threads_for`).
     """
     k = _check_int("k", k, 0)
     _check_cap(p.n, k, max_dim)
@@ -217,7 +286,10 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
         else:
             up = _basis_cache[(p.n, level - 1)].columns
             down = _basis_cache[(p.n, level - 2)].columns
-            cols = _fusion_step(p, level, up, down)
+            d_up, d_down = up.shape[1], down.shape[1]
+            flops = 2 * p.n**level * d_down * (d_up + p.n * d_up - d_down)
+            with _blas_threads_for(flops):
+                cols = _fusion_step(p, level, up, down)
         cols.flags.writeable = False
         _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)
     return _basis_cache[(p.n, k)]

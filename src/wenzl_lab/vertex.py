@@ -16,6 +16,8 @@ Kauffman-Lins on Wenzl's fusion bases).  Since B_l B_l^T = p_l, the
 projections p_l, p_m are never formed: the cup is a row gather of B_m
 and two matmuls do the rest.  The ambient N^{l+m} x [k+1]_q `reduced`
 is lifted on each read, never cached, for the checks that need it.
+The two products and the theta trace run on one BLAS thread when they
+cost fewer than `jones_wenzl.SPLIT_FLOPS` flops, on the caller's count above.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
-from .jones_wenzl import IrrepBasis, jw_projection, onb_of_irrep
+from .jones_wenzl import IrrepBasis, _blas_threads_for, jw_projection, onb_of_irrep
 from .qnum import AdmissibleTriple, QParams, lambda_log, theta_net_log
 
 __all__ = [
@@ -114,7 +116,7 @@ def _leg_vertex(
     """(B_l^T (x) B_m^T)(iota^{(x) l-r} (x) T_r (x) iota^{(x) m-r}) B_k, (d_l d_m) x d_k.
 
     raw[x, y, c] = sum_{a,i,b} B_l[(a,i),x] B_m[(rev i,b),y] B_k[(a,b),c]
-    over a in N^{l-r}, i in N^r, b in N^{m-r}.
+    over a in N^{l-r}, i in N^r, b in N^{m-r}, in 2 d_l d_k i b (a + d_m) flops.
     """
     a, i, b = n ** (t.l - t.r), n**t.r, n ** (t.m - t.r)
     dl, dm, dk = bl.shape[1], bm.shape[1], bk.shape[1]
@@ -140,14 +142,17 @@ def isometry(
     if hit is not None:
         return hit
     bases = [onb_of_irrep(p, j, max_dim=max_dim) for j in (t.k, t.l, t.m)]
-    raw = _leg_vertex(p.n, t, *(b.columns for b in bases))
-    # B_l (x) B_m is an isometry on range(p_l (x) p_m), so this is Tr(A^* A)
+    dk, dl, dm = (b.dim for b in bases)
+    flops = 2 * dl * dk * p.n**t.m * (p.n ** (t.l - t.r) + dm)
     theta_closed = math.exp(theta_net_log(p, t))
-    theta_trace = float(np.einsum("ij,ij->", raw, raw))
-    if abs(theta_trace - theta_closed) > THETA_AGREEMENT_RTOL * theta_closed:
-        raise InvariantViolation(
-            f"theta mismatch at {t}: closed form {theta_closed}, trace {theta_trace}"
-        )
+    with _blas_threads_for(flops):
+        raw = _leg_vertex(p.n, t, *(b.columns for b in bases))
+        # B_l (x) B_m is an isometry on range(p_l (x) p_m), so this is Tr(A^* A)
+        theta_trace = float(np.einsum("ij,ij->", raw, raw))
+        if abs(theta_trace - theta_closed) > THETA_AGREEMENT_RTOL * theta_closed:
+            raise InvariantViolation(
+                f"theta mismatch at {t}: closed form {theta_closed}, trace {theta_trace}"
+            )
     scale = math.exp(0.5 * lambda_log(p, t))
     raw *= scale
     raw.flags.writeable = False

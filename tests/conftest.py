@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from wenzl_lab import entangle
+from wenzl_lab import jones_wenzl
 
 _criterion_lines: dict[int, str] = {}
 
@@ -55,7 +55,7 @@ def blas_threads() -> int | None:
 
 
 needs_blas_threads = pytest.mark.skipif(
-    entangle._openblas_set_threads() is None or blas_threads() is None,
+    jones_wenzl._openblas_set_threads() is None or blas_threads() is None,
     reason="numpy's BLAS has no openblas_set_num_threads_local or no thread-count getter",
 )
 

@@ -13,7 +13,7 @@ from conftest import blas_threads, needs_blas_threads, record_blas_threads
 from dense_vertex import alternating_vector, basis_vector, jw_fixes
 from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
-from wenzl_lab import entangle, vertex
+from wenzl_lab import entangle, jones_wenzl, vertex
 from wenzl_lab.entangle import (
     SIDE_AGREEMENT_TOL,
     higher_rank_value,
@@ -552,8 +552,8 @@ def test_optimizer_restores_blas_threads_after_invariant_violation(monkeypatch):
 @needs_blas_threads
 def test_one_blas_thread_scopes_nest_and_overlap_across_threads():
     caller = blas_threads()
-    with entangle._one_blas_thread():
-        with entangle._one_blas_thread():
+    with jones_wenzl._one_blas_thread():
+        with jones_wenzl._one_blas_thread():
             assert blas_threads() == 1
         assert blas_threads() == 1
     assert blas_threads() == caller
@@ -562,14 +562,14 @@ def test_one_blas_thread_scopes_nest_and_overlap_across_threads():
     seen = []
 
     def first():
-        with entangle._one_blas_thread():
+        with jones_wenzl._one_blas_thread():
             a_open.set()
             b_open.wait(10)
         a_closed.set()
 
     def second():
         a_open.wait(10)
-        with entangle._one_blas_thread():
+        with jones_wenzl._one_blas_thread():
             b_open.set()
             a_closed.wait(10)
             seen.append(blas_threads())
@@ -586,9 +586,9 @@ def test_one_blas_thread_scopes_nest_and_overlap_across_threads():
 def test_one_blas_thread_without_the_symbol_changes_nothing(monkeypatch):
     p, t = quantum_parameter(3), AdmissibleTriple(2, 2, 2)
     want = max_schmidt_optimizer(p, t, restarts=3, seed=0)
-    monkeypatch.setattr(entangle, "_openblas_set_threads", lambda: None)
+    monkeypatch.setattr(jones_wenzl, "_openblas_set_threads", lambda: None)
     caller = blas_threads()
-    with entangle._one_blas_thread():
+    with jones_wenzl._one_blas_thread():
         assert blas_threads() == caller
     got = max_schmidt_optimizer(p, t, restarts=3, seed=0)
     assert got.restart_sweeps == want.restart_sweeps

@@ -7,10 +7,13 @@ built in leg coordinates must equal the dense vertex (`dense_vertex`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from conftest import blas_threads, needs_blas_threads, record_blas_threads
 from dense_vertex import _vertex_columns, cup_vector, theta_by_trace, three_vertex
-from test_acceptance import SWEEP_FULL
+from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
 import wenzl_lab.jones_wenzl as jwmod
 import wenzl_lab.vertex as vxmod
@@ -261,3 +264,71 @@ def test_proxy_exact_for_bell():
 def test_proxy_small_residual(k, l, m):
     p = quantum_parameter(3)
     assert verify_equivariance_proxy(isometry(p, AdmissibleTriple(k, l, m))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count by build size
+# ---------------------------------------------------------------------------
+
+@needs_blas_threads
+def test_small_builds_run_on_one_blas_thread(monkeypatch):
+    # N=3 (6,3,3) from cold caches: fusion steps of levels 2..6 (at most
+    # 4.2e7 flops) and its leg vertex (2.1e7) sit below SPLIT_FLOPS
+    caller = blas_threads()
+    steps, legs, entries = [], [], []
+    record_blas_threads(monkeypatch, jwmod, "_fusion_step", steps)
+    record_blas_threads(monkeypatch, vxmod, "_leg_vertex", legs)
+    record_blas_threads(monkeypatch, vxmod, "isometry", entries)
+    vxmod.isometry(quantum_parameter(3), AdmissibleTriple(6, 3, 3))
+    assert steps == [1] * 5
+    assert legs == [1]
+    assert entries == [caller]
+    assert blas_threads() == caller
+
+
+@needs_blas_threads
+def test_large_builds_keep_the_callers_blas_threads(monkeypatch):
+    # the N=5 level-5 fusion step costs 2.3e9 flops, the N=4 (6,4,2) leg vertex 5.3e9
+    caller = blas_threads()
+    p5, p4 = quantum_parameter(5), quantum_parameter(4)
+    onb_of_irrep(p5, 4)
+    onb_of_irrep(p4, 6)
+    steps, legs = [], []
+    record_blas_threads(monkeypatch, jwmod, "_fusion_step", steps)
+    record_blas_threads(monkeypatch, vxmod, "_leg_vertex", legs)
+    onb_of_irrep(p5, 5)
+    isometry(p4, AdmissibleTriple(6, 4, 2))
+    assert steps == [caller]
+    assert legs == [caller]
+    assert blas_threads() == caller
+
+
+@needs_blas_threads
+def test_theta_mismatch_in_a_one_thread_build_restores_blas_threads(monkeypatch):
+    caller = blas_threads()
+    legs = []
+    record_blas_threads(monkeypatch, vxmod, "_leg_vertex", legs)
+    monkeypatch.setattr(vxmod, "theta_net_log", lambda *_: 0.0)
+    with pytest.raises(InvariantViolation, match="theta mismatch"):
+        isometry(quantum_parameter(3), AdmissibleTriple(2, 2, 2))
+    assert legs == [1]
+    assert blas_threads() == caller
+
+
+def test_split_size_moves_neither_legs_nor_sweeps(monkeypatch):
+    # every build on the caller's count, then every build on one thread;
+    # N=2 (2,1,1) is the rounding-sensitive triple of the golden max-schmidt pin
+    runs = []
+    for split in (0, math.inf):
+        monkeypatch.setattr(jwmod, "SPLIT_FLOPS", split)
+        clear_caches()
+        clear_jw()
+        legs = {(p.n, t): isometry(p, t).legs for p, t in SWEEP_SMALL}
+        sweeps = [
+            max_schmidt_optimizer(quantum_parameter(n), AdmissibleTriple(*klm)).restart_sweeps
+            for n, klm in [(2, (2, 1, 1)), (5, (4, 2, 2))]
+        ]
+        runs.append((legs, sweeps))
+    (legs_split, sweeps_split), (legs_one, sweeps_one) = runs
+    assert sweeps_split == sweeps_one
+    assert max(np.abs(legs_split[key] - legs_one[key]).max() for key in legs_split) <= 1e-14
