@@ -24,19 +24,15 @@ from .channel import (
     moe_bracket,
 )
 from .entangle import (
-    HigherRankReport,
     MaxSchmidtResult,
     RdCertificate,
     SaturationReport,
     SaturationWitness,
     SchmidtReport,
-    SeparabilityWitness,
-    higher_rank_value,
     max_schmidt_optimizer,
     rd_certificate,
     saturation_witness,
     schmidt_spectrum,
-    separability_witness_highest_weight,
     verify_saturation,
     witness_image,
     witness_family_size,

@@ -181,10 +181,10 @@ def channel_norm_report(
 class MoeBracket:
     """Bracket on the minimum output entropy (natural log).
 
-    lower = log(theta/[k+1]) is the provable floor; upper is the best
-    (smallest) sampled output entropy; coarse_lower = -log(C^2 q^r), from
-    `rd_bound`, is the weaker closed-form floor.  Whether lower = MOE
-    exactly is open, so the two ends are reported, never equated.
+    lower = log(theta/[k+1]) is the provable floor; upper is the least output
+    entropy over the witness, the optimizer's argmax and the samples (argmin
+    names which); coarse_lower = -log(C^2 q^r), from `rd_bound`, is the weaker
+    closed-form floor.  Whether lower = MOE is open, so they are never equated.
     """
 
     triple: AdmissibleTriple

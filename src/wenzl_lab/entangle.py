@@ -46,8 +46,6 @@ __all__ = [
     "MaxSchmidtResult",
     "SaturationWitness",
     "SaturationReport",
-    "HigherRankReport",
-    "SeparabilityWitness",
     "schmidt_spectrum",
     "rd_certificate",
     "max_schmidt_optimizer",
@@ -55,8 +53,6 @@ __all__ = [
     "witness_image",
     "saturation_witness",
     "verify_saturation",
-    "higher_rank_value",
-    "separability_witness_highest_weight",
 ]
 
 RANK_TOL = 1e-8
@@ -400,8 +396,8 @@ def max_schmidt_optimizer(
 # saturation witness family
 # ---------------------------------------------------------------------------
 
-def _alternating_letters(count: int, first: int = 1, second: int = 2) -> list[int]:
-    return [first if s % 2 == 0 else second for s in range(count)]
+def _alternating_letters(count: int) -> list[int]:
+    return [1 + s % 2 for s in range(count)]
 
 
 def _fixed_rows(basis: np.ndarray, n: int, words: list[list[int]]) -> np.ndarray:
@@ -539,89 +535,3 @@ def verify_saturation(
         observed_plateau_size=observed,
         mass=d * expected,
     )
-
-
-@dataclass(frozen=True)
-class HigherRankReport:
-    """||alpha^*(sum eta_i (x) zeta_i)|| against its closed form and floor."""
-
-    triple: AdmissibleTriple
-    family_size: int
-    lhs: float
-    rhs_exact: float
-    rhs_floor: float
-    exact_ok: bool
-    floor_ok: bool
-
-
-def higher_rank_value(
-    p: QParams, t: AdmissibleTriple, max_dim: int = DEFAULT_DIM_CAP
-) -> HigherRankReport:
-    """Evaluate ||alpha^*(sum_{i in A} eta_i (x) zeta_i)|| numerically.
-
-    The exact value is |A| ([k+1]/theta)^{1/2}.  The floor
-    |A| q^{(l+m-k)/4} is reported with a flag only: the attainable floor
-    carries an extra (1-q^2)^{1/2}, and Bell-type triples sit below the
-    unadjusted one.
-    """
-    wit = saturation_witness(p, t, max_dim=max_dim)
-    iso = isometry(p, t, max_dim=max_dim)
-    total = wit.eta_family.T @ wit.zeta_family  # sum_i eta_i (x) zeta_i as d_l x d_m
-    lhs = float(np.linalg.norm(iso.legs.T @ total.ravel()))
-    rhs_exact = wit.family_size * math.sqrt(math.exp(lambda_log(p, t)))
-    rhs_floor = wit.family_size * p.q ** ((t.l + t.m - t.k) / 4.0)
-    return HigherRankReport(
-        triple=t,
-        family_size=wit.family_size,
-        lhs=lhs,
-        rhs_exact=rhs_exact,
-        rhs_floor=rhs_floor,
-        exact_ok=bool(abs(lhs - rhs_exact) <= 1e-8 * rhs_exact),
-        floor_ok=bool(lhs >= rhs_floor - 1e-12),
-    )
-
-
-# ---------------------------------------------------------------------------
-# highest-weight separability
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SeparabilityWitness:
-    """A rank-1 product vector inside the highest-weight subspace, as its
-    d_l x d_m leg matrix."""
-
-    vector: np.ndarray
-    schmidt_rank: int
-    residual: float
-
-
-def separability_witness_highest_weight(
-    p: QParams,
-    l: int,
-    m: int,
-    i: int,
-    j: int,
-    max_dim: int = DEFAULT_DIM_CAP,
-) -> SeparabilityWitness:
-    """eta_l(i,j) (x) eta_m(i',j') with the alternation continued across
-    the junction, which lands the product vector inside alpha(H_{l+m}).
-
-    residual = ||alpha alpha^* v - v||; rank-1 separability plus a tiny
-    residual shows the embedded subspace touches the product-state set.
-    """
-    l, m = _check_int("l", l, 0), _check_int("m", m, 0)
-    if i == j:
-        raise ValueError("separability witness needs two distinct letters")
-    if max(_check_int("letter", i, 1), _check_int("letter", j, 1)) > p.n:
-        raise ValueError(f"letters {i!r}, {j!r} out of range: need integers 1..{p.n}")
-    left = _alternating_letters(l, i, j)
-    right = _alternating_letters(m, i, j) if l % 2 == 0 else _alternating_letters(m, j, i)
-    iso = isometry(p, AdmissibleTriple(l + m, l, m), max_dim=max_dim)
-    x = np.outer(
-        _fixed_rows(iso.basis_l.columns, p.n, [left])[0],
-        _fixed_rows(iso.basis_m.columns, p.n, [right])[0],
-    )
-    flat = x.ravel()
-    residual = float(np.linalg.norm(iso.legs @ (iso.legs.T @ flat) - flat))
-    rank = schmidt_spectrum(x).numerical_rank
-    return SeparabilityWitness(vector=x, schmidt_rank=rank, residual=residual)

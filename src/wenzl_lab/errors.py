@@ -5,7 +5,7 @@ The CLI maps these onto process exit codes, so anything user-facing
 should raise one of them rather than a bare Exception.  The cap (default
 N^legs <= 4096 per side) keeps every dense object at desk scale; whatever
 allocates on N^legs legs checks it and raises DimensionCapError.  Every
-count, level, letter and cap goes through `_check_int`, every real
+count, level and cap goes through `_check_int`, every real
 parameter through `_check_real`, and every array that must be real
 through `_check_real_array`.
 """

@@ -1,6 +1,7 @@
 """Shared pytest plumbing: collects acceptance-criterion outcomes and
-prints one PASS/FAIL line per criterion in the terminal summary, and
-fails any test that leaves the BLAS thread count changed."""
+prints one PASS/FAIL line per criterion and the `src/` line and module
+count in the terminal summary, and fails any test that leaves the BLAS
+thread count changed."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import ctypes
 import functools
 import glob
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,12 +27,19 @@ def record_criterion(number: int, label: str, ok: bool, note: str = "") -> None:
     _criterion_lines[number] = line
 
 
+def _source_size() -> str:
+    """The package's size as `wc -l src/wenzl_lab/*.py` counts it: newlines and modules."""
+    paths = list(pathlib.Path(jones_wenzl.__file__).parent.glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    return f"SOURCE SIZE: {lines} lines in {len(paths)} modules"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _criterion_lines:
-        return
-    terminalreporter.section("acceptance criteria")
-    for number in sorted(_criterion_lines):
-        terminalreporter.write_line(_criterion_lines[number])
+    if _criterion_lines:
+        terminalreporter.section("acceptance criteria")
+        for number in sorted(_criterion_lines):
+            terminalreporter.write_line(_criterion_lines[number])
+    terminalreporter.write_line(_source_size())
 
 
 @functools.cache

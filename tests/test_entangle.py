@@ -1,5 +1,5 @@
 """Tests for Schmidt spectra, rapid-decay certificates, the optimizer,
-and the saturation/separability witness families."""
+and the saturation witness family and its highest-weight product vector."""
 
 from __future__ import annotations
 
@@ -16,12 +16,10 @@ from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 from wenzl_lab import entangle, jones_wenzl, vertex
 from wenzl_lab.entangle import (
     SIDE_AGREEMENT_TOL,
-    higher_rank_value,
     max_schmidt_optimizer,
     rd_certificate,
     saturation_witness,
     schmidt_spectrum,
-    separability_witness_highest_weight,
     verify_saturation,
     witness_image,
 )
@@ -742,67 +740,19 @@ def test_verify_saturation_mass_monotone_in_rank():
 
 
 # ---------------------------------------------------------------------------
-# higher-rank family value
+# highest-weight product vector
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "n,k,l,m,want",
-    [
-        (3, 1, 1, 2, math.sqrt(3.0 / 8.0)),
-        (4, 2, 2, 2, 2.0 * math.sqrt(2.0 / 7.0)),
-        (3, 0, 1, 1, math.sqrt(1.0 / 3.0)),
-    ],
-)
-def test_higher_rank_exact_value(n, k, l, m, want):
+@pytest.mark.parametrize("n,l,m", [(3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 3, 2), (2, 2, 2)])
+def test_highest_weight_witness_is_the_product_of_its_split_words(n, l, m):
+    # at r = 0, alpha is the inclusion of H_{l+m}, so the alternating word
+    # 1212... of length l+m splits into its first l and last m letters
     p = quantum_parameter(n)
-    rep = higher_rank_value(p, AdmissibleTriple(k, l, m))
-    assert rep.lhs == pytest.approx(want, rel=1e-9)
-    assert rep.rhs_exact == pytest.approx(want, rel=1e-9)
-    assert rep.exact_ok
-
-
-def test_higher_rank_floor_flag_behaviour():
-    # the printed floor |A| q^{r/2} is not attainable at Bell-type
-    # triples (it exceeds the exact value); the flag records this
-    p3 = quantum_parameter(3)
-    bell = higher_rank_value(p3, AdmissibleTriple(0, 1, 1))
-    assert not bell.floor_ok
-    assert bell.lhs >= bell.rhs_floor * math.sqrt(1 - p3.q**2) - 1e-12
-    wide = higher_rank_value(p3, AdmissibleTriple(2, 2, 2))
-    assert wide.floor_ok
-
-
-# ---------------------------------------------------------------------------
-# separability witness
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "l,m,i,j,word_l,word_r",
-    [
-        (1, 1, 1, 2, (1,), (2,)),
-        (2, 1, 1, 2, (1, 2), (1,)),
-        (1, 2, 1, 2, (1,), (2, 1)),
-        (3, 2, 2, 3, (2, 3, 2), (3, 2)),
-    ],
-)
-def test_separability_witness_words(l, m, i, j, word_l, word_r):
-    p = quantum_parameter(3)
-    rep = separability_witness_highest_weight(p, l, m, i, j)
-    left, right = basis_vector(3, word_l), basis_vector(3, word_r)
-    # the leg matrix lifts to the ambient product of the two words
-    bl, bm = onb_of_irrep(p, l).columns, onb_of_irrep(p, m).columns
-    np.testing.assert_allclose(bl @ rep.vector @ bm.T, np.outer(left, right), atol=1e-12)
-    assert rep.schmidt_rank == 1
-    assert rep.residual < 1e-9
-
-
-def test_separability_witness_rejects_equal_letters():
-    with pytest.raises(ValueError):
-        separability_witness_highest_weight(quantum_parameter(3), 1, 1, 2, 2)
-
-
-@pytest.mark.parametrize("i,j", [(1, 4), (0, 2), (1.5, 2), (2, 1.0), (True, 2)])
-def test_separability_witness_rejects_letters_out_of_range(i, j):
-    rule = "out of range" if j == 4 else "letter must be a positive integer"
-    with pytest.raises(ValueError, match=rule):
-        separability_witness_highest_weight(quantum_parameter(3), 1, 1, i, j)
+    iso = isometry(p, AdmissibleTriple(l + m, l, m))
+    image = witness_image(iso)
+    v = image.ravel()
+    word = [1 + s % 2 for s in range(l + m)]
+    product = np.kron(basis_vector(n, word[:l]), basis_vector(n, word[l:]))
+    np.testing.assert_allclose(iso.lift(v), product, atol=1e-12)
+    assert schmidt_spectrum(image).numerical_rank == 1
+    assert np.linalg.norm(iso.legs @ (iso.legs.T @ v) - v) < 1e-9

@@ -11,11 +11,7 @@ import pytest
 
 from wenzl_lab import jones_wenzl as jwmod
 from wenzl_lab.channel import channel, channel_apply
-from wenzl_lab.entangle import (
-    rd_certificate,
-    schmidt_spectrum,
-    separability_witness_highest_weight,
-)
+from wenzl_lab.entangle import rd_certificate, schmidt_spectrum
 from wenzl_lab.errors import DimensionCapError, _check_cap, _check_int, _check_real
 from wenzl_lab.jones_wenzl import clear_caches, jw_projection, onb_of_irrep, verify_jw
 from wenzl_lab.qnum import (
@@ -92,7 +88,6 @@ BAD_LEVELS = [
     ("onb_of_irrep-bool", lambda: onb_of_irrep(P3, True)),
     ("jw_projection-bool", lambda: jw_projection(P3, True)),
     ("q_int-bool", lambda: q_int(P3, True)),
-    ("separability-l", lambda: separability_witness_highest_weight(P3, 1.5, 1, 1, 2)),
 ]
 
 
@@ -113,8 +108,6 @@ def test_numpy_integer_levels_and_counts_work():
     t = AdmissibleTriple(1, 1, 2)
     counted = rd_certificate(P3, t, samples=np.int64(8), seed=np.int64(1))
     assert counted == rd_certificate(P3, t, samples=8, seed=1)
-    rep = separability_witness_highest_weight(P3, two, np.int64(1), np.int64(1), 2)
-    assert rep.schmidt_rank == 1
 
 
 def test_quantum_parameter_takes_a_numpy_rank_as_a_python_int():

@@ -20,11 +20,9 @@ import wenzl_lab.vertex as vxmod
 from wenzl_lab import cli
 from wenzl_lab.channel import channel, channel_apply, choi_witness_value, moe_bracket
 from wenzl_lab.entangle import (
-    higher_rank_value,
     max_schmidt_optimizer,
     rd_certificate,
     saturation_witness,
-    separability_witness_highest_weight,
     verify_saturation,
 )
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
@@ -232,10 +230,8 @@ def test_pipeline_never_builds_dense_objects(capsys, monkeypatch):
     p3, bell = quantum_parameter(3), AdmissibleTriple(0, 1, 1)
     saturation_witness(p4, square)
     verify_saturation(p4, square)
-    higher_rank_value(p4, square)
     choi_witness_value(p4, square, 2, 1.0, samples=3)
     choi_witness_value(p3, bell, 2, 1.0, samples=3)
-    separability_witness_highest_weight(p3, 2, 2, 1, 2)
     triple = ["--n", "4", "--k", "2", "--l", "2", "--m", "2"]
     for argv in (["schmidt"], ["saturation"], ["choi", "--d", "2", "--scale", "1.5"]):
         assert cli.main(argv + triple + ["--samples", "3"]) == 0
