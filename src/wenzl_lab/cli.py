@@ -274,7 +274,7 @@ def _run_sweep(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 _COMMON = (
-    ("--seed", {"type": int, "default": 0, "help": "RNG seed (default 0)"}),
+    ("--seed", {"type": _NONNEG, "default": 0, "help": "RNG seed (default 0)"}),
     ("--restarts", {"type": _POSITIVE, "default": 20, "help": "optimizer restarts"}),
     ("--tol", {"type": _POSITIVE_FINITE, "default": 1e-12,
                "help": "optimizer convergence tolerance"}),

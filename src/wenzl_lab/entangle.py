@@ -34,7 +34,6 @@ from .qnum import (
     AdmissibleTriple,
     QParams,
     admissible_triples,
-    dim_irrep,
     lambda_log,
     rd_bound,
 )
@@ -62,22 +61,28 @@ WITNESS_FIX_TOL = 1e-9
 SIDE_AGREEMENT_TOL = 1e-9
 
 
-def _gram_spectra(stack: np.ndarray) -> np.ndarray:
-    """Squared singular values, ascending, of each matrix of a (samples, a, b) stack.
+def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
+    """Squared singular values, ascending, of alpha(x) for each column x of cols.
 
-    They are the eigenvalues of its Gram on the smaller side, M M^T or
-    M^T M, which one eigvalsh over the stack reads more cheaply than an
-    SVD; rounding can leave the ones that vanish slightly negative.
+    They are the eigenvalues of each image's Gram on the smaller side,
+    M M^T or M^T M, which one eigvalsh over the stack reads more cheaply
+    than an SVD; rounding can leave the ones that vanish slightly
+    negative.  The images and the eigvalsh run on one BLAS thread.
     """
-    flip = stack.transpose(0, 2, 1)
-    return np.linalg.eigvalsh(stack @ flip if stack.shape[1] <= stack.shape[2] else flip @ stack)
+    with _one_blas_thread():
+        stack = iso.images(cols)
+        if stack.shape[1] > stack.shape[2]:
+            stack = stack.transpose(0, 2, 1)
+        return np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))
 
 
-def _entropy_from_lambdas(lambdas: np.ndarray) -> float:
-    """Entropy (natural log) of a nonnegative spectrum, normalized to sum 1."""
-    total = float(lambdas.sum())
-    probs = lambdas[lambdas > 0.0] / total
-    return float(-(probs * np.log(probs)).sum())
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """Entropy (natural log) of each spectrum along the last axis, normalized
+    to sum 1, with rounding's negative values read as 0 and 0 log 0 = 0."""
+    probs = np.clip(spectra, 0.0, None)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return -(probs * logs).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ def schmidt_spectrum(mat: np.ndarray) -> SchmidtReport:
     rank = int(np.count_nonzero(lambdas > RANK_TOL * lambdas[0]))
     return SchmidtReport(
         coefficients=lambdas,
-        entropy=_entropy_from_lambdas(lambdas),
+        entropy=float(_entropies(lambdas)),
         max=float(lambdas[0]),
         numerical_rank=rank,
     )
@@ -142,22 +147,17 @@ def rd_certificate(
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
     Each sample's lambda_1 is the top eigenvalue of its image's Gram on
-    the smaller side (`_gram_spectra`).  The images and their Gram
-    spectra run on one BLAS thread; the isometry build picks its count
-    by size (`jones_wenzl.SPLIT_FLOPS`).
+    the smaller side (`_image_spectra`, on one BLAS thread); the isometry
+    build picks its count by size (`jones_wenzl.SPLIT_FLOPS`).
     samples (at least 1) and seed (at least 0) must be integers, else
     ValueError.
     """
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     iso = isometry(p, t, max_dim=max_dim)
-    d = iso.legs.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = rng.standard_normal((d, samples))
+    x = rng.standard_normal((iso.basis.dim, samples))
     x /= np.linalg.norm(x, axis=0)
-    with _one_blas_thread():
-        images = x.T @ iso.legs.T  # leg coordinates, one row per sample
-        stack = images.reshape(samples, iso.basis_l.dim, iso.basis_m.dim)
-        max_observed = float(_gram_spectra(stack)[:, -1].max())
+    max_observed = float(_image_spectra(iso, x)[:, -1].max())
     exact, coarse = rd_bound(p, t)
     return RdCertificate(
         triple=t,
@@ -256,7 +256,7 @@ def _complement_sweep(ops, img: np.ndarray, zeta: np.ndarray, unit):
     return eta, zeta, outer, zeta
 
 
-def _complement_legs(p: QParams, t: AdmissibleTriple, max_dim: int) -> np.ndarray | None:
+def _complement_legs(iso: EquivariantIsometry, max_dim: int) -> np.ndarray | None:
     """Leg coordinates of every alpha_{k'}, k' != k, side by side, or None
     when the complement has at least as many columns as alpha itself.
 
@@ -264,9 +264,10 @@ def _complement_legs(p: QParams, t: AdmissibleTriple, max_dim: int) -> np.ndarra
     orthonormal, span the orthogonal complement of alpha(H_k) and number
     d_l d_m - [k+1]_q; a wrong count or C^T C != I is an InvariantViolation.
     """
-    d_l, d_m, d_k = (round(dim_irrep(p, j)) for j in (t.l, t.m, t.k))
+    d_l, d_m, d_k = iso.basis_l.dim, iso.basis_m.dim, iso.basis.dim
     if d_l * d_m - d_k >= d_k:
         return None
+    p, t = iso.params, iso.triple
     parts = [
         isometry(p, other, max_dim=max_dim).legs
         for other in admissible_triples(t.l, t.m)
@@ -329,7 +330,7 @@ def max_schmidt_optimizer(
     max_iters = _check_int("max_iters", max_iters, 1)
     tol = _check_real("tol", tol, "a positive finite real", 0.0, math.inf)
     iso = isometry(p, t, max_dim=max_dim)
-    comp = _complement_legs(p, t, max_dim)
+    comp = _complement_legs(iso, max_dim)
     legs, bl, bm = iso.legs, iso.basis_l.columns, iso.basis_m.columns
     with _one_blas_thread():
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
@@ -433,8 +434,7 @@ def witness_image(iso: EquivariantIsometry) -> np.ndarray:
     word's flat index, renormalized so the image has unit norm to rounding.
     """
     coords = _fixed_rows(iso.basis.columns, iso.params.n, [_alternating_letters(iso.triple.k)])[0]
-    image = iso.legs @ (coords / np.linalg.norm(coords))
-    return image.reshape(iso.basis_l.dim, iso.basis_m.dim)
+    return iso.images(coords / np.linalg.norm(coords))[0]
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,22 @@ class EquivariantIsometry:
     theta_closed: float
     theta_trace: float
 
+    def images(self, x: np.ndarray) -> np.ndarray:
+        """alpha(x) for IrrepBasis(k) coordinates x ([k+1]_q[, c]), as d_l x d_m
+        leg matrices stacked on axis 0, one per column of x."""
+        return (x.T @ self.legs.T).reshape(-1, self.basis_l.dim, self.basis_m.dim)
+
     def lift(self, x: np.ndarray) -> np.ndarray:
         """(B_l (x) B_m) x: leg coordinates (d_l d_m[, c]) to the ambient N^{l+m}[, c]."""
-        bl, bm = self.basis_l.columns, self.basis_m.columns
-        half = bl @ x.reshape(bl.shape[1], -1)
-        half = half.reshape(bl.shape[0], bm.shape[1], -1)
-        return (bm @ half).reshape(bl.shape[0] * bm.shape[0], *x.shape[1:])
+        return _apply_legwise(self.basis_l.columns, self.basis_m.columns, x)
 
     reduced = _LiftedOnRead()
+
+
+def _apply_legwise(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(left (x) right) x for x of shape (left cols * right cols[, c]), one product per side."""
+    half = (left @ x.reshape(left.shape[1], -1)).reshape(left.shape[0], right.shape[1], -1)
+    return (right @ half).reshape(left.shape[0] * right.shape[0], *x.shape[1:])
 
 
 def reversal_permutation(n: int, r: int) -> np.ndarray:
@@ -161,15 +169,6 @@ def isometry(
     return iso
 
 
-def _project_sides(x: np.ndarray, pl: np.ndarray, pm: np.ndarray) -> np.ndarray:
-    """Apply p_l (x) p_m leg-wise to columns living on l+m legs."""
-    nl, nm = pl.shape[0], pm.shape[0]
-    c = x.shape[1]
-    t = (pl @ x.reshape(nl, nm * c)).reshape(nl, nm, c)
-    t = np.tensordot(pm, t, axes=(1, 1)).transpose(1, 0, 2)
-    return np.ascontiguousarray(t.reshape(nl * nm, c))
-
-
 def verify_equivariance_proxy(iso: EquivariantIsometry) -> float:
     """max of ||(p_l (x) p_m) alpha - alpha||_max and ||alpha p_k - alpha||_max.
 
@@ -181,7 +180,7 @@ def verify_equivariance_proxy(iso: EquivariantIsometry) -> float:
     amb = iso.reduced @ iso.basis.columns.T
     pl = jw_projection(p, t.l)
     pm = jw_projection(p, t.m)
-    res_range = float(np.abs(_project_sides(amb, pl, pm) - amb).max())
+    res_range = float(np.abs(_apply_legwise(pl, pm, amb) - amb).max())
     pk = jw_projection(p, t.k)
     res_domain = float(np.abs(amb @ pk - amb).max())
     return max(res_range, res_domain)

@@ -20,7 +20,7 @@ import numpy as np
 from wenzl_lab.errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
 from wenzl_lab.jones_wenzl import jw_projection
 from wenzl_lab.qnum import AdmissibleTriple, QParams
-from wenzl_lab.vertex import _project_sides, isometry, reversal_permutation
+from wenzl_lab.vertex import isometry, reversal_permutation
 
 
 def basis_vector(
@@ -98,6 +98,15 @@ def _insert_cup(cols: np.ndarray, n: int, l: int, m: int, r: int) -> np.ndarray:
     out = np.zeros((dl, dr, dr, dm, c))
     out[:, np.arange(dr), reversal_permutation(n, r), :, :] = cols3[:, None, :, :]
     return out.reshape(dl * dr * dr * dm, c)
+
+
+def _project_sides(cols: np.ndarray, pl: np.ndarray, pm: np.ndarray) -> np.ndarray:
+    """(p_l (x) p_m) cols for columns on l+m legs: p_l on the leading legs,
+    then p_m on the trailing ones, each as one reshaped product."""
+    nl, nm, c = pl.shape[0], pm.shape[0], cols.shape[1]
+    left = (pl @ cols.reshape(nl, nm * c)).reshape(nl, nm, c)
+    right = pm @ left.transpose(1, 0, 2).reshape(nm, nl * c)  # [j, (a, c)]
+    return right.reshape(nm, nl, c).transpose(1, 0, 2).reshape(nl * nm, c)
 
 
 def _vertex_columns(p: QParams, t: AdmissibleTriple, cols: np.ndarray) -> np.ndarray:

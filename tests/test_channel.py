@@ -3,6 +3,7 @@ and the Choi-matrix d-positivity witness machinery."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import math
 
@@ -28,7 +29,7 @@ from wenzl_lab.channel import (
 from wenzl_lab.entangle import max_schmidt_optimizer, rd_certificate
 from wenzl_lab.errors import InvariantViolation
 from wenzl_lab.qnum import AdmissibleTriple, quantum_parameter, rd_constant
-from wenzl_lab.vertex import isometry
+from wenzl_lab.vertex import EquivariantIsometry, isometry
 
 # the package re-exports the function `channel`, which shadows the submodule
 channel_module = importlib.import_module("wenzl_lab.channel")
@@ -161,6 +162,20 @@ def test_channel_rejects_bad_inputs():
     nan_state[2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         channel_apply(ch, nan_state)
+
+
+def test_channel_accepts_a_state_within_the_input_trace_tolerance():
+    ch = channel(P3, MIDDLE)
+    rho = np.eye(3) / 3.0 * (1.0 + 5e-9)
+    out = channel_apply(ch, rho)
+    assert np.trace(out) == pytest.approx(np.trace(rho), rel=0, abs=1e-12)
+
+
+def test_channel_output_trace_drift_is_an_invariant_violation():
+    ch = channel(P3, MIDDLE)
+    scaled = dataclasses.replace(ch.iso, legs=ch.iso.legs * (1.0 + 1e-6))
+    with pytest.raises(InvariantViolation, match="channel output trace"):
+        channel_apply(dataclasses.replace(ch, iso=scaled), np.eye(3) / 3.0)
 
 
 def test_channel_rejects_bad_direction():
@@ -315,7 +330,9 @@ def test_moe_sampling_on_one_blas_thread(monkeypatch):
     caller = blas_threads()
     sweeps, images, stacks = [], [], []
     record_blas_threads(monkeypatch, entangle, "_alpha_sweep", sweeps)
-    record_blas_threads(monkeypatch, channel_module, "_leg_matrices", images)
+    record_blas_threads(
+        monkeypatch, EquivariantIsometry, "images", images, lambda iso, x: x.ndim == 2
+    )
     record_blas_threads(monkeypatch, np.linalg, "eigvalsh", stacks, lambda a, *rest: a.ndim == 3)
     moe_bracket(ch, samples=5, restarts=3)
     assert sweeps and set(sweeps) == {1}
@@ -347,7 +364,7 @@ def test_gram_spectra_match_svd(p, t):
     sigma = np.linalg.svd(stack, compute_uv=False)
     width = sigma.shape[1]
     np.testing.assert_allclose(
-        entangle._gram_spectra(stack)[:, ::-1][:, :width], sigma * sigma, rtol=0, atol=1e-14
+        entangle._image_spectra(iso, x)[:, ::-1][:, :width], sigma * sigma, rtol=0, atol=1e-14
     )
     assert abs(rd_certificate(p, t).max_observed - float((sigma[:, 0] ** 2).max())) <= 1e-14
 

@@ -262,6 +262,16 @@ def test_csv_output_is_flat_table(capsys):
     assert rows[0]["triple.r"] == "1"
 
 
+def test_csv_list_cell_parses_to_the_json_list(capsys):
+    argv = ["schmidt", "--n", "4", "--k", "2", "--l", "2", "--m", "2"]
+    report = run_json(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert len(report["coefficients"]) > 1
+    assert json.loads(row["coefficients"]) == report["coefficients"]
+
+
 def test_sweep_csv_one_line_per_row(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -329,9 +339,11 @@ BAD_FLAGS = [
     ("--k", ["theta", "--n", "3", "--k", "-1", "--l", "1", "--m", "2"]),
     ("--max-k", ["dims", "--n", "3", "--max-k", "-1"]),
     ("--n-min", ["sweep", "--n-min", "1"]),
+    ("--n-max", ["sweep", "--n-min", "4", "--n-max", "3"]),
     ("--max-l", ["sweep", "--max-l", "0"]),
     ("--scale", [*CHOI, "--d", "1", "--scale", "inf"]),
     ("--seed", ["theta", *TRIPLE, "--seed", "abc"]),
+    ("--seed", ["theta", *TRIPLE, "--seed", "-1"]),
     ("--format", ["theta", *TRIPLE, "--format", "xml"]),
     ("--direction", ["channel", *TRIPLE, "--direction", "up"]),
 ]

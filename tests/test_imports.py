@@ -1,6 +1,8 @@
 """Static checks: no package module imports a name it never uses, every
 name a module lists in `__all__` is bound in that module, each module
-imports only from modules below it in LAYERS, no line is wider than
+imports only from modules below it in LAYERS (and `channel` not from
+`jones_wenzl`, whose BLAS thread policy it reaches only through
+`entangle`), no line is wider than
 100 columns (so the tracked line count cannot drop by joining lines), and
 only `errors` tests for `bool`, inside its one integer and real rule.
 
@@ -131,6 +133,19 @@ def test_layer_checker_flags_upward_and_unknown_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_imports_only_lower_layers(path):
     assert layer_violations(path.stem, path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The last dotted part of each module a source imports names from."""
+    return {
+        node.module.rsplit(".", 1)[-1] for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+
+
+def test_channel_imports_nothing_from_jones_wenzl():
+    """The BLAS thread policy stays below `entangle._image_spectra`."""
+    assert "jones_wenzl" not in imported_modules((PACKAGE / "channel.py").read_text())
 
 
 def test_package_docstring_states_the_layers():
