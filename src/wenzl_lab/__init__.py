@@ -64,7 +64,6 @@ from .vertex import (
     EquivariantIsometry,
     isometry,
     reversal_permutation,
-    verify_equivariance_proxy,
 )
 
 __version__ = "0.1.0"

@@ -59,6 +59,10 @@ class EquivariantChannel:
     iso: EquivariantIsometry
     max_dim: int
 
+    def __post_init__(self):
+        if self.direction not in _DIRECTIONS:
+            raise ValueError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
+
     @property
     def params(self) -> QParams:
         return self.iso.params
@@ -79,8 +83,6 @@ def channel(
     direction: str = TRACE_FIRST,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> EquivariantChannel:
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     return EquivariantChannel(t, direction, isometry(p, t, max_dim=max_dim), max_dim)
 
 
@@ -313,7 +315,7 @@ def _witness_pairs(
     if d <= wit.family_size:
         return etas, zetas, wit.family_size
 
-    root = math.exp(0.5 * lambda_log(p, t))
+    root = iso.scale
     mat = witness_image(iso) - root * (etas.T @ zetas)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     extra = int(np.sum(np.abs(s - root) <= PLATEAU_RTOL * root + 1e-12))
@@ -366,6 +368,8 @@ def choi_witness_value(
         weights /= np.linalg.norm(weights)
         sample = ((qu * weights) @ qv.T).ravel()
         sampled_min = min(sampled_min, _choi_qform(iso.legs, scale, sample))
+    if not all(map(math.isfinite, (witness_value, predicted, sampled_min))):
+        raise ValueError(f"scale {scale} overflows the Choi form on {t}")
     if scale <= threshold and sampled_min < -CHOI_SAMPLE_TOL:
         raise InvariantViolation(
             f"random rank-{d} input drove <Cx|x> to {sampled_min:.3e} at scale "

@@ -42,7 +42,7 @@ from .entangle import (
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation
 from .jones_wenzl import jw_projection, verify_jw
 from .qnum import AdmissibleTriple, dim_irrep, lambda_log, quantum_parameter, rd_bound
-from .vertex import isometry, verify_equivariance_proxy
+from .vertex import isometry
 
 SCHEMA = "wenzl-lab/1"
 
@@ -147,7 +147,6 @@ def _run_isometry(args: argparse.Namespace) -> dict:
         "theta_closed": iso.theta_closed,
         "theta_trace": iso.theta_trace,
         "orthonormality_residual": float(np.abs(gram - np.eye(gram.shape[0])).max()),
-        "equivariance_residual": verify_equivariance_proxy(iso),
     }
 
 

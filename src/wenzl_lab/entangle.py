@@ -106,7 +106,10 @@ def schmidt_spectrum(mat: np.ndarray) -> SchmidtReport:
         raise ValueError(f"Schmidt spectrum needs a matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("Schmidt spectrum needs finite entries")
-    if float(np.einsum("ij,ij->", mat, mat)) <= 1e-300:
+    norm2 = float(np.einsum("ij,ij->", mat, mat))
+    if not math.isfinite(norm2):  # every sigma^2 <= norm2, so this covers them all
+        raise ValueError(f"Schmidt spectrum input's squared norm overflows: {norm2}")
+    if norm2 <= 1e-300:
         raise ValueError("Schmidt spectrum of the zero vector is undefined")
     sigma = np.linalg.svd(mat, compute_uv=False)
     lambdas = sigma * sigma

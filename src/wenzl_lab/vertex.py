@@ -28,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
-from .jones_wenzl import IrrepBasis, _blas_threads_for, jw_projection, onb_of_irrep
+from .jones_wenzl import IrrepBasis, _blas_threads_for, onb_of_irrep
 from .qnum import AdmissibleTriple, QParams, lambda_log, theta_net_log
 
 __all__ = [
     "EquivariantIsometry",
     "isometry",
-    "verify_equivariance_proxy",
     "reversal_permutation",
     "clear_caches",
 ]
@@ -86,15 +85,11 @@ class EquivariantIsometry:
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """(B_l (x) B_m) x: leg coordinates (d_l d_m[, c]) to the ambient N^{l+m}[, c]."""
-        return _apply_legwise(self.basis_l.columns, self.basis_m.columns, x)
+        bl, bm = self.basis_l.columns, self.basis_m.columns
+        half = (bl @ x.reshape(bl.shape[1], -1)).reshape(bl.shape[0], bm.shape[1], -1)
+        return (bm @ half).reshape(bl.shape[0] * bm.shape[0], *x.shape[1:])
 
     reduced = _LiftedOnRead()
-
-
-def _apply_legwise(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(left (x) right) x for x of shape (left cols * right cols[, c]), one product per side."""
-    half = (left @ x.reshape(left.shape[1], -1)).reshape(left.shape[0], right.shape[1], -1)
-    return (right @ half).reshape(left.shape[0] * right.shape[0], *x.shape[1:])
 
 
 def reversal_permutation(n: int, r: int) -> np.ndarray:
@@ -167,20 +162,3 @@ def isometry(
     iso = EquivariantIsometry(t, p, *bases, raw, scale, theta_closed, theta_trace)
     _iso_cache[key] = iso
     return iso
-
-
-def verify_equivariance_proxy(iso: EquivariantIsometry) -> float:
-    """max of ||(p_l (x) p_m) alpha - alpha||_max and ||alpha p_k - alpha||_max.
-
-    Full quantum-group equivariance is not representable numerically;
-    intertwining both Jones-Wenzl projections is the checkable proxy.
-    """
-    p = iso.params
-    t = iso.triple
-    amb = iso.reduced @ iso.basis.columns.T
-    pl = jw_projection(p, t.l)
-    pm = jw_projection(p, t.m)
-    res_range = float(np.abs(_apply_legwise(pl, pm, amb) - amb).max())
-    pk = jw_projection(p, t.k)
-    res_domain = float(np.abs(amb @ pk - amb).max())
-    return max(res_range, res_domain)

@@ -19,6 +19,7 @@ from wenzl_lab import entangle
 from wenzl_lab.channel import (
     TRACE_FIRST,
     TRACE_LAST,
+    EquivariantChannel,
     channel,
     channel_apply,
     channel_norm_report,
@@ -181,6 +182,9 @@ def test_channel_output_trace_drift_is_an_invariant_violation():
 def test_channel_rejects_bad_direction():
     with pytest.raises(ValueError):
         channel(P3, BELL, "trace-both")
+    # built directly, output_dim would name H_l's 3 while channel_apply returned H_m's 8 x 8
+    with pytest.raises(ValueError, match="direction must be one of"):
+        EquivariantChannel(MIDDLE, "trace-both", isometry(P3, MIDDLE), 4096)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +504,10 @@ def test_witness_rejects_unusable_parameters():
     for scale in (math.nan, math.inf, -math.inf, "x", True):
         with pytest.raises(ValueError, match="scale must be a finite number"):
             choi_witness_value(P3, BELL, 1, scale, samples=3)
+    # finite, so they pass the scale rule, but d (1 - scale d [k+1]/theta) is not
+    for scale in (1e308, -1e308):
+        with pytest.raises(ValueError, match="scale .* overflows the Choi form"):
+            choi_witness_value(P3, BELL, 2, scale, samples=3)
 
 
 def test_sampled_min_respects_positivity_below_threshold():

@@ -77,7 +77,6 @@ def test_isometry_report(capsys):
     report = run_json(capsys, "isometry", "--n", "3", "--k", "2", "--l", "1", "--m", "1")
     assert report["scale"] == pytest.approx(1.0, rel=1e-9)
     assert report["orthonormality_residual"] <= 1e-9
-    assert report["equivariance_residual"] <= 1e-9
 
 
 def test_max_schmidt_report(capsys):
@@ -399,6 +398,17 @@ def test_exit_4_on_non_finite_scale(capsys, scale):
     assert code == 4
     assert out == ""
     assert "scale" in err
+
+
+@pytest.mark.parametrize("scale", ["1e308", "-1e308"])
+def test_exit_4_on_finite_scale_that_overflows_the_form(capsys, scale):
+    code, out, err = run_cli(
+        capsys, "choi", "--n", "3", "--k", "0", "--l", "1", "--m", "1",
+        "--d", "2", f"--scale={scale}",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and "scale" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

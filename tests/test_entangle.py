@@ -96,6 +96,11 @@ def test_schmidt_needs_finite_entries(bad):
         schmidt_spectrum(mat)
 
 
+def test_schmidt_rejects_finite_input_whose_squared_norm_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        schmidt_spectrum(np.array([[1e200]]))
+
+
 def test_schmidt_vectors_live_in_projected_ranges():
     # singular vectors with weight lie in range(p_l) and range(p_m)
     p = quantum_parameter(3)

@@ -2,12 +2,13 @@
 name a module lists in `__all__` is bound in that module, each module
 imports only from modules below it in LAYERS (and `channel` not from
 `jones_wenzl`, whose BLAS thread policy it reaches only through
-`entangle`), no line is wider than
+`entangle`), only `cli` imports the dense Wenzl oracles, no line is wider than
 100 columns (so the tracked line count cannot drop by joining lines), and
 only `errors` tests for `bool`, inside its one integer and real rule.
 
-`__init__` re-exports by importing, so it is exempt from the first check;
-elsewhere a name listed in the module's `__all__` counts as used.
+`__init__` re-exports by importing, so it is exempt from the first check
+and the dense-oracle one; elsewhere a name listed in the module's
+`__all__` counts as used.
 """
 
 from __future__ import annotations
@@ -146,6 +147,24 @@ def imported_modules(source: str) -> set[str]:
 def test_channel_imports_nothing_from_jones_wenzl():
     """The BLAS thread policy stays below `entangle._image_spectra`."""
     assert "jones_wenzl" not in imported_modules((PACKAGE / "channel.py").read_text())
+
+
+DENSE_ORACLES = {"jw_projection", "verify_jw"}
+
+
+def imported_names(source: str) -> set[str]:
+    """Every name a source imports from a module."""
+    return {
+        alias.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_cli_imports_the_dense_wenzl_oracles(path):
+    """The dense N^k x N^k recursion is reached only by the `jw-verify` command."""
+    allowed = DENSE_ORACLES if path.stem == "cli" else set()
+    assert imported_names(path.read_text()) & DENSE_ORACLES <= allowed
 
 
 def test_package_docstring_states_the_layers():
