@@ -54,7 +54,6 @@ class EquivariantChannel:
     "trace-last-m" traces out H_m and outputs on H_l.
     """
 
-    triple: AdmissibleTriple
     direction: str
     iso: EquivariantIsometry
     max_dim: int
@@ -66,6 +65,10 @@ class EquivariantChannel:
     @property
     def params(self) -> QParams:
         return self.iso.params
+
+    @property
+    def triple(self) -> AdmissibleTriple:
+        return self.iso.triple
 
     @property
     def input_dim(self) -> int:
@@ -83,7 +86,7 @@ def channel(
     direction: str = TRACE_FIRST,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> EquivariantChannel:
-    return EquivariantChannel(t, direction, isometry(p, t, max_dim=max_dim), max_dim)
+    return EquivariantChannel(direction, isometry(p, t, max_dim=max_dim), max_dim)
 
 
 def _check_state(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -248,10 +251,6 @@ def moe_bracket(
         raise InvariantViolation(
             f"MOE floor {lower:.12e} exceeds sampled upper {upper:.12e} on {t}"
         )
-    if lower < coarse_lower - MOE_SLACK:
-        raise InvariantViolation(
-            f"MOE floor {lower:.12e} fell below coarse floor {coarse_lower:.12e}"
-        )
     return MoeBracket(
         triple=t,
         direction=ch.direction,
@@ -360,8 +359,8 @@ def choi_witness_value(
     d_l, d_m = iso.basis_l.dim, iso.basis_m.dim
     rank = min(d, d_l, d_m)
     sampled_min = math.inf
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        rng = np.random.default_rng(child)
+    for i in range(samples):  # child i of SeedSequence(seed).spawn, built one at a time
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         qu, _ = np.linalg.qr(rng.standard_normal((d_l, rank)))
         qv, _ = np.linalg.qr(rng.standard_normal((d_m, rank)))
         weights = rng.standard_normal(rank)

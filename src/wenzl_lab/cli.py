@@ -1,8 +1,9 @@
 """Batch command-line surface: every computation as a reproducible job.
 
 One table, `_COMMANDS`, declares each subcommand: its runner, its help
-text, whether it takes the triple flags --n/--k/--l/--m, and its extra
-flags.  The parser and `_RUNNERS` are both derived from it.
+text and every flag it takes; --format is added to all of them.  The
+parser and `_RUNNERS` are both derived from it, so a command refuses any
+flag its runner does not read (exit 4).
 
 Reports are emitted to standard output as JSON (or flattened CSV) with a
 versioned schema; diagnostics and wall time go to the error stream so
@@ -272,18 +273,6 @@ def _run_sweep(args: argparse.Namespace) -> dict:
 # the command table
 # ---------------------------------------------------------------------------
 
-_COMMON = (
-    ("--seed", {"type": _NONNEG, "default": 0, "help": "RNG seed (default 0)"}),
-    ("--restarts", {"type": _POSITIVE, "default": 20, "help": "optimizer restarts"}),
-    ("--tol", {"type": _POSITIVE_FINITE, "default": 1e-12,
-               "help": "optimizer convergence tolerance"}),
-    ("--max-dim", {"type": _POSITIVE, "default": DEFAULT_DIM_CAP,
-                   "help": f"ambient dimension cap (default {DEFAULT_DIM_CAP})"}),
-    ("--samples", {"type": _POSITIVE, "default": 200, "help": "random sample count"}),
-    ("--format", {"choices": ("json", "csv"), "default": "json", "help": "output format"}),
-    ("--log-base", {"choices": ("e", "2"), "default": "e",
-                    "help": "logarithm base for entropies"}),
-)
 _N = ("--n", {"type": _RANK, "required": True, "help": "rank N >= 2"})
 _K = ("--k", {"type": _NONNEG, "required": True})
 _TRIPLE = (
@@ -292,33 +281,48 @@ _TRIPLE = (
     ("--l", {"type": _NONNEG, "required": True}),
     ("--m", {"type": _NONNEG, "required": True}),
 )
+_MAX_DIM = ("--max-dim", {"type": _POSITIVE, "default": DEFAULT_DIM_CAP,
+                          "help": f"ambient dimension cap (default {DEFAULT_DIM_CAP})"})
+_SEED = ("--seed", {"type": _NONNEG, "default": 0, "help": "RNG seed (default 0)"})
+_OPTIMIZER = (
+    _SEED,
+    ("--restarts", {"type": _POSITIVE, "default": 20, "help": "optimizer restarts"}),
+    ("--tol", {"type": _POSITIVE_FINITE, "default": 1e-12,
+               "help": "optimizer convergence tolerance"}),
+)
+_SAMPLES = ("--samples", {"type": _POSITIVE, "default": 200, "help": "random sample count"})
+_LOG_BASE = ("--log-base", {"choices": ("e", "2"), "default": "e",
+                            "help": "logarithm base for entropies"})
 _DIRECTION = ("--direction", {"choices": tuple(_TRACED), "default": "first",
                               "help": "which tensor factor is traced out (first = left)"})
+_FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json", "help": "output format"})
 
-# name: (runner, help, takes --n/--k/--l/--m, extra flags)
+# name: (runner, help, every flag it takes besides --format)
 _COMMANDS = {
-    "dims": (_run_dims, "dimensions of the irreducible spaces", False,
+    "dims": (_run_dims, "dimensions of the irreducible spaces",
              (_N, ("--max-k", {"type": _NONNEG, "required": True}))),
-    "theta": (_run_theta, "closed-form vs trace-computed theta net", True, ()),
-    "jw-verify": (_run_jw_verify, "residuals of a Jones-Wenzl projection", False, (_N, _K)),
-    "isometry": (_run_isometry, "equivariant isometry diagnostics", True, ()),
+    "theta": (_run_theta, "closed-form vs trace-computed theta net", (*_TRIPLE, _MAX_DIM)),
+    "jw-verify": (_run_jw_verify, "residuals of a Jones-Wenzl projection", (_N, _K, _MAX_DIM)),
+    "isometry": (_run_isometry, "equivariant isometry diagnostics", (*_TRIPLE, _MAX_DIM)),
     "schmidt": (_run_schmidt, "Schmidt spectrum of the embedded alternating-word state",
-                True, ()),
+                (*_TRIPLE, _MAX_DIM, _LOG_BASE)),
     "max-schmidt": (_run_max_schmidt, "largest Schmidt coefficient over the embedded space",
-                    True, ()),
-    "saturation": (_run_saturation,
-                   "Schmidt plateau of the witness state against the closed form", True, ()),
-    "channel": (_run_channel, "S1 -> Sinf norm of the channel", True, (_DIRECTION,)),
-    "moe": (_run_moe, "minimum-output-entropy bracket", True, (_DIRECTION,)),
-    "choi": (_run_choi, "Choi-matrix d-positivity witness", True,
-             (("--d", {"type": _POSITIVE, "required": True}),
-              ("--scale", {"type": _FINITE, "required": True}))),
+                    (*_TRIPLE, _MAX_DIM, *_OPTIMIZER)),
+    "saturation": (_run_saturation, "Schmidt plateau of the witness state against the closed form",
+                   (*_TRIPLE, _MAX_DIM)),
+    "channel": (_run_channel, "S1 -> Sinf norm of the channel",
+                (*_TRIPLE, _MAX_DIM, _DIRECTION, *_OPTIMIZER)),
+    "moe": (_run_moe, "minimum-output-entropy bracket",
+            (*_TRIPLE, _MAX_DIM, _DIRECTION, *_OPTIMIZER, _SAMPLES, _LOG_BASE)),
+    "choi": (_run_choi, "Choi-matrix d-positivity witness",
+             (*_TRIPLE, _MAX_DIM, ("--d", {"type": _POSITIVE, "required": True}),
+              ("--scale", {"type": _FINITE, "required": True}), _SEED, _SAMPLES)),
     "sweep": (_run_sweep, "one report row per admissible triple over rank and leg ranges",
-              False,
               (("--n-min", {"type": _RANK, "default": 3}),
                ("--n-max", {"type": _RANK, "default": 5}),
                ("--max-l", {"type": _POSITIVE, "default": 2}),
-               ("--max-m", {"type": _POSITIVE, "default": 2}))),
+               ("--max-m", {"type": _POSITIVE, "default": 2}),
+               _MAX_DIM, *_OPTIMIZER, _SAMPLES, _LOG_BASE)),
 }
 
 _RUNNERS = {name: spec[0] for name, spec in _COMMANDS.items()}
@@ -333,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, takes_triple, extras) in _COMMANDS.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        for flag, options in _COMMON + (_TRIPLE if takes_triple else ()) + extras:
+        for flag, options in (*flags, _FORMAT):
             command.add_argument(flag, **options)
     return parser
 

@@ -184,7 +184,16 @@ def test_channel_rejects_bad_direction():
         channel(P3, BELL, "trace-both")
     # built directly, output_dim would name H_l's 3 while channel_apply returned H_m's 8 x 8
     with pytest.raises(ValueError, match="direction must be one of"):
-        EquivariantChannel(MIDDLE, "trace-both", isometry(P3, MIDDLE), 4096)
+        EquivariantChannel("trace-both", isometry(P3, MIDDLE), 4096)
+
+
+def test_channel_reads_its_triple_off_its_isometry():
+    # a second copy of the triple could name (0,1,1), norm 1/3, while alpha is (1,1,2)'s
+    ch = EquivariantChannel(TRACE_FIRST, isometry(P3, MIDDLE), 4096)
+    assert ch.triple == MIDDLE
+    rep = channel_norm_report(ch, restarts=4, seed=0)
+    assert rep.triple == MIDDLE
+    assert rep.norm_1_to_inf == pytest.approx(3.0 / 8.0, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +526,30 @@ def test_sampled_min_respects_positivity_below_threshold():
             rep = choi_witness_value(p, t, d, scale, samples=60, seed=1)
             assert rep.sampled_min >= (1.0 - scale * d * lam) - 1e-6
             assert rep.sampled_min >= -1e-6 or scale > rep.threshold
+
+
+def test_choi_samples_build_one_seed_child_at_a_time(monkeypatch):
+    # the same children as SeedSequence(seed).spawn(samples), without holding them all
+    p, t, d, scale, samples, seed = P4, AdmissibleTriple(1, 2, 1), 3, 0.5, 30, 0
+    iso = isometry(p, t)
+    rank = min(d, iso.basis_l.dim, iso.basis_m.dim)
+    spawned = math.inf
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        qu, _ = np.linalg.qr(rng.standard_normal((iso.basis_l.dim, rank)))
+        qv, _ = np.linalg.qr(rng.standard_normal((iso.basis_m.dim, rank)))
+        weights = rng.standard_normal(rank)
+        weights /= np.linalg.norm(weights)
+        x = ((qu * weights) @ qv.T).ravel()
+        spawned = min(spawned, channel_module._choi_qform(iso.legs, scale, x))
+
+    class Unspawnable(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError(f"spawned {n_children} children at once")
+
+    monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
+    rep = choi_witness_value(p, t, d, scale, samples=samples, seed=seed)
+    assert rep.sampled_min == spawned
 
 
 def test_choi_report_deterministic():

@@ -47,7 +47,7 @@ def test_theta_example(capsys):
     assert report["theta_trace"] == pytest.approx(56.0 / 3.0, rel=1e-7)
     assert report["rel_err"] < 1e-7
     assert report["config"]["n"] == 3
-    assert report["config"]["seed"] == 0
+    assert report["config"]["seed"] is None  # theta draws nothing, so it takes no --seed
 
 
 def test_dims_example(capsys):
@@ -227,9 +227,7 @@ def test_sweep_marks_rank_two_rows_skipped(capsys):
 
 @pytest.mark.parametrize("command", ["channel", "moe"])
 def test_rank_two_channel_commands_exit_4(capsys, command):
-    code, out, err = run_cli(
-        capsys, command, "--n", "2", "--k", "2", "--l", "1", "--m", "1", "--samples", "4"
-    )
+    code, out, err = run_cli(capsys, command, "--n", "2", "--k", "2", "--l", "1", "--m", "1")
     assert code == 4
     assert out == ""
     assert "rank >= 3" in err
@@ -341,8 +339,8 @@ BAD_FLAGS = [
     ("--n-max", ["sweep", "--n-min", "4", "--n-max", "3"]),
     ("--max-l", ["sweep", "--max-l", "0"]),
     ("--scale", [*CHOI, "--d", "1", "--scale", "inf"]),
-    ("--seed", ["theta", *TRIPLE, "--seed", "abc"]),
-    ("--seed", ["theta", *TRIPLE, "--seed", "-1"]),
+    ("--seed", ["max-schmidt", *TRIPLE, "--seed", "abc"]),
+    ("--seed", ["max-schmidt", *TRIPLE, "--seed", "-1"]),
     ("--format", ["theta", *TRIPLE, "--format", "xml"]),
     ("--direction", ["channel", *TRIPLE, "--direction", "up"]),
 ]
@@ -350,6 +348,50 @@ BAD_FLAGS = [
 
 @pytest.mark.parametrize("flag, argv", BAD_FLAGS, ids=["_".join(argv) for _, argv in BAD_FLAGS])
 def test_exit_4_on_bad_flags(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert flag in err
+
+
+# the seven flags every command used to take, with a value each parses back to
+FORMERLY_COMMON = {
+    "--seed": "1", "--restarts": "2", "--tol": "0.5", "--max-dim": "99",
+    "--samples": "3", "--format": "csv", "--log-base": "2",
+}
+OPTIMIZER = {"--seed", "--restarts", "--tol"}
+# which of them each command's runner reads; --format is taken by all
+TAKES = {
+    "dims": set(),
+    "theta": {"--max-dim"},
+    "jw-verify": {"--max-dim"},
+    "isometry": {"--max-dim"},
+    "schmidt": {"--max-dim", "--log-base"},
+    "max-schmidt": {"--max-dim", *OPTIMIZER},
+    "saturation": {"--max-dim"},
+    "channel": {"--max-dim", *OPTIMIZER},
+    "moe": {"--max-dim", *OPTIMIZER, "--samples", "--log-base"},
+    "choi": {"--max-dim", "--seed", "--samples"},
+    "sweep": {"--max-dim", *OPTIMIZER, "--samples", "--log-base"},
+}
+REQUIRED = {
+    "dims": ["--n", "3", "--max-k", "2"],
+    "jw-verify": ["--n", "3", "--k", "2"],
+    "choi": [*CHOI[1:], "--d", "1", "--scale", "1.0"],
+    "sweep": [],
+}
+
+
+@pytest.mark.parametrize("flag", FORMERLY_COMMON)
+@pytest.mark.parametrize("command", TAKES)
+def test_command_takes_only_the_flags_it_reads(capsys, command, flag):
+    argv = [command, *REQUIRED.get(command, TRIPLE), flag, FORMERLY_COMMON[flag]]
+    if flag in TAKES[command] | {"--format"}:
+        args = cli.build_parser().parse_args(argv)
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == FORMERLY_COMMON[flag]
+        return
+    with pytest.raises(cli._UsageError, match="unrecognized arguments"):
+        cli.build_parser().parse_args(argv)
     code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""

@@ -229,8 +229,9 @@ def test_pipeline_never_builds_dense_objects(capsys, monkeypatch):
     choi_witness_value(p4, square, 2, 1.0, samples=3)
     choi_witness_value(p3, bell, 2, 1.0, samples=3)
     triple = ["--n", "4", "--k", "2", "--l", "2", "--m", "2"]
-    for argv in (["schmidt"], ["saturation"], ["choi", "--d", "2", "--scale", "1.5"]):
-        assert cli.main(argv + triple + ["--samples", "3"]) == 0
+    choi = ["choi", "--d", "2", "--scale", "1.5", "--samples", "3"]
+    for argv in (["schmidt"], ["saturation"], choi):
+        assert cli.main(argv + triple) == 0
     capsys.readouterr()
     assert not jwmod._jw_cache
     assert vxmod._iso_cache
