@@ -339,6 +339,9 @@ BAD_FLAGS = [
     ("--n-max", ["sweep", "--n-min", "4", "--n-max", "3"]),
     ("--max-l", ["sweep", "--max-l", "0"]),
     ("--scale", [*CHOI, "--d", "1", "--scale", "inf"]),
+    # theta takes no --seed, so it refuses the flag whatever its value
+    ("--seed", ["theta", *TRIPLE, "--seed", "abc"]),
+    ("--seed", ["theta", *TRIPLE, "--seed", "-1"]),
     ("--seed", ["max-schmidt", *TRIPLE, "--seed", "abc"]),
     ("--seed", ["max-schmidt", *TRIPLE, "--seed", "-1"]),
     ("--format", ["theta", *TRIPLE, "--format", "xml"]),
