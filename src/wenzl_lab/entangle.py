@@ -13,9 +13,10 @@ the l|m cut are singular values of d_l x d_m matrices.  The optimizer
 that attains the supremum is a power iteration on the 3-tensor alpha
 that applies alpha and alpha^* through their factors B_k, B_l, B_m and
 the cup, never through the dense d_l d_m x [k+1]_q `legs`.  alpha(H_k)
-is one summand of H_l (x) H_m = (+)_r H_{l+m-2r}, so near highest
-weight, where it fills almost all of H_l (x) H_m, the iteration instead
-projects onto it as 1 - C C^T over the other summands.  Witness words
+is one summand of H_l (x) H_m = (+)_r H_{l+m-2r}, so at highest weight,
+where it fills almost all of H_l (x) H_m, the optimizer instead takes
+exact block steps in eta and zeta on 1 - ||C^T (eta (x) zeta)||^2, C the
+other summands.  Witness words
 enter as rows of the irrep bases at their flat indices, and every
 result vector is returned in irrep-basis coordinates.
 """
@@ -59,21 +60,24 @@ PLATEAU_RTOL = 1e-8
 PLATEAU_GAP = 1e-10
 WITNESS_FIX_TOL = 1e-9
 SIDE_AGREEMENT_TOL = 1e-9
+_SPECTRA_CHUNK = 1024  # columns per image stack in `_image_spectra`
 
 
 def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
     """Squared singular values, ascending, of alpha(x) for each column x of cols.
 
     They are the eigenvalues of each image's Gram on the smaller side,
-    M M^T or M^T M, which one eigvalsh over the stack reads more cheaply
-    than an SVD; rounding can leave the ones that vanish slightly
-    negative.  The images and the eigvalsh run on one BLAS thread.
+    M M^T or M^T M, read by eigvalsh (cheaper than an SVD) on one BLAS
+    thread, _SPECTRA_CHUNK columns at a time so memory does not grow with
+    the column count; rounding can leave vanishing ones slightly negative.
     """
+    spectra = []
     with _one_blas_thread():
-        stack = iso.images(cols)
-        if stack.shape[1] > stack.shape[2]:
-            stack = stack.transpose(0, 2, 1)
-        return np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))
+        for start in range(0, cols.shape[1], _SPECTRA_CHUNK):
+            stack = iso.images(cols[:, start : start + _SPECTRA_CHUNK])
+            small = stack if stack.shape[1] <= stack.shape[2] else stack.transpose(0, 2, 1)
+            spectra.append(np.linalg.eigvalsh(small @ small.transpose(0, 2, 1)))
+    return np.concatenate(spectra)
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
@@ -206,9 +210,10 @@ def _unit_rows(
 ) -> np.ndarray:
     """Divide each row by its norm (given, or computed here) in place.
 
-    Row j of norm below 1e-300 is first redrawn from rngs[live[j]], the
-    generator of the restart it belongs to.  The norms are the bare ufunc
-    form of `np.linalg.norm(rows, axis=1)`, bit for bit, without its wrapper.
+    Row j of norm below 1e-300 (a vanishing contraction or projection)
+    is first redrawn from rngs[live[j]], the generator of its restart.
+    The norms are the bare ufunc form of `np.linalg.norm(rows, axis=1)`,
+    bit for bit, without its wrapper.
     """
     if norms is None:
         norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
@@ -242,21 +247,39 @@ def _alpha_sweep(ops, xi: np.ndarray, cz: np.ndarray, unit):
     return eta, zeta, (left @ cz).reshape(rows, -1) @ sbk, cz
 
 
-def _complement_sweep(ops, img: np.ndarray, zeta: np.ndarray, unit):
-    """One sweep through the complement, for rows of unit img = alpha(xi) in leg coordinates.
+def _alpha_step(ops, state, unit):
+    """`_alpha_sweep` on state (xi, G zeta): eta, zeta, the objective ||xi||, (unit xi, G zeta)."""
+    eta, zeta, xi, cz = _alpha_sweep(ops, *state, unit)
+    obj = np.sqrt(np.add.reduce(xi * xi, axis=1))
+    return eta, zeta, obj, (unit(xi, obj), cz)
 
-    ops = (C, C^T, d_l), C^T as a C-contiguous copy so the product with
-    it reads rows.  eta <- M zeta and zeta <- M^T eta with M = img as a
-    d_l x d_m matrix, then img <- (1 - C C^T)(eta (x) zeta).  Returns
-    eta, zeta, that img unnormalized, and zeta.
+
+def _block_minimizer(a: np.ndarray, cur: np.ndarray, unit) -> np.ndarray:
+    """Unit x minimizing ||a_j^T x|| for each d x c matrix a_j of the stack a:
+    row j of cur projected onto null(a_j^T) through a_j's thin QR if d > c
+    (the minimum is then 0), else the bottom eigenvector of a_j a_j^T."""
+    if a.shape[1] > a.shape[2]:
+        q = np.linalg.qr(a)[0]
+        return unit(cur - ((cur[:, None, :] @ q) @ q.transpose(0, 2, 1))[:, 0])
+    return np.linalg.eigh(a @ a.transpose(0, 2, 1))[1][:, :, 0]
+
+
+def _complement_sweep(ops, state, unit):
+    """One exact block sweep through the complement C, for rows of state (eta, zeta).
+
+    ops = (C as d_l x d_m x c, C as d_m x d_l x c), both C-contiguous.
+    With A_zeta, A_eta C contracted with zeta or eta, eta and then zeta
+    minimize ||C^T(eta (x) zeta)|| = ||A_zeta^T eta|| = ||A_eta^T zeta||
+    (`_block_minimizer`).  Returns eta, zeta, the objective
+    (1 - ||A_eta^T zeta||^2)^{1/2} and the new state.
     """
-    comp, comp_t, dl = ops
-    mats = img.reshape(img.shape[0], dl, -1)
-    eta = unit((mats @ zeta[:, :, None])[:, :, 0])
-    zeta = unit((eta[:, None, :] @ mats)[:, 0, :])
-    outer = (eta[:, :, None] * zeta[:, None, :]).reshape(img.shape[0], -1)
-    outer -= (outer @ comp) @ comp_t
-    return eta, zeta, outer, zeta
+    cube_l, cube_m = ops
+    eta = _block_minimizer(np.tensordot(state[1], cube_m, 1), state[0], unit)
+    a_eta = np.tensordot(eta, cube_l, 1)
+    zeta = _block_minimizer(a_eta, state[1], unit)
+    res = (zeta[:, None, :] @ a_eta)[:, 0]
+    obj = np.sqrt(np.maximum(1.0 - np.add.reduce(res * res, axis=1), 0.0))
+    return eta, zeta, obj, (eta, zeta)
 
 
 def _complement_legs(iso: EquivariantIsometry, max_dim: int) -> np.ndarray | None:
@@ -297,28 +320,26 @@ def max_schmidt_optimizer(
     max_iters: int = 1000,
     max_dim: int = DEFAULT_DIM_CAP,
 ) -> MaxSchmidtResult:
-    """Alternating power iteration for sup lambda_1^{1/2} = sup |<alpha(xi)|eta (x) zeta>|.
+    """Alternating maximization of sup lambda_1^{1/2} = sup |<alpha(xi)|eta (x) zeta>|.
 
     This is ALS for the best rank-one approximation of the 3-tensor
-    alpha.  Each sweep replaces eta by the normalized alpha(xi) zeta, zeta
-    by the normalized alpha(xi)^T eta, and xi by the normalized
+    alpha; eta and zeta are coordinates in B_l, B_m, so they stay exactly
+    inside H_l, H_m.  Where `legs` is the narrower side of the fusion
+    rule (every r >= 1 triple), a sweep is a power step through alpha's
+    factors B_k, B_l, B_m and the cup (`_alpha_sweep`): eta, zeta and xi
+    become the normalized alpha(xi) zeta, alpha(xi)^T eta and
     alpha^*(eta (x) zeta), whose norm, the objective, is monotone per
-    restart.  eta and zeta are coordinates in B_l, B_m, so they stay
-    exactly inside H_l, H_m.  Where `legs` is the narrower of the two
-    sides of the fusion rule (every r >= 1 triple), alpha is applied
-    through its factors B_k, B_l, B_m and the cup (`_alpha_sweep`), and
-    no d_l d_m x [k+1]_q product is formed.  Otherwise alpha(xi) is
-    carried as its leg matrix and projected as (1 - C C^T)(eta (x) zeta),
-    with C the leg coordinates of every other summand alpha_{k'}(H_{k'})
-    of H_l (x) H_m (C must be orthonormal with d_l d_m - [k+1]_q columns).
+    restart.  Otherwise (every r = 0 triple) xi is eliminated, and a sweep
+    sets eta, then zeta, to the exact maximizer of
+    1 - ||C^T (eta (x) zeta)||^2 with the other fixed (`_complement_sweep`),
+    C the leg coordinates of every other summand alpha_{k'}(H_{k'}) of
+    H_l (x) H_m, which must be orthonormal with d_l d_m - [k+1]_q columns.
 
-    Every restart draws its Gaussian start from its own generator of a
-    split seed, and all restarts advance together as matrix-matrix
-    products over the restarts still running.  A contraction of norm
-    below 1e-300 is redrawn from its restart's generator: eta or zeta,
-    and xi, a [k+1]_q-vector, on the alpha side or alpha(xi), a
-    d_l d_m-vector, on the complement side.  A restart leaves the batch
-    at the first sweep whose objective moved by at most
+    Every restart draws its Gaussian start (xi, eta, zeta) from its own
+    generator of a split seed, and all restarts advance together as
+    matrix-matrix products over the restarts still running; a vanishing
+    contraction or projection is redrawn (`_unit_rows`).  A restart leaves
+    the batch at the first sweep whose objective moved by at most
     tol * max(1, objective); one that never does reports its last value.
     The best value wins, ties broken by lowest restart index.  The
     winner's xi and the reported value come from one direct product
@@ -339,16 +360,17 @@ def max_schmidt_optimizer(
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
         sizes = (legs.shape[1], bl.shape[0], bm.shape[0])
         draws = [[rng.standard_normal(size) for size in sizes] for rng in rngs]
-        xi, _, zeta = (_unit_rows(np.array(vecs), rngs, range(restarts)) for vecs in zip(*draws))
+        xi, eta, zeta = (_unit_rows(np.array(vecs), rngs, range(restarts)) for vecs in zip(*draws))
         zeta = zeta @ bm
         if comp is None:
             cup = _cup_gather(p.n, t, bm)
-            step, ops = _alpha_sweep, (iso.scale * iso.basis.columns, bl, cup)
-            state = xi
-            carry = (zeta @ cup.reshape(-1, cup.shape[2]).T).reshape(restarts, *cup.shape[:2])
+            step, ops = _alpha_step, (iso.scale * iso.basis.columns, bl, cup)
+            cz = zeta @ cup.reshape(-1, cup.shape[2]).T
+            state = (xi, cz.reshape(restarts, *cup.shape[:2]))
         else:
-            step, ops = _complement_sweep, (comp, np.ascontiguousarray(comp.T), bl.shape[1])
-            state, carry = xi @ legs.T, zeta
+            cube = comp.reshape(bl.shape[1], bm.shape[1], -1)
+            ops = (cube, np.ascontiguousarray(cube.swapaxes(0, 1)))
+            step, state = _complement_sweep, (eta @ bl, zeta)
         value = np.full(restarts, -1.0)  # each restart's last objective
         sweeps = np.full(restarts, max_iters)
         converged = np.zeros(restarts, dtype=bool)
@@ -357,12 +379,11 @@ def max_schmidt_optimizer(
         live = np.arange(restarts)  # restart index of each row still iterating
         prev = np.full(restarts, -1.0)
 
-        def unit(rows):  # reads `live` at call time, so one closure serves every sweep
-            return _unit_rows(rows, rngs, live)
+        def unit(rows, norms=None):  # reads `live` at call time, so one closure serves every sweep
+            return _unit_rows(rows, rngs, live, norms)
 
         for sweep in range(1, max_iters + 1):
-            eta, zeta, state, carry = step(ops, state, carry, unit)
-            obj = np.sqrt(np.add.reduce(state * state, axis=1))
+            eta, zeta, obj, state = step(ops, state, unit)
             done = np.abs(obj - prev) <= tol * np.maximum(1.0, obj)
             if done.any() or sweep == max_iters:
                 leave = done | (sweep == max_iters)
@@ -372,9 +393,8 @@ def max_schmidt_optimizer(
                 if leave.all():
                     break
                 keep = ~leave
-                live, obj, state, carry = live[keep], obj[keep], state[keep], carry[keep]
+                live, obj, state = live[keep], obj[keep], tuple(part[keep] for part in state)
             prev = obj
-            state = _unit_rows(state, rngs, live, obj)
         win = int(np.argmax(value))
         eta, zeta = last_eta[win], last_zeta[win]
         raw = np.kron(eta, zeta) @ legs
