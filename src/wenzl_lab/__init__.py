@@ -52,12 +52,10 @@ from .qnum import (
     dim_irrep,
     lambda_log,
     log_dim,
-    q_factorial_log,
     q_int,
     quantum_parameter,
     rd_bound,
     rd_constant,
-    theta_net,
     theta_net_log,
 )
 from .vertex import (

@@ -140,8 +140,7 @@ def _run_jw_verify(args: argparse.Namespace) -> dict:
 
 def _run_isometry(args: argparse.Namespace) -> dict:
     iso = isometry(args.p, args.t, max_dim=args.max_dim)
-    reduced = iso.reduced
-    gram = reduced.T @ reduced
+    gram = iso.legs.T @ iso.legs  # B_l (x) B_m has orthonormal columns: no lift needed
     return {
         "triple": asdict(args.t),
         "scale": iso.scale,

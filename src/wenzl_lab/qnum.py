@@ -7,8 +7,8 @@ q + 1/q = N.  Quantum integers
 
 drive every dimension and normalization in the package: the irreducible
 H_k has dimension [k+1]_q, and the theta-net evaluation of a trivalent
-vertex is a ratio of quantum factorials.  All heavy quantities are kept
-in log space so that ranks far beyond machine range stay usable.
+vertex is a ratio of q-integer products.  Their logs are taken in one
+place, `_log_qratio`, so that ranks far beyond float range stay usable.
 
 Conventions: [0]_q = 0, [1]_q = 1, and at N = 2 (q = 1) the quantum
 integers degenerate to ordinary ones, [n]_1 = n.
@@ -26,10 +26,8 @@ __all__ = [
     "AdmissibleTriple",
     "quantum_parameter",
     "q_int",
-    "q_factorial_log",
     "dim_irrep",
     "log_dim",
-    "theta_net",
     "theta_net_log",
     "lambda_log",
     "rd_constant",
@@ -46,13 +44,21 @@ class QParams:
     q: float
 
 
-def _log_qint(p: QParams, m: int) -> float:
-    """log [m]_q for m >= 1, evaluated stably (no overflow)."""
+def _log_qratio(p: QParams, over: list[int], under: list[int]) -> float:
+    """log(prod_{s in over} [s]_q / prod_{s in under} [s]_q) for labels s >= 1.
+
+    [s]_q = q^{-(s-1)} (1 - q^{2s}) / (1 - q^2): the q-powers sum to one exact
+    integer, and math.fsum adds the log1p terms exactly, in any label order."""
     if p.n == 2:
-        return math.log(m)
-    # [m]_q = q^{-(m-1)} (1 - q^{2m}) / (1 - q^2)
+        return math.fsum([*map(math.log, over), *(-math.log(s) for s in under)])
     q = p.q
-    return -(m - 1) * math.log(q) + math.log1p(-q ** (2 * m)) - math.log1p(-q * q)
+    power = sum(over) - len(over) - sum(under) + len(under)
+    return math.fsum([
+        -power * math.log(q),
+        (len(under) - len(over)) * math.log1p(-q * q),
+        *(math.log1p(-q ** (2 * s)) for s in over),
+        *(-math.log1p(-q ** (2 * s)) for s in under),
+    ])
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,12 @@ def q_int(p: QParams, m: int) -> float:
     """Quantum integer [m]_q for m >= 0.
 
     Raises OverflowError once [m]_q exceeds float range; use
-    q_factorial_log for log-space work at such sizes.
+    log_dim(p, m - 1) = log [m]_q for log-space work at such sizes.
     """
     m = _check_int("m", m, 0)
     if m < 2 or p.n == 2:
         return float(m)
-    lg = _log_qint(p, m)
+    lg = _log_qratio(p, [m], [])
     if lg >= 709.0:
         raise OverflowError(f"[{m}]_q overflows float range at n={p.n}")
     if lg >= 36.0:
@@ -121,14 +127,6 @@ def q_int(p: QParams, m: int) -> float:
     return float(cur)
 
 
-def q_factorial_log(p: QParams, m: int) -> float:
-    """log of the quantum factorial [m]_q! = prod_{s=1..m} [s]_q, with [0]! = 1."""
-    total = 0.0  # left to right in s, not `sum`, which compensates on Python >= 3.12
-    for s in range(2, _check_int("m", m, 0) + 1):
-        total += _log_qint(p, s)
-    return total
-
-
 def dim_irrep(p: QParams, k: int) -> float:
     """Dimension [k+1]_q of the k-th irreducible H_k."""
     return q_int(p, _check_int("k", k, 0) + 1)
@@ -136,41 +134,28 @@ def dim_irrep(p: QParams, k: int) -> float:
 
 def log_dim(p: QParams, k: int) -> float:
     """log [k+1]_q = log dim H_k; finite far beyond the float range of [k+1]_q."""
-    return q_factorial_log(p, k + 1) - q_factorial_log(p, k)
+    return _log_qratio(p, [_check_int("k", k, 0) + 1], [])
+
+
+def _theta_factors(t: AdmissibleTriple) -> tuple[list[int], list[int]]:
+    """theta(k, l, m) = [r]! [l-r]! [m-r]! [k+r+1]! / ([l]! [m]! [k]!), telescoped
+    to 2r+1 q-integers over 2r: [k+1..k+r+1] [1..r] / ([l-r+1..l] [m-r+1..m])."""
+    k, l, m, r = t.k, t.l, t.m, t.r
+    over = [*range(k + 1, k + r + 2), *range(1, r + 1)]
+    return over, [*range(l - r + 1, l + 1), *range(m - r + 1, m + 1)]
 
 
 def theta_net_log(p: QParams, t: AdmissibleTriple) -> float:
-    """log theta(k, l, m); always finite for admissible input."""
-    k, l, m, r = t.k, t.l, t.m, t.r
-    qfl = q_factorial_log
-    return (
-        qfl(p, r)
-        + qfl(p, l - r)
-        + qfl(p, m - r)
-        + qfl(p, k + r + 1)
-        - qfl(p, l)
-        - qfl(p, m)
-        - qfl(p, k)
-    )
-
-
-def theta_net(p: QParams, t: AdmissibleTriple) -> float:
-    """Theta-net value of the trivalent vertex (k, l, m).
-
-    theta = [r]! [l-r]! [m-r]! [k+r+1]! / ([l]! [m]! [k]!), evaluated in
-    log space.  Equals the squared ambient Frobenius norm of the vertex
-    map, which vertex.isometry recomputes independently as a trace.
-    """
-    lg = theta_net_log(p, t)
-    if lg > 709.0:
-        raise OverflowError(f"theta{(t.k, t.l, t.m)} overflows float range at n={p.n}")
-    return math.exp(lg)
+    """log theta(k, l, m), the squared ambient Frobenius norm of the vertex map,
+    which vertex.isometry recomputes independently as a trace; always finite."""
+    return _log_qratio(p, *_theta_factors(t))
 
 
 def lambda_log(p: QParams, t: AdmissibleTriple) -> float:
     """log([k+1]_q / theta(k, l, m)), the log of the top squared Schmidt
-    coefficient of alpha(H_k) and of the channel norm S1 -> Sinf."""
-    return log_dim(p, t.k) - theta_net_log(p, t)
+    coefficient of alpha(H_k) and of the channel norm S1 -> Sinf; exactly 0.0 at r = 0."""
+    over, under = _theta_factors(t)
+    return _log_qratio(p, [t.k + 1, *under], over)
 
 
 def rd_constant(p: QParams) -> float:

@@ -17,6 +17,7 @@ import pytest
 
 from wenzl_lab import cli
 from wenzl_lab.errors import InvariantViolation
+from wenzl_lab.vertex import EquivariantIsometry
 
 
 # the package re-exports the function `channel`, which shadows the submodule
@@ -76,6 +77,16 @@ def test_jw_verify_report(capsys):
 def test_isometry_report(capsys):
     report = run_json(capsys, "isometry", "--n", "3", "--k", "2", "--l", "1", "--m", "1")
     assert report["scale"] == pytest.approx(1.0, rel=1e-9)
+    assert report["orthonormality_residual"] <= 1e-9
+
+
+def test_isometry_report_never_lifts_to_the_ambient_space(capsys, monkeypatch):
+    # the Gram is formed from `legs`; criterion 3 checks the lift itself
+    def refuse(self, x):
+        raise AssertionError("the isometry report lifted alpha")
+
+    monkeypatch.setattr(EquivariantIsometry, "lift", refuse)
+    report = run_json(capsys, "isometry", "--n", "4", "--k", "2", "--l", "2", "--m", "2")
     assert report["orthonormality_residual"] <= 1e-9
 
 

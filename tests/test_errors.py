@@ -18,7 +18,7 @@ from wenzl_lab.qnum import (
     AdmissibleTriple,
     admissible_triples,
     dim_irrep,
-    q_factorial_log,
+    log_dim,
     q_int,
     quantum_parameter,
 )
@@ -84,7 +84,7 @@ BAD_LEVELS = [
     ("jw_projection", lambda: jw_projection(P3, 2.0)),
     ("q_int", lambda: q_int(P3, 2.5)),
     ("dim_irrep", lambda: dim_irrep(P3, 1.5)),
-    ("q_factorial_log", lambda: q_factorial_log(P3, 2.5)),
+    ("log_dim", lambda: log_dim(P3, 2.5)),
     ("onb_of_irrep-bool", lambda: onb_of_irrep(P3, True)),
     ("jw_projection-bool", lambda: jw_projection(P3, True)),
     ("q_int-bool", lambda: q_int(P3, True)),
@@ -100,8 +100,8 @@ def test_non_integer_levels_raise_value_error(call):
 def test_numpy_integer_levels_and_counts_work():
     two = np.int64(2)
     assert q_int(P3, two) == q_int(P3, 2) == 3.0
-    assert q_factorial_log(P3, np.int64(5)) == q_factorial_log(P3, 5)
     assert dim_irrep(P3, two) == 8.0
+    assert log_dim(P3, np.int64(5)) == log_dim(P3, 5)
     assert onb_of_irrep(P3, two) is onb_of_irrep(P3, 2)
     assert jw_projection(P3, two) is jw_projection(P3, 2)
     assert admissible_triples(np.int64(1), np.int64(1)) == admissible_triples(1, 1)

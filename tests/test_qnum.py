@@ -2,8 +2,8 @@
 
 Oracles are deliberately independent of the implementation: quantum
 integers via the exact integer three-term recursion, theta-nets via
-fractions.Fraction products of those integers, and the rapid-decay
-constant via a high-precision mpmath series.
+fractions.Fraction products of those integers, their logs by bit-length
+scaling, and the rapid-decay constant via a high-precision mpmath series.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import SWEEP_FULL
 
 from wenzl_lab.qnum import (
     AdmissibleTriple,
@@ -22,12 +23,10 @@ from wenzl_lab.qnum import (
     dim_irrep,
     lambda_log,
     log_dim,
-    q_factorial_log,
     q_int,
     quantum_parameter,
     rd_bound,
     rd_constant,
-    theta_net,
     theta_net_log,
 )
 
@@ -161,23 +160,7 @@ def test_q_int_overflow_is_loud():
     with pytest.raises(OverflowError):
         q_int(p, 900)
     # log-space access still works at that size
-    assert math.isfinite(q_factorial_log(p, 900))
-
-
-def test_q_factorial_log_frozen_values():
-    p3 = quantum_parameter(3)
-    assert q_factorial_log(p3, 0) == 0.0
-    assert q_factorial_log(p3, 3) == pytest.approx(math.log(24.0), rel=RTOL)
-    p4 = quantum_parameter(4)
-    assert q_factorial_log(p4, 2) == pytest.approx(math.log(4.0), rel=RTOL)
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(2, 9), m=st.integers(1, 50))
-def test_q_factorial_log_increments_by_log_qint(n, m):
-    p = quantum_parameter(n)
-    inc = q_factorial_log(p, m) - q_factorial_log(p, m - 1)
-    assert inc == pytest.approx(math.log(q_int(p, m)), rel=1e-11)
+    assert math.isfinite(log_dim(p, 899))
 
 
 def test_dim_irrep_frozen_values():
@@ -243,11 +226,13 @@ def test_admissible_triples_dimension_count(l, m):
 
 def test_theta_net_frozen_values():
     p3 = quantum_parameter(3)
-    assert theta_net(p3, AdmissibleTriple(2, 1, 1)) == pytest.approx(8.0, rel=1e-9)
-    assert theta_net(p3, AdmissibleTriple(1, 1, 2)) == pytest.approx(8.0, rel=1e-9)
-    assert theta_net(p3, AdmissibleTriple(2, 2, 2)) == pytest.approx(56.0 / 3.0, rel=1e-9)
+    assert math.exp(theta_net_log(p3, AdmissibleTriple(2, 1, 1))) == pytest.approx(8.0, rel=1e-9)
+    assert math.exp(theta_net_log(p3, AdmissibleTriple(1, 1, 2))) == pytest.approx(8.0, rel=1e-9)
+    assert math.exp(theta_net_log(p3, AdmissibleTriple(2, 2, 2))) == pytest.approx(
+        56.0 / 3.0, rel=1e-9
+    )
     p4 = quantum_parameter(4)
-    assert theta_net(p4, AdmissibleTriple(2, 2, 2)) == pytest.approx(52.5, rel=1e-9)
+    assert math.exp(theta_net_log(p4, AdmissibleTriple(2, 2, 2))) == pytest.approx(52.5, rel=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,7 +242,7 @@ def test_theta_net_matches_exact_rational_oracle(n, l, m, data):
     t = AdmissibleTriple(l + m - 2 * r, l, m)
     p = quantum_parameter(n)
     want = theta_exact(n, t.k, t.l, t.m)
-    assert theta_net(p, t) == pytest.approx(float(want), rel=1e-10)
+    assert math.exp(theta_net_log(p, t)) == pytest.approx(float(want), rel=1e-10)
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,16 +266,71 @@ def test_theta_net_symmetric_under_leg_permutations(n, l, m, data):
 @given(n=st.integers(2, 7), l=st.integers(0, 10), m=st.integers(0, 10))
 def test_theta_net_edge_cases(n, l, m):
     p = quantum_parameter(n)
-    assert theta_net(p, AdmissibleTriple(l, l, 0)) == pytest.approx(
+    assert math.exp(theta_net_log(p, AdmissibleTriple(l, l, 0))) == pytest.approx(
         dim_irrep(p, l), rel=1e-10
     )
-    assert theta_net(p, AdmissibleTriple(l + m, l, m)) == pytest.approx(
+    assert math.exp(theta_net_log(p, AdmissibleTriple(l + m, l, m))) == pytest.approx(
         dim_irrep(p, l + m), rel=1e-10
     )
     if l > 0:
-        assert theta_net(p, AdmissibleTriple(0, l, l)) == pytest.approx(
+        assert math.exp(theta_net_log(p, AdmissibleTriple(0, l, l))) == pytest.approx(
             dim_irrep(p, l), rel=1e-10
         )
+
+
+# ---------------------------------------------------------------------------
+# closed forms at large labels, against exact integers
+# ---------------------------------------------------------------------------
+
+# strided l, m <= 200, with the extreme and a middle r of each leg pair
+ORACLE_GRID = [
+    (l + m - 2 * r, l, m)
+    for l in range(0, 201, 20)
+    for m in range(3, 201, 23)
+    for r in range(min(l, m) + 1)
+    if r in (0, 1, min(l, m) // 2, min(l, m) - 1, min(l, m))
+]
+
+
+def log_of_ratio(num: int, den: int) -> float:
+    """log(num / den) for positive integers, without forming either log:
+    num / den = y 2^(e-60) with y an integer of about 60 bits."""
+    e = num.bit_length() - den.bit_length()
+    y = (num << (60 - e)) // den if e <= 60 else num // (den << (e - 60))
+    return math.log(y) + (e - 60) * math.log(2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_theta_and_lambda_logs_match_exact_integers_at_large_labels(n):
+    p = quantum_parameter(n)
+    fact = [1]  # fact[x] = [x]_q! as an exact integer
+    for s in range(1, 402):
+        fact.append(fact[-1] * qint_exact(n, s))
+    for k, l, m in ORACLE_GRID:
+        r = (l + m - k) // 2
+        num = fact[r] * fact[l - r] * fact[m - r] * fact[k + r + 1]
+        den = fact[l] * fact[m] * fact[k]
+        t = AdmissibleTriple(k, l, m)
+        for got, want in [
+            (theta_net_log(p, t), log_of_ratio(num, den)),
+            (lambda_log(p, t), log_of_ratio(qint_exact(n, k + 1) * den, num)),
+        ]:
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (t, got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10])
+def test_lambda_log_is_bitwise_symmetric_in_the_legs(n):
+    p = quantum_parameter(n)
+    for k, l, m in ORACLE_GRID:
+        assert lambda_log(p, AdmissibleTriple(k, l, m)) == lambda_log(
+            p, AdmissibleTriple(k, m, l)
+        ), (k, l, m)
+
+
+def test_lambda_log_is_exactly_zero_at_highest_weight():
+    # r = 0: theta = [k+1]_q, so lambda = 1 and the isometry's scale is 1.0
+    top = [(p, t) for p, t in SWEEP_FULL if t.r == 0]
+    assert top and all(lambda_log(p, t) == 0.0 for p, t in top)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from wenzl_lab.qnum import (
     admissible_triples,
     q_int,
     quantum_parameter,
-    theta_net,
+    theta_net_log,
 )
 from wenzl_lab.vertex import clear_caches, isometry
 
@@ -93,7 +93,7 @@ def test_theta_trace_matches_closed_form_sweep(n):
                 continue  # keep the unit sweep fast; acceptance covers the rest
             for t in admissible_triples(l, m):
                 got = theta_by_trace(three_vertex(p, t))
-                assert got == pytest.approx(theta_net(p, t), rel=THETA_RTOL), t
+                assert got == pytest.approx(math.exp(theta_net_log(p, t)), rel=THETA_RTOL), t
 
 
 def test_vertex_norm_bounded_by_qint():
@@ -129,7 +129,7 @@ def test_bell_isometry_is_normalized_cup():
 def test_highest_weight_isometry_has_unit_scale():
     p = quantum_parameter(3)
     iso = isometry(p, AdmissibleTriple(2, 1, 1))
-    assert iso.scale == pytest.approx(1.0, rel=1e-9)
+    assert iso.scale == 1.0  # lambda_log is exactly 0.0 at r = 0
     np.testing.assert_allclose(
         iso.reduced @ iso.basis.columns.T, jw_projection(p, 2), atol=1e-9
     )
