@@ -223,7 +223,7 @@ def moe_bracket(
     """
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     p, t = ch.params, ch.triple
-    lower = -lambda_log(p, t)
+    lower = 0.0 - lambda_log(p, t)  # 0.0, not -0.0, at r = 0
     coarse_lower = -math.log(rd_bound(p, t)[1])
     dim_k = ch.input_dim
 

@@ -82,11 +82,12 @@ def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
     """Entropy (natural log) of each spectrum along the last axis, normalized
-    to sum 1, with rounding's negative values read as 0 and 0 log 0 = 0."""
+    to sum 1, with rounding's negative values read as 0 and 0 log 0 = 0; a
+    pure state's is 0.0, not -0.0."""
     probs = np.clip(spectra, 0.0, None)
     probs /= probs.sum(axis=-1, keepdims=True)
     logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
-    return -(probs * logs).sum(axis=-1)
+    return 0.0 - (probs * logs).sum(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ than SPLIT_FLOPS flops, such as a small fusion level or leg vertex, is too
 small to split and runs on one thread; a larger one keeps the caller's
 count.  numpy's OpenBLAS applies the count process-wide, so a small build
 also holds other Python threads' BLAS work to one thread while it runs.
+When the package imports numpy first, OpenBLAS loads on one thread (see
+`wenzl_lab/__init__`), and `_start_pool` starts its pool at the first build
+of SPLIT_FLOPS or more, dense Wenzl levels included.
 
 Operators are plain float64 arrays in the standard product basis,
 row-major with the leftmost leg slowest; everything the calculus builds
@@ -98,20 +101,20 @@ class IrrepBasis:
 
 
 @functools.cache
-def _openblas_set_threads():
-    """numpy's bundled OpenBLAS `openblas_set_num_threads_local`, or None without it."""
+def _openblas(name: str):
+    """numpy's bundled OpenBLAS function `name`, as ctypes' int(int...), or None without it."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
-        fn = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        fn = getattr(ctypes.CDLL(path), name, None)
         if fn is not None:
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = ctypes.c_int
             return fn
     return None
 
 
+_openblas_set_threads = functools.partial(_openblas, "openblas_set_num_threads_local")
 _blas_lock = threading.Lock()
 _blas_scopes = [0, 0]  # open scopes, and the count the last one to close restores
+_pool_deferred = False  # set by `wenzl_lab/__init__` when OpenBLAS loaded on one thread
 
 
 @contextlib.contextmanager
@@ -141,8 +144,21 @@ def _one_blas_thread():
                 set_threads(_blas_scopes[1])
 
 
+def _start_pool(flops: float) -> None:
+    """Start the deferred pool once, for a build of SPLIT_FLOPS flops or more, at the
+    count OpenBLAS picks at load; if one-thread scopes are open, the last to close does."""
+    global _pool_deferred
+    with _blas_lock:
+        if _pool_deferred and flops >= SPLIT_FLOPS:
+            _pool_deferred = False
+            _blas_scopes[1] = _openblas("scipy_openblas_get_num_procs64_")()
+            if _blas_scopes[0] == 0:
+                _openblas_set_threads()(_blas_scopes[1])
+
+
 def _blas_threads_for(flops: float):
-    """One BLAS thread for a build of fewer than SPLIT_FLOPS flops, else the caller's count."""
+    """One BLAS thread below SPLIT_FLOPS flops; above, `_start_pool`, then the caller's count."""
+    _start_pool(flops)
     return _one_blas_thread() if flops < SPLIT_FLOPS else contextlib.nullcontext()
 
 
@@ -178,6 +194,7 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndar
         if level < 2:
             data = np.eye(p.n**level)
         else:
+            _start_pool(2 * p.n ** (3 * level - 2))  # the flops of its (XU)(XU)^T
             data = _wenzl_step(p, level, _jw_cache[(p.n, level - 1)])
         data.flags.writeable = False
         _jw_cache[(p.n, level)] = data
@@ -208,6 +225,7 @@ def verify_jw(p: QParams, k: int, data: np.ndarray) -> JwVerification:
     data = _check_real_array(f"p_{k}", data)
     if data.shape != (p.n**k, p.n**k):
         raise ValueError(f"p_{k} at N={p.n} is {p.n**k} x {p.n**k}, got shape {data.shape}")
+    _start_pool(2 * p.n ** (3 * k))
     idem = float(np.abs(data @ data - data).max())
     sym = float(np.abs(data - data.T).max())
     want_trace = dim_irrep(p, k)

@@ -178,10 +178,15 @@ def _assert_matches(got, want, path: str) -> None:
         assert got == want, f"{path}: {got!r} != {want!r}"
 
 
+# a signed zero token, such as a pure state's entropy printed as -0.0
+SIGNED_ZERO = re.compile(r"-0\.0(?!\d)")
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=[f"{c['argv'][0]}-n{c['argv'][2]}" for c in GOLDEN])
 def test_golden_command(capsys, case):
     code, out, _ = run_cli(capsys, *case["argv"])
     assert code == case["exit"]
+    assert SIGNED_ZERO.findall(out) == []
     if "csv" in case["argv"]:
         header, *rows = list(csv.reader(io.StringIO(out)))
         got = {"header": header, "rows": rows}
@@ -193,6 +198,19 @@ def test_golden_command(capsys, case):
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
+
+def test_sweep_prints_no_signed_zero(capsys):
+    """Its 12 highest-weight MOE floors and 3 pure-output entropies print as 0.0."""
+    code, out, _ = run_cli(
+        capsys, "sweep", "--n-min", "3", "--n-max", "5", "--max-l", "2", "--max-m", "2",
+        "--seed", "0",
+    )
+    assert code == 0
+    assert SIGNED_ZERO.findall(out) == []
+    rows = json.loads(out)["rows"]
+    assert sum(row["moe_lower"] == 0.0 for row in rows) == 12
+    assert sum(row["moe_upper"] == 0.0 for row in rows) == 3
+
 
 def test_sweep_mass_column(capsys):
     report = run_json(
