@@ -121,7 +121,7 @@ def channel_apply(ch: EquivariantChannel, rho: np.ndarray) -> np.ndarray:
     out = np.einsum("jab,jac->bc", stack, stack)
     out = 0.5 * (out + out.T)
     drift = np.trace(out) - np.trace(arr)
-    if abs(drift) > OUTPUT_TRACE_TOL:
+    if not abs(drift) <= OUTPUT_TRACE_TOL:
         raise InvariantViolation(f"channel output trace drifted {drift:.3e} from the input's")
     return out
 
@@ -247,7 +247,7 @@ def moe_bracket(
         ("random-sample", sampled_entropy),
     ]
     argmin, upper = min(entries, key=lambda item: item[1])
-    if lower > upper + MOE_SLACK:
+    if not lower <= upper + MOE_SLACK:
         raise InvariantViolation(
             f"MOE floor {lower:.12e} exceeds sampled upper {upper:.12e} on {t}"
         )
@@ -369,7 +369,7 @@ def choi_witness_value(
         sampled_min = min(sampled_min, _choi_qform(iso.legs, scale, sample))
     if not all(map(math.isfinite, (witness_value, predicted, sampled_min))):
         raise ValueError(f"scale {scale} overflows the Choi form on {t}")
-    if scale <= threshold and sampled_min < -CHOI_SAMPLE_TOL:
+    if scale <= threshold and not sampled_min >= -CHOI_SAMPLE_TOL:
         raise InvariantViolation(
             f"random rank-{d} input drove <Cx|x> to {sampled_min:.3e} at scale "
             f"{scale} <= threshold {threshold}: d-positivity contradicted"

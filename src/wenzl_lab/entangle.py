@@ -10,15 +10,14 @@ whose top Schmidt values form a flat plateau of size
 Every step works on alpha's leg coordinates (`EquivariantIsometry.legs`),
 where H_l and H_m are R^{d_l} and R^{d_m} and Schmidt spectra across
 the l|m cut are singular values of d_l x d_m matrices.  The optimizer
-that attains the supremum is a power iteration on the 3-tensor alpha
-that applies alpha and alpha^* through their factors B_k, B_l, B_m and
-the cup, never through the dense d_l d_m x [k+1]_q `legs`.  alpha(H_k)
-is one summand of H_l (x) H_m = (+)_r H_{l+m-2r}, so at highest weight,
-where it fills almost all of H_l (x) H_m, the optimizer instead takes
-exact block steps in eta and zeta on 1 - ||C^T (eta (x) zeta)||^2, C the
-other summands.  Witness words
-enter as rows of the irrep bases at their flat indices, and every
-result vector is returned in irrep-basis coordinates.
+that attains the supremum runs all restarts through one loop (`_ascend`)
+with one step per side of H_l (x) H_m = (+)_r H_{l+m-2r}: a power step
+on the 3-tensor alpha through its factors B_k, B_l, B_m and the cup,
+never through the dense d_l d_m x [k+1]_q `legs`, or, at highest
+weight, where alpha(H_k) fills almost all of H_l (x) H_m, exact block
+steps in eta and zeta on 1 - ||C^T (eta (x) zeta)||^2, C the other
+summands.  Witness words enter as rows of the irrep bases at their flat
+indices, and every result vector is returned in irrep-basis coordinates.
 """
 
 from __future__ import annotations
@@ -227,17 +226,18 @@ def _unit_rows(
     return rows
 
 
-def _alpha_sweep(ops, xi: np.ndarray, cz: np.ndarray, unit):
-    """One sweep through alpha's factors, for rows of unit xi and cz = G zeta.
+def _alpha_step(ops, state, unit):
+    """One sweep through alpha's factors, for rows of state (unit xi, cz = G zeta).
 
     ops = (s B_k, B_l, G) with G the cup gather of B_m
     (`vertex._cup_gather`, N^r x N^{m-r} x d_m).  With
     g = (s B_k xi)_{N^{l-r} x N^{m-r}}, the leg matrix alpha(xi) is never
     formed: eta <- B_l^T vec(g cz^T), zeta <- G^T vec((B_l eta)^T g), and
     xi <- alpha^*(eta (x) zeta) = s B_k^T vec((B_l eta) (G zeta)).
-    Returns eta, zeta, that xi unnormalized, and the new G zeta.
+    Returns eta, zeta, the objective ||xi|| and the new state (unit xi, G zeta).
     """
     sbk, bl, cup = ops
+    xi, cz = state
     rows, (i, b, dm) = xi.shape[0], cup.shape
     gather = cup.reshape(i * b, dm)
     g = (xi @ sbk.T).reshape(rows, -1, b)
@@ -245,12 +245,7 @@ def _alpha_sweep(ops, xi: np.ndarray, cz: np.ndarray, unit):
     left = (eta @ bl.T).reshape(rows, -1, i)
     zeta = unit((left.transpose(0, 2, 1) @ g).reshape(rows, -1) @ gather)
     cz = (zeta @ gather.T).reshape(rows, i, b)
-    return eta, zeta, (left @ cz).reshape(rows, -1) @ sbk, cz
-
-
-def _alpha_step(ops, state, unit):
-    """`_alpha_sweep` on state (xi, G zeta): eta, zeta, the objective ||xi||, (unit xi, G zeta)."""
-    eta, zeta, xi, cz = _alpha_sweep(ops, *state, unit)
+    xi = (left @ cz).reshape(rows, -1) @ sbk
     obj = np.sqrt(np.add.reduce(xi * xi, axis=1))
     return eta, zeta, obj, (unit(xi, obj), cz)
 
@@ -312,6 +307,37 @@ def _complement_legs(iso: EquivariantIsometry, max_dim: int) -> np.ndarray | Non
     return comp
 
 
+def _ascend(step, ops, state, rngs, tol, max_iters):
+    """Ascend every restart at once; return one record per restart, in order:
+    (objective, sweeps, converged, copies of eta and zeta) as it stopped.
+
+    Each sweep, step(ops, state, unit) advances the rows of state, row j
+    for restart live[j], as matrix-matrix products; `unit` normalizes rows
+    and redraws a vanishing one from its restart's generator (`_unit_rows`).
+    A restart leaves at the first sweep whose objective moved by at most
+    tol * max(1, objective), or at max_iters; the state shrinks only then.
+    """
+    records = [None] * len(rngs)
+    live = np.arange(len(rngs))  # restart index of each row still iterating
+    prev = np.full(len(rngs), -1.0)
+
+    def unit(rows, norms=None):  # reads `live` at call time, so one closure serves every sweep
+        return _unit_rows(rows, rngs, live, norms)
+
+    for sweep in range(1, max_iters + 1):
+        eta, zeta, obj, state = step(ops, state, unit)
+        done = np.abs(obj - prev) <= tol * np.maximum(1.0, obj)
+        if done.any() or sweep == max_iters:
+            leave = done | (sweep == max_iters)
+            for j in np.flatnonzero(leave):
+                records[live[j]] = (obj[j], sweep, done[j], eta[j].copy(), zeta[j].copy())
+            if leave.all():
+                return records
+            keep = ~leave
+            live, obj, state = live[keep], obj[keep], tuple(part[keep] for part in state)
+        prev = obj
+
+
 def max_schmidt_optimizer(
     p: QParams,
     t: AdmissibleTriple,
@@ -327,7 +353,7 @@ def max_schmidt_optimizer(
     alpha; eta and zeta are coordinates in B_l, B_m, so they stay exactly
     inside H_l, H_m.  Where `legs` is the narrower side of the fusion
     rule (every r >= 1 triple), a sweep is a power step through alpha's
-    factors B_k, B_l, B_m and the cup (`_alpha_sweep`): eta, zeta and xi
+    factors B_k, B_l, B_m and the cup (`_alpha_step`): eta, zeta and xi
     become the normalized alpha(xi) zeta, alpha(xi)^T eta and
     alpha^*(eta (x) zeta), whose norm, the objective, is monotone per
     restart.  Otherwise (every r = 0 triple) xi is eliminated, and a sweep
@@ -337,13 +363,9 @@ def max_schmidt_optimizer(
     H_l (x) H_m, which must be orthonormal with d_l d_m - [k+1]_q columns.
 
     Every restart draws its Gaussian start (xi, eta, zeta) from its own
-    generator of a split seed, and all restarts advance together as
-    matrix-matrix products over the restarts still running; a vanishing
-    contraction or projection is redrawn (`_unit_rows`).  A restart leaves
-    the batch at the first sweep whose objective moved by at most
-    tol * max(1, objective); one that never does reports its last value.
-    The best value wins, ties broken by lowest restart index.  The
-    winner's xi and the reported value come from one direct product
+    generator of a split seed, and all restarts ascend together (`_ascend`).
+    The best value wins, ties broken by lowest restart index.  The winner's
+    xi and the reported value come from one direct product
     with `legs`, which must agree with the iterated value to
     SIDE_AGREEMENT_TOL, else InvariantViolation.  Everything from the
     draws on runs on one BLAS thread; building alpha and C picks its
@@ -372,48 +394,25 @@ def max_schmidt_optimizer(
             cube = comp.reshape(bl.shape[1], bm.shape[1], -1)
             ops = (cube, np.ascontiguousarray(cube.swapaxes(0, 1)))
             step, state = _complement_sweep, (eta @ bl, zeta)
-        value = np.full(restarts, -1.0)  # each restart's last objective
-        sweeps = np.full(restarts, max_iters)
-        converged = np.zeros(restarts, dtype=bool)
-        last_eta = np.empty((restarts, bl.shape[1]))
-        last_zeta = np.empty((restarts, bm.shape[1]))
-        live = np.arange(restarts)  # restart index of each row still iterating
-        prev = np.full(restarts, -1.0)
-
-        def unit(rows, norms=None):  # reads `live` at call time, so one closure serves every sweep
-            return _unit_rows(rows, rngs, live, norms)
-
-        for sweep in range(1, max_iters + 1):
-            eta, zeta, obj, state = step(ops, state, unit)
-            done = np.abs(obj - prev) <= tol * np.maximum(1.0, obj)
-            if done.any() or sweep == max_iters:
-                leave = done | (sweep == max_iters)
-                out = live[leave]
-                value[out], sweeps[out], converged[out] = obj[leave], sweep, done[leave]
-                last_eta[out], last_zeta[out] = eta[leave], zeta[leave]
-                if leave.all():
-                    break
-                keep = ~leave
-                live, obj, state = live[keep], obj[keep], tuple(part[keep] for part in state)
-            prev = obj
+        records = _ascend(step, ops, state, rngs, tol, max_iters)
+        value, sweeps, converged, etas, zetas = zip(*records)
         win = int(np.argmax(value))
-        eta, zeta = last_eta[win], last_zeta[win]
-        raw = np.kron(eta, zeta) @ legs
+        raw = np.kron(etas[win], zetas[win]) @ legs
         direct = float(np.linalg.norm(raw))
-        if abs(direct - value[win]) > SIDE_AGREEMENT_TOL:
+        if not abs(direct - value[win]) <= SIDE_AGREEMENT_TOL:
             raise InvariantViolation(
                 f"optimizer at {t}: direct value {direct!r} != iterated value {float(value[win])!r}"
             )
     return MaxSchmidtResult(
         value=direct,
         xi=raw / direct,
-        eta=eta,
-        zeta=zeta,
+        eta=etas[win],
+        zeta=zetas[win],
         converged=bool(converged[win]),
-        sweeps=int(sweeps[win]),
-        restart_sweeps=tuple(int(s) for s in sweeps),
-        restart_converged=tuple(bool(c) for c in converged),
-        restart_values=tuple(float(v) for v in value),
+        sweeps=sweeps[win],
+        restart_sweeps=sweeps,
+        restart_converged=tuple(map(bool, converged)),
+        restart_values=tuple(map(float, value)),
     )
 
 
@@ -437,7 +436,7 @@ def _fixed_rows(basis: np.ndarray, n: int, words: list[list[int]]) -> np.ndarray
     letters = np.asarray(words, dtype=np.int64)
     rows = basis[(letters - 1) @ n ** np.arange(letters.shape[1] - 1, -1, -1)]
     off = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
-    if off.max() > WITNESS_FIX_TOL:
+    if not off.max() <= WITNESS_FIX_TOL:
         worst = int(np.argmax(off))
         raise InvariantViolation(
             f"witness word {words[worst]} is not fixed by its projection "

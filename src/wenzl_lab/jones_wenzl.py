@@ -273,7 +273,7 @@ def _fusion_step(p: QParams, k: int, up: np.ndarray, down: np.ndarray) -> np.nda
     gram = m.T @ m
     gram[np.diag_indices_from(gram)] -= q_int(p, k) / q_int(p, k - 1)
     want = round(dim_irrep(p, k))
-    if float(np.abs(gram).max()) > FUSION_GRAM_TOL or n * d_up - d_down != want:
+    if not float(np.abs(gram).max()) <= FUSION_GRAM_TOL or n * d_up - d_down != want:
         raise InvariantViolation(
             f"fusion step at (n={p.n}, k={k}): M^T M != [{k}]/[{k - 1}] I or not {want} columns"
         )

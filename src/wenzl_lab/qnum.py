@@ -184,7 +184,7 @@ def rd_bound(p: QParams, t: AdmissibleTriple) -> tuple[float, float]:
     exact = math.exp(lambda_log(p, t))
     c = rd_constant(p)
     coarse = c * c * p.q ** t.r
-    if exact > coarse * (1.0 + 1e-12):
+    if not exact <= coarse * (1.0 + 1e-12):
         raise InvariantViolation(  # pragma: no cover - mathematically impossible
             f"exact bound {exact} exceeds coarse bound {coarse} for {t}"
         )

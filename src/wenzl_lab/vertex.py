@@ -152,7 +152,7 @@ def isometry(
         raw = _leg_vertex(p.n, t, *(b.columns for b in bases))
         # B_l (x) B_m is an isometry on range(p_l (x) p_m), so this is Tr(A^* A)
         theta_trace = float(np.einsum("ij,ij->", raw, raw))
-        if abs(theta_trace - theta_closed) > THETA_AGREEMENT_RTOL * theta_closed:
+        if not abs(theta_trace - theta_closed) <= THETA_AGREEMENT_RTOL * theta_closed:
             raise InvariantViolation(
                 f"theta mismatch at {t}: closed form {theta_closed}, trace {theta_trace}"
             )

@@ -179,6 +179,15 @@ def test_channel_output_trace_drift_is_an_invariant_violation():
         channel_apply(dataclasses.replace(ch, iso=scaled), np.eye(3) / 3.0)
 
 
+def test_channel_output_trace_nan_is_an_invariant_violation():
+    ch = channel(P3, MIDDLE)
+    legs = ch.iso.legs.copy()
+    legs[0, 0] = np.nan
+    bad = dataclasses.replace(ch, iso=dataclasses.replace(ch.iso, legs=legs))
+    with pytest.raises(InvariantViolation, match="channel output trace"):
+        channel_apply(bad, np.eye(3) / 3.0)
+
+
 def test_channel_rejects_bad_direction():
     with pytest.raises(ValueError):
         channel(P3, BELL, "trace-both")
@@ -342,7 +351,7 @@ def test_moe_sampling_on_one_blas_thread(monkeypatch):
     ch = channel(P3, SQUARE)
     caller = blas_threads()
     sweeps, images, stacks = [], [], []
-    record_blas_threads(monkeypatch, entangle, "_alpha_sweep", sweeps)
+    record_blas_threads(monkeypatch, entangle, "_alpha_step", sweeps)
     record_blas_threads(
         monkeypatch, EquivariantIsometry, "images", images, lambda iso, x: x.ndim == 2
     )

@@ -3,6 +3,7 @@ and the saturation witness family and its highest-weight product vector."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import threading
@@ -414,6 +415,19 @@ def test_optimizer_rejects_broken_complement(monkeypatch, corrupt, message):
         max_schmidt_optimizer(p, t, restarts=4, seed=0)
 
 
+@pytest.mark.parametrize("k", [2, 4], ids=["alpha-side", "complement-side"])
+def test_optimizer_rejects_nan_legs(monkeypatch, k):
+    # neither side's sweep reads alpha's own `legs`, so only the direct
+    # value sees the NaN, and `err > tol` would let it through
+    p, t = quantum_parameter(3), AdmissibleTriple(k, 2, 2)
+    iso = isometry(p, t)
+    legs = iso.legs.copy()
+    legs[0, 0] = np.nan
+    monkeypatch.setitem(vertex._iso_cache, (3, k, 2, 2), dataclasses.replace(iso, legs=legs))
+    with pytest.raises(InvariantViolation, match="direct value"):
+        max_schmidt_optimizer(p, t, restarts=4, seed=0)
+
+
 def _break_complement(monkeypatch, corrupt):
     """Put a corrupted alpha_2 at N=3 (2, 2, 2) into the isometry cache,
     where the optimizer at (4, 2, 2) reads it as its complement C."""
@@ -475,8 +489,10 @@ ALPHA_SIDE = [(p, t) for p, t in SWEEP_SMALL if t.r >= 1]
 HIGHEST_WEIGHT = [(p, t) for p, t in SWEEP_SMALL if t.r == 0]  # the complement side
 
 
-def _normalized(rows):
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+def _normalized(rows, norms=None):
+    if norms is None:
+        norms = np.linalg.norm(rows, axis=1)
+    return rows / norms[:, None]
 
 
 @pytest.mark.parametrize(
@@ -499,8 +515,8 @@ def test_factored_sweep_matches_dense_legs_step(p, t):
     gather = cup.reshape(-1, dm)
     cz = (zeta @ gather.T).reshape(3, *cup.shape[:2])
     ops = (iso.scale * iso.basis.columns, iso.basis_l.columns, cup)
-    eta, zeta, xi, cz = entangle._alpha_sweep(ops, xi, cz, _normalized)
-    for got, want in ((eta, eta_want), (zeta, zeta_want), (xi, xi_want)):
+    eta, zeta, obj, (xi, cz) = entangle._alpha_step(ops, (xi, cz), _normalized)
+    for got, want in ((eta, eta_want), (zeta, zeta_want), (obj[:, None] * xi, xi_want)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(cz.reshape(3, -1), zeta @ gather.T, rtol=0, atol=1e-12)
 
@@ -587,26 +603,26 @@ def _crafted_degenerate_run(monkeypatch):
 
     B_1 is the identity there, so alpha^*(e_0 (x) e_1) = s <cup|e_0 (x) e_1>
     is exactly 0 and restart 0 must redraw xi.  Returns the result and
-    the norm of each sweep's xi in row 0.
+    each sweep's objective in row 0, the norm of its xi before the redraw.
     """
-    real = entangle._alpha_sweep
+    real = entangle._alpha_step
     crafted = iter(np.eye(3)[:2])
     xi_norms = []
 
-    def sweep(ops, xi, cz, unit):
-        def crafted_unit(rows):
-            rows = unit(rows)
+    def step(ops, state, unit):
+        def crafted_unit(rows, norms=None):
+            rows = unit(rows, norms)
             vec = next(crafted, None)
             if vec is not None:
                 rows[0] = vec
             return rows
 
-        eta, zeta, xi, cz = real(ops, xi, cz, crafted_unit)
-        xi_norms.append(float(np.linalg.norm(xi[0])))
-        return eta, zeta, xi, cz
+        eta, zeta, obj, state = real(ops, state, crafted_unit)
+        xi_norms.append(float(obj[0]))
+        return eta, zeta, obj, state
 
     with monkeypatch.context() as patch:
-        patch.setattr(entangle, "_alpha_sweep", sweep)
+        patch.setattr(entangle, "_alpha_step", step)
         res = max_schmidt_optimizer(
             quantum_parameter(3), AdmissibleTriple(0, 1, 1), restarts=4, seed=5
         )
@@ -623,6 +639,41 @@ def test_optimizer_redraws_degenerate_xi(monkeypatch):
     assert all(a.restart_converged)
     assert a.restart_values[0] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
     assert a.value == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
+
+
+def test_ascend_keeps_each_restart_with_its_record_and_generator():
+    # a scripted step that runs no alpha: restart 1 leaves at sweep 2 and
+    # restart 0 at sweep 4, restart 2 stops at max_iters.  At sweep 3
+    # restart 2 sits in row 1, and the step hands `unit` a zero row there,
+    # which must be redrawn from rngs[2], not from rngs[1]
+    objectives = {0: [1.0, 2.0, 7.0, 7.0], 1: [4.0, 4.0], 2: [1.0, 2.0, 3.0, 4.0, 9.0]}
+    sweeps, redrawn = [], []
+
+    def step(ops, state, unit):
+        (rows,) = state
+        sweeps.append(rows.tolist())
+        s = len(sweeps)
+        eta = np.array([[r + 1.0, s] for r in rows])
+        if s == 3:
+            eta[1] = 0.0
+        eta = unit(eta)
+        if s == 3:
+            redrawn.append(eta[1].copy())
+        zeta = unit(np.array([[s, r + 1.0, 1.0] for r in rows]))
+        return eta, zeta, np.array([objectives[r][s - 1] for r in rows]), state
+
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    records = entangle._ascend(step, None, (np.arange(3),), rngs, 1e-12, 5)
+    assert sweeps == [[0, 1, 2], [0, 1, 2], [0, 2], [0, 2], [2]]
+    want = np.random.default_rng(2).standard_normal(2)
+    np.testing.assert_allclose(redrawn[0], want / np.linalg.norm(want), rtol=0, atol=1e-15)
+    assert rngs[1].bit_generator.state == np.random.default_rng(1).bit_generator.state
+    assert len(records) == 3
+    for r, (obj, stop, converged) in enumerate([(7.0, 4, True), (4.0, 2, True), (9.0, 5, False)]):
+        got_obj, got_stop, got_converged, eta, zeta = records[r]
+        assert (got_obj, got_stop, bool(got_converged)) == (obj, stop, converged)
+        np.testing.assert_allclose(eta, _normalized(np.array([[r + 1.0, stop]]))[0], atol=1e-15)
+        np.testing.assert_allclose(zeta, _normalized(np.array([[stop, r + 1.0, 1.0]]))[0], atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -657,7 +708,7 @@ def test_optimizer_rejects_bad_settings(kwargs):
 
 @needs_blas_threads
 @pytest.mark.parametrize(
-    "k,l,m,sweep", [(2, 2, 2, "_alpha_sweep"), (4, 2, 2, "_complement_sweep")]
+    "k,l,m,sweep", [(2, 2, 2, "_alpha_step"), (4, 2, 2, "_complement_sweep")]
 )
 def test_optimizer_sweeps_on_one_blas_thread(monkeypatch, k, l, m, sweep):
     caller = blas_threads()
@@ -847,6 +898,17 @@ def test_witness_rejects_word_with_repeated_letter(monkeypatch):
     monkeypatch.setattr(entangle, "_witness_indices", lambda n, r: [(3, 1), (3, 3)])
     with pytest.raises(InvariantViolation, match="not fixed"):
         saturation_witness(p, t)
+
+
+def test_witness_rejects_nan_basis_row(monkeypatch):
+    # row 1 of B_2 is the word (1, 2); a NaN norm would pass `err > tol`
+    p = quantum_parameter(3)
+    basis = onb_of_irrep(p, 2)
+    cols = basis.columns.copy()
+    cols[1, 0] = np.nan
+    monkeypatch.setitem(jones_wenzl._basis_cache, (3, 2), dataclasses.replace(basis, columns=cols))
+    with pytest.raises(InvariantViolation, match="not fixed"):
+        saturation_witness(p, AdmissibleTriple(2, 2, 2))
 
 
 @pytest.mark.parametrize(

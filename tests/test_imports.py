@@ -3,8 +3,9 @@ name a module lists in `__all__` is bound in that module, each module
 imports only from modules below it in LAYERS (and `channel` not from
 `jones_wenzl`, whose BLAS thread policy it reaches only through
 `entangle`), only `cli` imports the dense Wenzl oracles, no line is wider than
-100 columns (so the tracked line count cannot drop by joining lines), and
-only `errors` tests for `bool`, inside its one integer and real rule.
+100 columns (so the tracked line count cannot drop by joining lines),
+only `errors` tests for `bool`, inside its one integer and real rule, and
+no check that raises InvariantViolation tests a bare `>` or `<`.
 
 `__init__` re-exports by importing, so it is exempt from the first check
 and the dense-oracle one; elsewhere a name listed in the module's
@@ -213,3 +214,41 @@ RULE_USERS = [p for p in MODULES if p.stem != "errors"]
 def test_only_errors_checks_for_bool(path):
     """The integer and real rules live in `errors._check_int` and `_check_real`."""
     assert bool_checks(path.read_text()) == []
+
+
+def _raises_invariant(stmt: ast.stmt) -> bool:
+    exc = stmt.exc if isinstance(stmt, ast.Raise) else None
+    name = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(name, ast.Name) and name.id == "InvariantViolation"
+
+
+def bare_order_checks(source: str) -> list[str]:
+    """Lines of a `>` or `<` in the test of an `if` whose body raises InvariantViolation.
+
+    A NaN compares false both ways, so `err > tol` lets a NaN error
+    through where `not err <= tol` refuses it.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and any(map(_raises_invariant, node.body)):
+            found += [
+                f"line {cmp.lineno}" for cmp in ast.walk(node.test)
+                if isinstance(cmp, ast.Compare)
+                and any(isinstance(op, (ast.Gt, ast.Lt)) for op in cmp.ops)
+            ]
+    return found
+
+
+def test_order_checker_flags_only_bare_order_tests_before_invariant_raises():
+    source = (
+        "if err > tol:\n    raise InvariantViolation('a')\n"
+        "if not err <= tol or n != want:\n    raise InvariantViolation('b')\n"
+        "if err < -tol:\n    raise ValueError('c')\n"
+        "if ok and not gap >= 0 and size < 3:\n    log()\n    raise InvariantViolation\n"
+    )
+    assert bare_order_checks(source) == ["line 1", "line 7"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_invariant_checks_refuse_nan(path):
+    assert bare_order_checks(path.read_text()) == []

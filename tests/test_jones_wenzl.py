@@ -208,6 +208,16 @@ def test_onb_fusion_step_rejects_non_orthonormal_basis():
         onb_of_irrep(p, 3)
 
 
+def test_onb_fusion_step_rejects_nan_basis(monkeypatch):
+    # a NaN Gram entry would pass `err > tol` and leave level 3 full of NaNs
+    p = quantum_parameter(3)
+    cols = onb_of_irrep(p, 2).columns.copy()
+    cols[0, 0] = np.nan
+    monkeypatch.setitem(jwmod._basis_cache, (3, 2), IrrepBasis(p, 2, cols))
+    with pytest.raises(InvariantViolation, match="fusion step"):
+        onb_of_irrep(p, 3)
+
+
 @pytest.mark.parametrize(
     "n,k", [(n, k) for n in (2, 3, 4, 5) for k in range(11) if n**k <= 1024]
 )

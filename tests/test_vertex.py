@@ -7,6 +7,7 @@ built in leg coordinates must equal the dense vertex (`dense_vertex`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,18 @@ def test_theta_disagreement_is_hard_error(monkeypatch):
     monkeypatch.setattr(vxmod, "theta_net_log", lambda *_: 0.0)
     with pytest.raises(InvariantViolation):
         isometry(p, AdmissibleTriple(1, 1, 2))
+
+
+def test_nan_theta_trace_is_hard_error(monkeypatch):
+    # a NaN in the cached level-2 basis makes the trace theta NaN, which
+    # `err > tol` would let through
+    p = quantum_parameter(3)
+    basis = onb_of_irrep(p, 2)
+    cols = basis.columns.copy()
+    cols[0, 0] = np.nan
+    monkeypatch.setitem(jwmod._basis_cache, (3, 2), dataclasses.replace(basis, columns=cols))
+    with pytest.raises(InvariantViolation, match="theta mismatch"):
+        isometry(p, AdmissibleTriple(2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
