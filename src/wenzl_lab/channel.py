@@ -219,7 +219,7 @@ def moe_bracket(
     flips `argmin` on 4 channels whose candidates tie exactly.  All three
     entropies come from `entangle._entropies`, with rounding's negative
     eigenvalues read as 0.  The optimizer's sweeps and the sampled stack
-    run on one BLAS thread.
+    run in `jones_wenzl._blas_threads`, reached through `entangle`.
     """
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     p, t = ch.params, ch.triple

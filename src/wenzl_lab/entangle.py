@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real, _check_real_array
-from .jones_wenzl import _one_blas_thread, onb_of_irrep
+from .jones_wenzl import _blas_threads, onb_of_irrep
 from .qnum import (
     AdmissibleTriple,
     QParams,
@@ -71,7 +71,7 @@ def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
     the column count; rounding can leave vanishing ones slightly negative.
     """
     spectra = []
-    with _one_blas_thread():
+    with _blas_threads():
         for start in range(0, cols.shape[1], _SPECTRA_CHUNK):
             stack = iso.images(cols[:, start : start + _SPECTRA_CHUNK])
             small = stack if stack.shape[1] <= stack.shape[2] else stack.transpose(0, 2, 1)
@@ -154,8 +154,8 @@ def rd_certificate(
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
     Each sample's lambda_1 is the top eigenvalue of its image's Gram on
-    the smaller side (`_image_spectra`, on one BLAS thread); the isometry
-    build picks its count by size (`jones_wenzl.SPLIT_FLOPS`).
+    the smaller side (`_image_spectra`); the thread counts are
+    `jones_wenzl._blas_threads`'s.
     samples (at least 1) and seed (at least 0) must be integers, else
     ValueError.
     """
@@ -368,8 +368,7 @@ def max_schmidt_optimizer(
     xi and the reported value come from one direct product
     with `legs`, which must agree with the iterated value to
     SIDE_AGREEMENT_TOL, else InvariantViolation.  Everything from the
-    draws on runs on one BLAS thread; building alpha and C picks its
-    count by size (`jones_wenzl.SPLIT_FLOPS`).
+    draws on runs in one `jones_wenzl._blas_threads` scope, on one thread.
     restarts, max_iters (at least 1) and seed (at least 0) must be
     integers, and tol a positive finite real (not a bool), else ValueError.
     """
@@ -379,7 +378,7 @@ def max_schmidt_optimizer(
     iso = isometry(p, t, max_dim=max_dim)
     comp = _complement_legs(iso, max_dim)
     legs, bl, bm = iso.legs, iso.basis_l.columns, iso.basis_m.columns
-    with _one_blas_thread():
+    with _blas_threads():
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(restarts)]
         sizes = (legs.shape[1], bl.shape[0], bm.shape[0])
         draws = [[rng.standard_normal(size) for size in sizes] for rng in rngs]

@@ -18,15 +18,15 @@ formed: Q = I - V T V^T in compact-WY form (Schreiber-Van Loan 1989), so
 applying it costs two thin products.  The dense p_k stays the oracle that
 B_k B_k^T is checked against.
 
-This module also owns the package's BLAS thread scope,
-`_one_blas_thread`, and the rule `_blas_threads_for`: a build of fewer
-than SPLIT_FLOPS flops, such as a small fusion level or leg vertex, is too
-small to split and runs on one thread; a larger one keeps the caller's
-count.  numpy's OpenBLAS applies the count process-wide, so a small build
-also holds other Python threads' BLAS work to one thread while it runs.
-When the package imports numpy first, OpenBLAS loads on one thread (see
-`wenzl_lab/__init__`), and `_start_pool` starts its pool at the first build
-of SPLIT_FLOPS or more, dense Wenzl levels included.
+This module also owns the package's one BLAS thread policy, the scope
+`_blas_threads(flops)` around every BLAS product: a product of fewer than
+SPLIT_FLOPS flops (a small fusion level, leg vertex or Wenzl level, and the
+optimizer's sweeps and sampling stacks, which pass no count) is too small
+to split and runs on one thread; a larger one keeps the caller's count.
+numpy's OpenBLAS applies the count process-wide, so a one-thread scope
+also holds other Python threads' BLAS work to one thread.  When the package
+imports numpy first, OpenBLAS loads on one thread (`wenzl_lab/__init__`),
+and the first scope of SPLIT_FLOPS or more starts its pool.
 
 Operators are plain float64 arrays in the standard product basis,
 row-major with the leftmost leg slowest; everything the calculus builds
@@ -111,24 +111,32 @@ def _openblas(name: str):
     return None
 
 
-_openblas_set_threads = functools.partial(_openblas, "openblas_set_num_threads_local")
 _blas_lock = threading.Lock()
-_blas_scopes = [0, 0]  # open scopes, and the count the last one to close restores
+_blas_scopes = [0, 0]  # open one-thread scopes, and the count the last one to close restores
 _pool_deferred = False  # set by `wenzl_lab/__init__` when OpenBLAS loaded on one thread
 
 
 @contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one BLAS thread, for products too small to split.
+def _blas_threads(flops: float = 0.0):
+    """Run the block, a product of `flops` flops, on one BLAS thread below
+    SPLIT_FLOPS and on the caller's count at or above it.
 
-    numpy's bundled OpenBLAS applies `openblas_set_num_threads_local` to
-    the whole process, so the first scope to open sets 1 and the last to
-    close restores what that call returned: nested scopes, and scopes in
-    other Python threads, leave the count as they found it.  Without the
-    symbol this does nothing.
+    `openblas_set_num_threads_local` acts on the whole process, so the first
+    one-thread scope to open sets 1 and the last to close restores what that
+    call returned: nested scopes, and scopes in other Python threads, leave
+    the count as they found it.  A larger scope first starts the deferred
+    pool, once, at the count OpenBLAS picks at load; if one-thread scopes are
+    open, the last to close starts it.  Without the symbol this does nothing.
     """
-    set_threads = _openblas_set_threads()
-    if set_threads is None:
+    global _pool_deferred
+    set_threads = _openblas("openblas_set_num_threads_local")
+    if set_threads is None or flops >= SPLIT_FLOPS:
+        with _blas_lock:
+            if _pool_deferred and set_threads is not None:
+                _pool_deferred = False
+                _blas_scopes[1] = _openblas("scipy_openblas_get_num_procs64_")()
+                if _blas_scopes[0] == 0:
+                    set_threads(_blas_scopes[1])
         yield
         return
     with _blas_lock:
@@ -142,24 +150,6 @@ def _one_blas_thread():
             _blas_scopes[0] -= 1
             if _blas_scopes[0] == 0:
                 set_threads(_blas_scopes[1])
-
-
-def _start_pool(flops: float) -> None:
-    """Start the deferred pool once, for a build of SPLIT_FLOPS flops or more, at the
-    count OpenBLAS picks at load; if one-thread scopes are open, the last to close does."""
-    global _pool_deferred
-    with _blas_lock:
-        if _pool_deferred and flops >= SPLIT_FLOPS:
-            _pool_deferred = False
-            _blas_scopes[1] = _openblas("scipy_openblas_get_num_procs64_")()
-            if _blas_scopes[0] == 0:
-                _openblas_set_threads()(_blas_scopes[1])
-
-
-def _blas_threads_for(flops: float):
-    """One BLAS thread below SPLIT_FLOPS flops; above, `_start_pool`, then the caller's count."""
-    _start_pool(flops)
-    return _one_blas_thread() if flops < SPLIT_FLOPS else contextlib.nullcontext()
 
 
 def clear_caches() -> None:
@@ -194,8 +184,8 @@ def jw_projection(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> np.ndar
         if level < 2:
             data = np.eye(p.n**level)
         else:
-            _start_pool(2 * p.n ** (3 * level - 2))  # the flops of its (XU)(XU)^T
-            data = _wenzl_step(p, level, _jw_cache[(p.n, level - 1)])
+            with _blas_threads(2 * p.n ** (3 * level - 2)):  # the flops of its (XU)(XU)^T
+                data = _wenzl_step(p, level, _jw_cache[(p.n, level - 1)])
         data.flags.writeable = False
         _jw_cache[(p.n, level)] = data
     return _jw_cache[(p.n, k)]
@@ -225,8 +215,8 @@ def verify_jw(p: QParams, k: int, data: np.ndarray) -> JwVerification:
     data = _check_real_array(f"p_{k}", data)
     if data.shape != (p.n**k, p.n**k):
         raise ValueError(f"p_{k} at N={p.n} is {p.n**k} x {p.n**k}, got shape {data.shape}")
-    _start_pool(2 * p.n ** (3 * k))
-    idem = float(np.abs(data @ data - data).max())
+    with _blas_threads(2 * p.n ** (3 * k)):
+        idem = float(np.abs(data @ data - data).max())
     sym = float(np.abs(data - data.T).max())
     want_trace = dim_irrep(p, k)
     trace_rel = abs(float(np.trace(data)) - want_trace) / want_trace
@@ -292,7 +282,7 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
 
     B_0 = [[1]], B_1 = I_N and B_k from `_fusion_step`; no dense p_k is formed.
     Each step costs 2 N^k d_{k-2} (d_{k-1} + d_k) flops, which picks its
-    BLAS thread count (`_blas_threads_for`).
+    BLAS thread count (`_blas_threads`).
     """
     k = _check_int("k", k, 0)
     _check_cap(p.n, k, max_dim)
@@ -306,7 +296,7 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
             down = _basis_cache[(p.n, level - 2)].columns
             d_up, d_down = up.shape[1], down.shape[1]
             flops = 2 * p.n**level * d_down * (d_up + p.n * d_up - d_down)
-            with _blas_threads_for(flops):
+            with _blas_threads(flops):
                 cols = _fusion_step(p, level, up, down)
         cols.flags.writeable = False
         _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)

@@ -16,8 +16,8 @@ Kauffman-Lins on Wenzl's fusion bases).  Since B_l B_l^T = p_l, the
 projections p_l, p_m are never formed: the cup is a row gather of B_m
 and two matmuls do the rest.  The ambient N^{l+m} x [k+1]_q `reduced`
 is lifted on each read, never cached, for the checks that need it.
-The two products and the theta trace run on one BLAS thread when they
-cost fewer than `jones_wenzl.SPLIT_FLOPS` flops, on the caller's count above.
+The two products and the theta trace run in `jones_wenzl._blas_threads`
+with their flop count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
-from .jones_wenzl import IrrepBasis, _blas_threads_for, onb_of_irrep
+from .jones_wenzl import IrrepBasis, _blas_threads, onb_of_irrep
 from .qnum import AdmissibleTriple, QParams, lambda_log, theta_net_log
 
 __all__ = [
@@ -148,7 +148,7 @@ def isometry(
     dk, dl, dm = (b.dim for b in bases)
     flops = 2 * dl * dk * p.n**t.m * (p.n ** (t.l - t.r) + dm)
     theta_closed = math.exp(theta_net_log(p, t))
-    with _blas_threads_for(flops):
+    with _blas_threads(flops):
         raw = _leg_vertex(p.n, t, *(b.columns for b in bases))
         # B_l (x) B_m is an isometry on range(p_l (x) p_m), so this is Tr(A^* A)
         theta_trace = float(np.einsum("ij,ij->", raw, raw))

@@ -64,7 +64,7 @@ def blas_threads() -> int | None:
 
 
 needs_blas_threads = pytest.mark.skipif(
-    jones_wenzl._openblas_set_threads() is None or blas_threads() is None,
+    jones_wenzl._openblas("openblas_set_num_threads_local") is None or blas_threads() is None,
     reason="numpy's BLAS has no openblas_set_num_threads_local or no thread-count getter",
 )
 

@@ -93,14 +93,14 @@ def test_no_deferral_when_the_user_set_a_count_or_imported_numpy(prelude, env_va
 
 
 def test_pool_started_under_another_threads_scope_is_the_count_it_restores():
-    """While a second thread holds `_one_blas_thread`, the large build leaves the
+    """While a second thread holds `_blas_threads()`, the large build leaves the
     live count at 1 (the scope is process-wide); the scope's close starts the pool."""
     body = """
 import threading
 held, release = threading.Event(), threading.Event()
 
 def hold():
-    with jones_wenzl._one_blas_thread():
+    with jones_wenzl._blas_threads():
         held.set()
         release.wait(60)
 

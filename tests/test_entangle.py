@@ -747,8 +747,8 @@ def test_optimizer_restores_blas_threads_after_invariant_violation(monkeypatch):
 @needs_blas_threads
 def test_one_blas_thread_scopes_nest_and_overlap_across_threads():
     caller = blas_threads()
-    with jones_wenzl._one_blas_thread():
-        with jones_wenzl._one_blas_thread():
+    with jones_wenzl._blas_threads():
+        with jones_wenzl._blas_threads():
             assert blas_threads() == 1
         assert blas_threads() == 1
     assert blas_threads() == caller
@@ -757,14 +757,14 @@ def test_one_blas_thread_scopes_nest_and_overlap_across_threads():
     seen = []
 
     def first():
-        with jones_wenzl._one_blas_thread():
+        with jones_wenzl._blas_threads():
             a_open.set()
             b_open.wait(10)
         a_closed.set()
 
     def second():
         a_open.wait(10)
-        with jones_wenzl._one_blas_thread():
+        with jones_wenzl._blas_threads():
             b_open.set()
             a_closed.wait(10)
             seen.append(blas_threads())
@@ -781,9 +781,9 @@ def test_one_blas_thread_scopes_nest_and_overlap_across_threads():
 def test_one_blas_thread_without_the_symbol_changes_nothing(monkeypatch):
     p, t = quantum_parameter(3), AdmissibleTriple(2, 2, 2)
     want = max_schmidt_optimizer(p, t, restarts=3, seed=0)
-    monkeypatch.setattr(jones_wenzl, "_openblas_set_threads", lambda: None)
+    monkeypatch.setattr(jones_wenzl, "_openblas", lambda name: None)
     caller = blas_threads()
-    with jones_wenzl._one_blas_thread():
+    with jones_wenzl._blas_threads():
         assert blas_threads() == caller
     got = max_schmidt_optimizer(p, t, restarts=3, seed=0)
     assert got.restart_sweeps == want.restart_sweeps
