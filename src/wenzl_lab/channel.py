@@ -23,6 +23,7 @@ import numpy as np
 from .entangle import (
     PLATEAU_RTOL,
     _entropies,
+    _finite,
     _image_spectra,
     max_schmidt_optimizer,
     saturation_witness,
@@ -294,7 +295,7 @@ class ChoiReport:
 
 def _choi_qform(legs: np.ndarray, scale: float, x: np.ndarray) -> float:
     """<x|(1 - scale alpha alpha^*) x> for x in leg coordinates."""
-    pulled = legs.T @ x
+    pulled = _finite(legs.T @ x, "alpha^* x in the Choi form")
     return float(x @ x) - scale * float(pulled @ pulled)
 
 

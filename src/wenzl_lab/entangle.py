@@ -62,6 +62,13 @@ SIDE_AGREEMENT_TOL = 1e-9
 _SPECTRA_CHUNK = 1024  # columns per image stack in `_image_spectra`
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, a product with alpha's `legs`, or InvariantViolation if a NaN or inf reached it."""
+    if not np.isfinite(arr).all():
+        raise InvariantViolation(f"{what} is not finite: alpha's legs hold a NaN or inf")
+    return arr
+
+
 def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
     """Squared singular values, ascending, of alpha(x) for each column x of cols.
 
@@ -75,7 +82,8 @@ def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
         for start in range(0, cols.shape[1], _SPECTRA_CHUNK):
             stack = iso.images(cols[:, start : start + _SPECTRA_CHUNK])
             small = stack if stack.shape[1] <= stack.shape[2] else stack.transpose(0, 2, 1)
-            spectra.append(np.linalg.eigvalsh(small @ small.transpose(0, 2, 1)))
+            gram = _finite(small @ small.transpose(0, 2, 1), f"image Gram at {iso.triple}")
+            spectra.append(np.linalg.eigvalsh(gram))
     return np.concatenate(spectra)
 
 
@@ -154,8 +162,8 @@ def rd_certificate(
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
     Each sample's lambda_1 is the top eigenvalue of its image's Gram on
-    the smaller side (`_image_spectra`); the thread counts are
-    `jones_wenzl._blas_threads`'s.
+    the smaller side (`_image_spectra`, in a `jones_wenzl._blas_threads`
+    scope on one thread).
     samples (at least 1) and seed (at least 0) must be integers, else
     ValueError.
     """
@@ -456,7 +464,8 @@ def witness_image(iso: EquivariantIsometry) -> np.ndarray:
     word's flat index, renormalized so the image has unit norm to rounding.
     """
     coords = _fixed_rows(iso.basis.columns, iso.params.n, [_alternating_letters(iso.triple.k)])[0]
-    return iso.images(coords / np.linalg.norm(coords))[0]
+    image = iso.images(coords / np.linalg.norm(coords))[0]
+    return _finite(image, f"witness image at {iso.triple}")
 
 
 @dataclass(frozen=True)

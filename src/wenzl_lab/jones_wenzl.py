@@ -130,25 +130,22 @@ def _blas_threads(flops: float = 0.0):
     """
     global _pool_deferred
     set_threads = _openblas("openblas_set_num_threads_local")
-    if set_threads is None or flops >= SPLIT_FLOPS:
-        with _blas_lock:
-            if _pool_deferred and set_threads is not None:
-                _pool_deferred = False
-                _blas_scopes[1] = _openblas("scipy_openblas_get_num_procs64_")()
-                if _blas_scopes[0] == 0:
-                    set_threads(_blas_scopes[1])
-        yield
-        return
+    one = set_threads is not None and flops < SPLIT_FLOPS  # a one-thread scope
     with _blas_lock:
-        if _blas_scopes[0] == 0:
+        if _pool_deferred and flops >= SPLIT_FLOPS:
+            _pool_deferred = False
+            _blas_scopes[1] = _openblas("scipy_openblas_get_num_procs64_")()
+            if _blas_scopes[0] == 0:
+                set_threads(_blas_scopes[1])
+        if one and _blas_scopes[0] == 0:
             _blas_scopes[1] = set_threads(1)
-        _blas_scopes[0] += 1
+        _blas_scopes[0] += one
     try:
         yield
     finally:
         with _blas_lock:
-            _blas_scopes[0] -= 1
-            if _blas_scopes[0] == 0:
+            _blas_scopes[0] -= one
+            if one and _blas_scopes[0] == 0:
                 set_threads(_blas_scopes[1])
 
 
@@ -267,7 +264,8 @@ def _fusion_step(p: QParams, k: int, up: np.ndarray, down: np.ndarray) -> np.nda
         raise InvariantViolation(
             f"fusion step at (n={p.n}, k={k}): M^T M != [{k}]/[{k - 1}] I or not {want} columns"
         )
-    v, t = _householder_wy(m)
+    with _blas_threads():  # a QR is many small level-2 calls: faster on one thread
+        v, t = _householder_wy(m)
     xv = (up @ v.reshape(n, d_up, d_down)).reshape(n**k, d_down)
     out = (xv @ (t @ -v[d_down:].T)).reshape(n, n ** (k - 1), want)
     # X[:, p:]: block a of X holds B_{k-1} in columns a d_up .. (a+1) d_up

@@ -157,7 +157,8 @@ def isometry(
                 f"theta mismatch at {t}: closed form {theta_closed}, trace {theta_trace}"
             )
     scale = math.exp(0.5 * lambda_log(p, t))
-    raw *= scale
+    if scale != 1.0:  # 1.0 exactly at r = 0, where lambda_log is 0.0: skip a no-op pass
+        raw *= scale
     raw.flags.writeable = False
     iso = EquivariantIsometry(t, p, *bases, raw, scale, theta_closed, theta_trace)
     _iso_cache[key] = iso

@@ -1,11 +1,12 @@
 """Shared pytest plumbing: collects acceptance-criterion outcomes and
 prints one PASS/FAIL line per criterion and the `src/` line and module
-count in the terminal summary, and fails any test that leaves the BLAS
-thread count changed."""
+count in the terminal summary, fails any test that leaves the BLAS
+thread count changed, and puts a corrupted isometry into the cache."""
 
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import glob
 import os
@@ -14,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from wenzl_lab import jones_wenzl
+from wenzl_lab import AdmissibleTriple, isometry, jones_wenzl, quantum_parameter, vertex
 
 _criterion_lines: dict[int, str] = {}
 
@@ -89,3 +90,14 @@ def _blas_threads_restored():
     after = blas_threads()
     if after != before:
         pytest.fail(f"test left the BLAS thread count at {after}, found it at {before}")
+
+
+def put_nan_legs(monkeypatch, at=(0, 0)):
+    """Cache alpha at N=3 (2;2,2) with one NaN at legs[at], for the test's
+    duration; return its QParams and triple."""
+    p, t = quantum_parameter(3), AdmissibleTriple(2, 2, 2)
+    iso = isometry(p, t)
+    legs = iso.legs.copy()
+    legs[at] = np.nan
+    monkeypatch.setitem(vertex._iso_cache, (3, 2, 2, 2), dataclasses.replace(iso, legs=legs))
+    return p, t

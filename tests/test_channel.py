@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import blas_threads, needs_blas_threads, record_blas_threads
+from conftest import blas_threads, needs_blas_threads, put_nan_legs, record_blas_threads
 from dense_vertex import choi_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,6 +186,16 @@ def test_channel_output_trace_nan_is_an_invariant_violation():
     bad = dataclasses.replace(ch, iso=dataclasses.replace(ch.iso, legs=legs))
     with pytest.raises(InvariantViolation, match="channel output trace"):
         channel_apply(bad, np.eye(3) / 3.0)
+
+
+@pytest.mark.parametrize("at", [(0, 0), (-1, -1)], ids=["first", "last"])
+def test_moe_and_choi_refuse_nan_legs(monkeypatch, at):
+    # before the checks, both raised ValueError, and choi blamed the scale
+    p, t = put_nan_legs(monkeypatch, at)
+    with pytest.raises(InvariantViolation, match="witness image"):
+        moe_bracket(channel(p, t))
+    with pytest.raises(InvariantViolation, match="Choi form"):
+        choi_witness_value(p, t, 1, 1.0)
 
 
 def test_channel_rejects_bad_direction():

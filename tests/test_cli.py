@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import put_nan_legs
 
 from wenzl_lab import cli
 from wenzl_lab.errors import InvariantViolation
@@ -530,6 +531,29 @@ def test_exit_2_on_invariant_violation(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "invariant" in err.lower()
+
+
+TRIPLE_222 = ["--n", "3", "--k", "2", "--l", "2", "--m", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n-min", "3", "--n-max", "3", "--max-l", "2", "--max-m", "2"],
+        ["choi", *TRIPLE_222, "--d", "1", "--scale", "1.0"],
+        ["schmidt", *TRIPLE_222],
+        ["saturation", *TRIPLE_222],
+        ["moe", *TRIPLE_222],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exit_2_on_nan_legs(capsys, monkeypatch, argv):
+    # a corrupted cache is an invariant violation, not a usage error (exit 4)
+    put_nan_legs(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "legs hold a NaN" in err
 
 
 def test_help_exits_zero(capsys):

@@ -10,7 +10,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import blas_threads, needs_blas_threads, record_blas_threads
+from conftest import blas_threads, needs_blas_threads, put_nan_legs, record_blas_threads
 from dense_vertex import alternating_vector, basis_vector, jw_fixes
 from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
@@ -426,6 +426,20 @@ def test_optimizer_rejects_nan_legs(monkeypatch, k):
     monkeypatch.setitem(vertex._iso_cache, (3, k, 2, 2), dataclasses.replace(iso, legs=legs))
     with pytest.raises(InvariantViolation, match="direct value"):
         max_schmidt_optimizer(p, t, restarts=4, seed=0)
+
+
+@pytest.mark.parametrize("at", [(0, 0), (-1, -1)], ids=["first", "last"])
+@pytest.mark.parametrize(
+    "call, message",
+    [(rd_certificate, "image Gram"), (verify_saturation, "witness image")],
+    ids=["rd_certificate", "verify_saturation"],
+)
+def test_nan_legs_are_an_invariant_violation(monkeypatch, at, call, message):
+    # the checks sit on the small products, the image Gram stack and the
+    # witness image, which a NaN anywhere in `legs` reaches (NaN * 0 is NaN)
+    p, t = put_nan_legs(monkeypatch, at)
+    with pytest.raises(InvariantViolation, match=message):
+        call(p, t)
 
 
 def _break_complement(monkeypatch, corrupt):

@@ -2,7 +2,8 @@
 name a module lists in `__all__` is bound in that module, each module
 imports only from modules below it in LAYERS (and `channel` not from
 `jones_wenzl`, whose BLAS thread policy it reaches only through
-`entangle`), only `cli` imports the dense Wenzl oracles, no line is wider than
+`entangle`), only `jones_wenzl` names OpenBLAS and the rest take only its
+scope `_blas_threads`, only `cli` imports the dense Wenzl oracles, no line is wider than
 100 columns (so the tracked line count cannot drop by joining lines),
 only `errors` tests for `bool`, inside its one integer and real rule, and
 no check that raises InvariantViolation tests a bare `>` or `<`.
@@ -148,6 +149,47 @@ def imported_modules(source: str) -> set[str]:
 def test_channel_imports_nothing_from_jones_wenzl():
     """The BLAS thread policy stays below `entangle._image_spectra`."""
     assert "jones_wenzl" not in imported_modules((PACKAGE / "channel.py").read_text())
+
+
+def openblas_mentions(source: str) -> list[str]:
+    """Lines of an identifier or string spelled with a lowercase `openblas`:
+    `_openblas` and every OpenBLAS symbol, but not the prose name OpenBLAS."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            names = [getattr(node, field, None) for field in ("id", "attr", "name", "asname")]
+        if any(isinstance(name, str) and "openblas" in name for name in names):
+            found.add(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_openblas_checker_flags_only_lowercase_openblas():
+    source = (
+        '"""Threads come from OpenBLAS."""\n'
+        "from .jones_wenzl import _openblas as lib\n"
+        "fn = lib('openblas_set_num_threads_local')\n"
+        "count = jones_wenzl._openblas\n"
+        "threads = _blas_threads\n"
+    )
+    assert openblas_mentions(source) == ["line 2", "line 3", "line 4"]
+
+
+BLAS_USERS = [p for p in MODULES if p.stem != "jones_wenzl"]
+
+
+@pytest.mark.parametrize("path", BLAS_USERS, ids=[p.stem for p in BLAS_USERS])
+def test_only_jones_wenzl_names_openblas(path):
+    """The thread policy's one door is `jones_wenzl._blas_threads`; `__init__`,
+    which loads OpenBLAS on one thread before numpy's first import, is exempt."""
+    assert openblas_mentions(path.read_text()) == []
+    taken = {
+        alias.name for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "jones_wenzl"
+        for alias in node.names if alias.name.startswith("_")
+    }
+    assert taken <= {"_blas_threads"}
 
 
 DENSE_ORACLES = {"jw_projection", "verify_jw"}

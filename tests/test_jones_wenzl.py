@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import blas_threads, needs_blas_threads, record_blas_threads
 from dense_vertex import alternating_vector, basis_vector, cup_vector, jw_fixes
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -327,3 +328,19 @@ def test_fixes_shape_mismatch_rejected():
     v = basis_vector(3, (1, 2, 1))
     with pytest.raises(ValueError):
         jw_fixes(jw_projection(p, 2), v)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+@needs_blas_threads
+def test_small_dense_levels_run_on_a_single_blas_thread(monkeypatch):
+    # the N=3 levels 2..4 cost at most 2 * 3^10 flops, far below SPLIT_FLOPS,
+    # so they drop to one thread even while the pool runs at the caller's count
+    caller = blas_threads()
+    levels = []
+    record_blas_threads(monkeypatch, jwmod, "_wenzl_step", levels)
+    jw_projection(quantum_parameter(3), 4)
+    assert levels == [1, 1, 1]
+    assert blas_threads() == caller
