@@ -31,11 +31,9 @@ if _np and _np.origin and any(_Path(_np.origin).parents[1].glob("numpy.libs/*sci
 from .channel import (
     ChannelNormReport,
     ChoiReport,
-    EquivariantChannel,
     MoeBracket,
     TRACE_FIRST,
     TRACE_LAST,
-    channel,
     channel_apply,
     channel_norm_report,
     choi_witness_value,

@@ -7,7 +7,11 @@ their S1 -> Sinf norms, minimum-output-entropy brackets, and the
 Choi-matrix machinery that turns the same isometry into d-positive but
 not completely positive maps.
 
-Everything runs on alpha's leg coordinates (`EquivariantIsometry.legs`).
+Every function that reads alpha takes the triple as (p, t, ..., max_dim)
+and reads alpha only through `vertex.isometry`, in leg coordinates
+(`EquivariantIsometry.legs`).  The trace direction is an argument of
+`channel_apply` alone: a complementary pair has equal nonzero output
+spectra on pure inputs, so it shares the S1 -> Sinf norm and the MOE.
 Input states live in IrrepBasis coordinates of H_k (dimension [k+1]_q)
 and outputs in those of the kept factor H_l or H_m (d_l or d_m), where
 the identity on H_l (x) H_m is the identity matrix.
@@ -34,6 +38,11 @@ from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real
 from .qnum import AdmissibleTriple, QParams, lambda_log, rd_bound
 from .vertex import EquivariantIsometry, isometry
 
+__all__ = [
+    "TRACE_FIRST", "TRACE_LAST", "channel_apply", "ChannelNormReport", "channel_norm_report",
+    "MoeBracket", "moe_bracket", "d_positivity_threshold", "ChoiReport", "choi_witness_value",
+]
+
 # Input states are rejected when their smallest eigenvalue drops below
 # -INPUT_PSD_TOL or their trace strays from 1 by more than it; alpha is an
 # isometry, so outputs must hold the input's trace to the tighter OUTPUT_TRACE_TOL.
@@ -45,49 +54,6 @@ CHOI_SAMPLE_TOL = 1e-6
 TRACE_FIRST = "trace-first-l"
 TRACE_LAST = "trace-last-m"
 _DIRECTIONS = (TRACE_FIRST, TRACE_LAST)
-
-
-@dataclass(frozen=True)
-class EquivariantChannel:
-    """One half of the complementary pair attached to alpha_k^{l,m}.
-
-    direction "trace-first-l" traces out H_l and outputs on H_m;
-    "trace-last-m" traces out H_m and outputs on H_l.
-    """
-
-    direction: str
-    iso: EquivariantIsometry
-    max_dim: int
-
-    def __post_init__(self):
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
-
-    @property
-    def params(self) -> QParams:
-        return self.iso.params
-
-    @property
-    def triple(self) -> AdmissibleTriple:
-        return self.iso.triple
-
-    @property
-    def input_dim(self) -> int:
-        return self.iso.basis.dim
-
-    @property
-    def output_dim(self) -> int:
-        kept = self.iso.basis_m if self.direction == TRACE_FIRST else self.iso.basis_l
-        return kept.dim
-
-
-def channel(
-    p: QParams,
-    t: AdmissibleTriple,
-    direction: str = TRACE_FIRST,
-    max_dim: int = DEFAULT_DIM_CAP,
-) -> EquivariantChannel:
-    return EquivariantChannel(direction, isometry(p, t, max_dim=max_dim), max_dim)
 
 
 def _check_state(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -103,21 +69,29 @@ def _check_state(rho: np.ndarray, dim: int, what: str) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def channel_apply(ch: EquivariantChannel, rho: np.ndarray) -> np.ndarray:
+def channel_apply(
+    p: QParams, t: AdmissibleTriple, rho: np.ndarray, direction: str = TRACE_FIRST,
+    max_dim: int = DEFAULT_DIM_CAP,
+) -> np.ndarray:
     """Apply the channel to a state in IrrepBasis coordinates of H_k.
 
-    The output is in IrrepBasis coordinates of the kept factor, so it is
-    output_dim square.  Conjugation by alpha and the partial trace are
-    fused: rho is eigendecomposed (it is at most [k+1]_q square), each
-    eigenvector is pushed through alpha, and the kept-factor Gram matrix
-    is accumulated with the eigenvalue weights.
+    direction "trace-first-l" traces out H_l and outputs on H_m;
+    "trace-last-m" traces out H_m and outputs on H_l.  The output is in
+    IrrepBasis coordinates of the kept factor, so it is d_m or d_l square.
+    Conjugation by alpha and the partial trace are fused: rho is
+    eigendecomposed (it is at most [k+1]_q square), each eigenvector is
+    pushed through alpha, and the kept-factor Gram matrix is accumulated
+    with the eigenvalue weights.
     """
-    arr = _check_state(rho, ch.input_dim, "input state")
+    if direction not in _DIRECTIONS:
+        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+    iso = isometry(p, t, max_dim=max_dim)
+    arr = _check_state(rho, iso.basis.dim, "input state")
     w, u = np.linalg.eigh(arr)
     if w[0] < -INPUT_PSD_TOL:
         raise ValueError(f"input state has negative eigenvalue {w[0]:.3e}")
-    stack = ch.iso.images(u * np.sqrt(np.clip(w, 0.0, None)))
-    if ch.direction == TRACE_LAST:
+    stack = iso.images(u * np.sqrt(np.clip(w, 0.0, None)))
+    if direction == TRACE_LAST:
         stack = stack.transpose(0, 2, 1)
     out = np.einsum("jab,jac->bc", stack, stack)
     out = 0.5 * (out + out.T)
@@ -151,12 +125,10 @@ class ChannelNormReport:
 
 
 def channel_norm_report(
-    ch: EquivariantChannel, restarts: int = 20, seed: int = 0, tol: float = 1e-12
+    p: QParams, t: AdmissibleTriple, restarts: int = 20, seed: int = 0, tol: float = 1e-12,
+    max_dim: int = DEFAULT_DIM_CAP,
 ) -> ChannelNormReport:
-    p, t = ch.params, ch.triple
-    res = max_schmidt_optimizer(
-        p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
-    )
+    res = max_schmidt_optimizer(p, t, restarts=restarts, tol=tol, seed=seed, max_dim=max_dim)
     value = res.value * res.value
     closed, hi = rd_bound(p, t)
     q = p.q
@@ -187,7 +159,6 @@ class MoeBracket:
     """
 
     triple: AdmissibleTriple
-    direction: str
     lower: float
     upper: float
     coarse_lower: float
@@ -199,11 +170,8 @@ class MoeBracket:
 
 
 def moe_bracket(
-    ch: EquivariantChannel,
-    samples: int = 200,
-    restarts: int = 20,
-    seed: int = 0,
-    tol: float = 1e-12,
+    p: QParams, t: AdmissibleTriple, samples: int = 200, restarts: int = 20, seed: int = 0,
+    tol: float = 1e-12, max_dim: int = DEFAULT_DIM_CAP,
 ) -> MoeBracket:
     """Bracket the minimum output entropy of the channel.
 
@@ -223,22 +191,19 @@ def moe_bracket(
     run in `jones_wenzl._blas_threads`, reached through `entangle`.
     """
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
-    p, t = ch.params, ch.triple
+    iso = isometry(p, t, max_dim=max_dim)
     lower = 0.0 - lambda_log(p, t)  # 0.0, not -0.0, at r = 0
     coarse_lower = -math.log(rd_bound(p, t)[1])
-    dim_k = ch.input_dim
 
-    witness_entropy = schmidt_spectrum(witness_image(ch.iso)).entropy
+    witness_entropy = schmidt_spectrum(witness_image(iso)).entropy
 
-    res = max_schmidt_optimizer(
-        p, t, restarts=restarts, tol=tol, seed=seed, max_dim=ch.max_dim
-    )
+    res = max_schmidt_optimizer(p, t, restarts=restarts, tol=tol, seed=seed, max_dim=max_dim)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((samples, dim_k))
+    draws = rng.standard_normal((samples, iso.basis.dim))
     # column 0 is the optimizer's argmax, the rest are the random inputs
     cols = np.column_stack([res.xi, draws.T])
     cols /= np.linalg.norm(cols, axis=0)
-    entropies = _entropies(_image_spectra(ch.iso, cols))
+    entropies = _entropies(_image_spectra(iso, cols))
     optimizer_entropy = float(entropies[0])
     sampled_entropy = float(entropies[1:].min())
 
@@ -254,7 +219,6 @@ def moe_bracket(
         )
     return MoeBracket(
         triple=t,
-        direction=ch.direction,
         lower=lower,
         upper=upper,
         coarse_lower=coarse_lower,

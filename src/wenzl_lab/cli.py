@@ -28,7 +28,6 @@ import numpy as np
 from .channel import (
     TRACE_FIRST,
     TRACE_LAST,
-    channel,
     channel_norm_report,
     choi_witness_value,
     moe_bracket,
@@ -68,6 +67,7 @@ _ENTROPY_FIELDS = (
     "sampled_entropy",
 )
 
+# a complementary pair shares the norm and the MOE, so --direction only labels those reports
 _TRACED = {"first": TRACE_FIRST, "last": TRACE_LAST}
 
 
@@ -186,20 +186,23 @@ def _run_saturation(args: argparse.Namespace) -> dict:
 
 
 def _run_channel(args: argparse.Namespace) -> dict:
-    ch = channel(args.p, args.t, _TRACED[args.direction], max_dim=args.max_dim)
-    rep = channel_norm_report(ch, restarts=args.restarts, seed=args.seed, tol=args.tol)
-    return {**asdict(rep), "direction": ch.direction}
+    rep = channel_norm_report(
+        args.p, args.t, restarts=args.restarts, seed=args.seed, tol=args.tol,
+        max_dim=args.max_dim,
+    )
+    return {**asdict(rep), "direction": _TRACED[args.direction]}
 
 
-def _moe(ch, args: argparse.Namespace) -> dict:
+def _moe(p, t: AdmissibleTriple, args: argparse.Namespace) -> dict:
     bracket = moe_bracket(
-        ch, samples=args.samples, restarts=args.restarts, seed=args.seed, tol=args.tol
+        p, t, samples=args.samples, restarts=args.restarts, seed=args.seed, tol=args.tol,
+        max_dim=args.max_dim,
     )
     return _in_log_base(asdict(bracket), args)
 
 
 def _run_moe(args: argparse.Namespace) -> dict:
-    return _moe(channel(args.p, args.t, _TRACED[args.direction], max_dim=args.max_dim), args)
+    return {**_moe(args.p, args.t, args), "direction": _TRACED[args.direction]}
 
 
 def _run_choi(args: argparse.Namespace) -> dict:
@@ -225,7 +228,7 @@ def _sweep_row(p, t: AdmissibleTriple, args: argparse.Namespace) -> dict:
         row["skip_reason"] = f"ambient dimension exceeds cap {args.max_dim}"
         return row
     lam, coarse = rd_bound(p, t)
-    moe = _moe(channel(p, t, max_dim=args.max_dim), args)
+    moe = _moe(p, t, args)
     family = witness_family_size(p, t)
     row.update(
         {

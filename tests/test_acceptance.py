@@ -35,7 +35,6 @@ from conftest import record_criterion
 from wenzl_lab import (
     AdmissibleTriple,
     admissible_triples,
-    channel,
     channel_norm_report,
     choi_witness_value,
     d_positivity_threshold,
@@ -235,7 +234,7 @@ def test_criterion_06_optimizer_attainment():
 def test_criterion_07_channel_norm():
     worst_rel = 0.0
     for p, t in SWEEP_SMALL:
-        rep = channel_norm_report(channel(p, t), restarts=20, seed=0)
+        rep = channel_norm_report(p, t, restarts=20, seed=0)
         assert rep.converged, (p.n, t)
         worst_rel = max(worst_rel, abs(rep.norm_1_to_inf - rep.closed_form) / rep.closed_form)
         assert rep.in_sharp_bracket, (p.n, t, rep)
@@ -271,7 +270,7 @@ def test_criterion_08_moe_bracket():
     worst_gap_sign = -math.inf
     bell_gaps = []
     for p, t in SWEEP_FULL:
-        b = moe_bracket(channel(p, t), samples=40, restarts=6, seed=0)
+        b = moe_bracket(p, t, samples=40, restarts=6, seed=0)
         worst_gap_sign = max(worst_gap_sign, b.lower - b.upper)
         assert b.lower <= b.upper + MOE_SLACK, (p.n, t, b)
         assert b.lower >= b.coarse_lower - MOE_SLACK, (p.n, t, b)

@@ -4,7 +4,6 @@ and the Choi-matrix d-positivity witness machinery."""
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import math
 
 import numpy as np
@@ -15,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import SWEEP_SMALL
 
-from wenzl_lab import entangle
+from wenzl_lab import channel as channel_module
+from wenzl_lab import entangle, vertex
 from wenzl_lab.channel import (
     TRACE_FIRST,
     TRACE_LAST,
-    EquivariantChannel,
-    channel,
     channel_apply,
     channel_norm_report,
     choi_witness_value,
@@ -28,12 +26,9 @@ from wenzl_lab.channel import (
     moe_bracket,
 )
 from wenzl_lab.entangle import max_schmidt_optimizer, rd_certificate
-from wenzl_lab.errors import InvariantViolation
+from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.qnum import AdmissibleTriple, quantum_parameter, rd_constant
 from wenzl_lab.vertex import EquivariantIsometry, isometry
-
-# the package re-exports the function `channel`, which shadows the submodule
-channel_module = importlib.import_module("wenzl_lab.channel")
 
 P3 = quantum_parameter(3)
 P4 = quantum_parameter(4)
@@ -50,9 +45,9 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (basis * weights) @ basis.T
 
 
-def converged_norm(ch) -> float:
-    rep = channel_norm_report(ch)
-    assert rep.converged, ch.triple
+def converged_norm(p, t) -> float:
+    rep = channel_norm_report(p, t)
+    assert rep.converged, t
     return rep.norm_1_to_inf
 
 
@@ -74,21 +69,20 @@ def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_bell_channel_outputs_maximally_mixed():
-    ch = channel(P3, BELL)
-    out = channel_apply(ch, np.array([[1.0]]))
+    out = channel_apply(P3, BELL, np.array([[1.0]]))
     np.testing.assert_allclose(out, np.eye(3) / 3.0, atol=1e-12)
 
 
 def test_pure_output_spectrum_equals_schmidt_spectrum():
-    ch = channel(P3, MIDDLE)
+    iso = isometry(P3, MIDDLE)
     rng = np.random.default_rng(11)
-    xi = rng.standard_normal(ch.input_dim)
+    xi = rng.standard_normal(iso.basis.dim)
     xi /= np.linalg.norm(xi)
-    out = channel_apply(ch, np.outer(xi, xi))
+    out = channel_apply(P3, MIDDLE, np.outer(xi, xi))
     spectrum = np.linalg.eigvalsh(out)
     spectrum = np.sort(spectrum[spectrum > 1e-12])[::-1]
 
-    mat = (ch.iso.reduced @ xi).reshape(3, 9)
+    mat = (iso.reduced @ xi).reshape(3, 9)
     lam = np.sort(np.linalg.svd(mat, compute_uv=False) ** 2)[::-1]
     lam = lam[: len(spectrum)]
     np.testing.assert_allclose(spectrum, lam, atol=1e-10)
@@ -96,9 +90,8 @@ def test_pure_output_spectrum_equals_schmidt_spectrum():
 
 def test_maximally_mixed_input_gives_trace_one_psd_output():
     for p, t in ((P3, MIDDLE), (P3, HIGHEST), (P4, SQUARE)):
-        ch = channel(p, t)
-        rho = np.eye(ch.input_dim) / ch.input_dim
-        out = channel_apply(ch, rho)
+        dim = isometry(p, t).basis.dim
+        out = channel_apply(p, t, np.eye(dim) / dim)
         assert np.trace(out) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(out)[0] >= -1e-9
 
@@ -106,10 +99,10 @@ def test_maximally_mixed_input_gives_trace_one_psd_output():
 def test_cptp_on_random_states():
     rng = np.random.default_rng(0)
     for p, t in ((P3, BELL), (P3, MIDDLE), (P3, SQUARE)):
+        dim = isometry(p, t).basis.dim
         for direction in (TRACE_FIRST, TRACE_LAST):
-            ch = channel(p, t, direction)
             for _ in range(34):
-                out = channel_apply(ch, random_state(rng, ch.input_dim))
+                out = channel_apply(p, t, random_state(rng, dim), direction)
                 assert abs(np.trace(out) - 1.0) <= 1e-9
                 assert np.linalg.eigvalsh(out)[0] >= -1e-9
 
@@ -119,8 +112,8 @@ def test_cptp_on_random_states():
 def test_complementary_outputs_share_nonzero_spectrum(seed):
     rng = np.random.default_rng(seed)
     rho = random_pure(rng, 3)
-    first = channel_apply(channel(P3, MIDDLE, TRACE_FIRST), rho)
-    last = channel_apply(channel(P3, MIDDLE, TRACE_LAST), rho)
+    first = channel_apply(P3, MIDDLE, rho, TRACE_FIRST)
+    last = channel_apply(P3, MIDDLE, rho, TRACE_LAST)
     s_first = np.linalg.eigvalsh(first)
     s_last = np.linalg.eigvalsh(last)
     s_first = np.sort(s_first[np.abs(s_first) > 1e-10])
@@ -132,12 +125,11 @@ def test_complementary_outputs_share_nonzero_spectrum(seed):
 @pytest.mark.parametrize("direction", [TRACE_FIRST, TRACE_LAST])
 def test_output_is_in_kept_basis_coordinates(direction):
     # d_kept square, and B_kept out B_kept^T is the ambient partial trace
-    ch = channel(P3, MIDDLE, direction)
-    rho = random_state(np.random.default_rng(4), ch.input_dim)
-    out = channel_apply(ch, rho)
-    iso = ch.iso
+    iso = isometry(P3, MIDDLE)
+    rho = random_state(np.random.default_rng(4), iso.basis.dim)
+    out = channel_apply(P3, MIDDLE, rho, direction)
     kept = iso.basis_m if direction == TRACE_FIRST else iso.basis_l
-    assert out.shape == (ch.output_dim, ch.output_dim) == (kept.dim, kept.dim)
+    assert out.shape == (kept.dim, kept.dim)
     full = iso.reduced @ rho @ iso.reduced.T
     blocks = full.reshape(3, 9, 3, 9)
     want = (
@@ -148,44 +140,40 @@ def test_output_is_in_kept_basis_coordinates(direction):
 
 
 def test_channel_rejects_bad_inputs():
-    ch = channel(P3, MIDDLE)
     with pytest.raises(ValueError):
-        channel_apply(ch, np.eye(2) / 2.0)  # wrong dimension
+        channel_apply(P3, MIDDLE, np.eye(2) / 2.0)  # wrong dimension
     with pytest.raises(ValueError):
-        channel_apply(ch, np.diag([1.4, -0.4, 0.0]))  # negative eigenvalue
+        channel_apply(P3, MIDDLE, np.diag([1.4, -0.4, 0.0]))  # negative eigenvalue
     with pytest.raises(ValueError):
-        channel_apply(ch, np.eye(3))  # trace 3
+        channel_apply(P3, MIDDLE, np.eye(3))  # trace 3
     skew = np.eye(3) / 3.0
     skew[0, 1] = 0.2
     with pytest.raises(ValueError):
-        channel_apply(ch, skew)  # not symmetric
+        channel_apply(P3, MIDDLE, skew)  # not symmetric
     nan_state = np.eye(3) / 3.0
     nan_state[2, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        channel_apply(ch, nan_state)
+        channel_apply(P3, MIDDLE, nan_state)
 
 
 def test_channel_accepts_a_state_within_the_input_trace_tolerance():
-    ch = channel(P3, MIDDLE)
     rho = np.eye(3) / 3.0 * (1.0 + 5e-9)
-    out = channel_apply(ch, rho)
+    out = channel_apply(P3, MIDDLE, rho)
     assert np.trace(out) == pytest.approx(np.trace(rho), rel=0, abs=1e-12)
 
 
-def test_channel_output_trace_drift_is_an_invariant_violation():
-    ch = channel(P3, MIDDLE)
-    scaled = dataclasses.replace(ch.iso, legs=ch.iso.legs * (1.0 + 1e-6))
+def test_channel_output_trace_drift_is_an_invariant_violation(monkeypatch):
+    iso = isometry(P3, MIDDLE)
+    scaled = dataclasses.replace(iso, legs=iso.legs * (1.0 + 1e-6))
+    monkeypatch.setitem(vertex._iso_cache, (3, 1, 1, 2), scaled)
     with pytest.raises(InvariantViolation, match="channel output trace"):
-        channel_apply(dataclasses.replace(ch, iso=scaled), np.eye(3) / 3.0)
+        channel_apply(P3, MIDDLE, np.eye(3) / 3.0)
 
 
-def test_channel_output_trace_nan_is_an_invariant_violation():
-    ch = channel(P3, MIDDLE)
-    legs = ch.iso.legs.copy()
-    legs[0, 0] = np.nan
-    bad = dataclasses.replace(ch, iso=dataclasses.replace(ch.iso, legs=legs))
+def test_channel_output_trace_nan_is_an_invariant_violation(monkeypatch):
+    p, t = put_nan_legs(monkeypatch)
     with pytest.raises(InvariantViolation, match="channel output trace"):
-        channel_apply(bad, np.eye(3) / 3.0)
+        channel_apply(p, t, np.eye(8) / 8.0)
 
 
 @pytest.mark.parametrize("at", [(0, 0), (-1, -1)], ids=["first", "last"])
@@ -193,26 +181,19 @@ def test_moe_and_choi_refuse_nan_legs(monkeypatch, at):
     # before the checks, both raised ValueError, and choi blamed the scale
     p, t = put_nan_legs(monkeypatch, at)
     with pytest.raises(InvariantViolation, match="witness image"):
-        moe_bracket(channel(p, t))
+        moe_bracket(p, t)
     with pytest.raises(InvariantViolation, match="Choi form"):
         choi_witness_value(p, t, 1, 1.0)
 
 
 def test_channel_rejects_bad_direction():
-    with pytest.raises(ValueError):
-        channel(P3, BELL, "trace-both")
-    # built directly, output_dim would name H_l's 3 while channel_apply returned H_m's 8 x 8
     with pytest.raises(ValueError, match="direction must be one of"):
-        EquivariantChannel("trace-both", isometry(P3, MIDDLE), 4096)
-
-
-def test_channel_reads_its_triple_off_its_isometry():
-    # a second copy of the triple could name (0,1,1), norm 1/3, while alpha is (1,1,2)'s
-    ch = EquivariantChannel(TRACE_FIRST, isometry(P3, MIDDLE), 4096)
-    assert ch.triple == MIDDLE
-    rep = channel_norm_report(ch, restarts=4, seed=0)
-    assert rep.triple == MIDDLE
-    assert rep.norm_1_to_inf == pytest.approx(3.0 / 8.0, rel=1e-6)
+        channel_apply(P3, BELL, np.array([[1.0]]), "trace-both")
+    # refused before alpha is built: a good direction under this cap is a DimensionCapError
+    with pytest.raises(ValueError, match="direction must be one of"):
+        channel_apply(P3, MIDDLE, np.eye(3) / 3.0, "trace-both", max_dim=1)
+    with pytest.raises(DimensionCapError):
+        channel_apply(P3, MIDDLE, np.eye(3) / 3.0, TRACE_FIRST, max_dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +201,25 @@ def test_channel_reads_its_triple_off_its_isometry():
 # ---------------------------------------------------------------------------
 
 def test_norm_frozen_values():
-    assert converged_norm(channel(P3, BELL)) == pytest.approx(
-        1.0 / 3.0, rel=1e-6
-    )
-    assert converged_norm(channel(P3, MIDDLE)) == pytest.approx(
-        3.0 / 8.0, rel=1e-6
-    )
-    assert converged_norm(channel(P3, HIGHEST)) == pytest.approx(
-        1.0, rel=1e-6
-    )
+    assert converged_norm(P3, BELL) == pytest.approx(1.0 / 3.0, rel=1e-6)
+    assert converged_norm(P3, MIDDLE) == pytest.approx(3.0 / 8.0, rel=1e-6)
+    assert converged_norm(P3, HIGHEST) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_norm_matches_closed_form_and_direction_free():
+    # the optimizer's argmax is a norming input of both channels of the pair
     for p, t in ((P3, SQUARE), (P4, MIDDLE)):
-        first = converged_norm(channel(p, t, TRACE_FIRST))
-        last = converged_norm(channel(p, t, TRACE_LAST))
-        closed = channel_norm_report(channel(p, t)).closed_form
-        assert first == pytest.approx(closed, rel=1e-6)
-        assert last == pytest.approx(closed, rel=1e-6)
+        rep = channel_norm_report(p, t)
+        assert rep.converged
+        assert rep.norm_1_to_inf == pytest.approx(rep.closed_form, rel=1e-6)
+        xi = max_schmidt_optimizer(p, t).xi
+        for direction in (TRACE_FIRST, TRACE_LAST):
+            top = np.linalg.eigvalsh(channel_apply(p, t, np.outer(xi, xi), direction))[-1]
+            assert top == pytest.approx(rep.norm_1_to_inf, rel=1e-9)
 
 
 def test_norm_report_brackets_bell():
-    rep = channel_norm_report(channel(P3, BELL))
+    rep = channel_norm_report(P3, BELL)
     q = P3.q
     assert rep.converged
     assert rep.closed_form == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -256,7 +234,7 @@ def test_norm_report_brackets_bell():
 
 
 def test_norm_report_brackets_highest_weight():
-    rep = channel_norm_report(channel(P3, HIGHEST))
+    rep = channel_norm_report(P3, HIGHEST)
     assert rep.closed_form == pytest.approx(1.0, rel=1e-12)
     assert rep.bracket_lower_printed == pytest.approx(1.0)
     assert rep.in_printed_bracket
@@ -264,7 +242,7 @@ def test_norm_report_brackets_highest_weight():
 
 
 @pytest.mark.parametrize(
-    "report", [channel_norm_report, lambda ch, tol: moe_bracket(ch, samples=4, tol=tol)]
+    "report", [channel_norm_report, lambda p, t, tol: moe_bracket(p, t, samples=4, tol=tol)]
 )
 def test_tol_reaches_optimizer(monkeypatch, report):
     seen = []
@@ -275,7 +253,7 @@ def test_tol_reaches_optimizer(monkeypatch, report):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(channel_module, "max_schmidt_optimizer", recording)
-    report(channel(P3, MIDDLE), tol=1e-6)
+    report(P3, MIDDLE, tol=1e-6)
     assert seen == [1e-6]
 
 
@@ -284,7 +262,7 @@ def test_tol_reaches_optimizer(monkeypatch, report):
 # ---------------------------------------------------------------------------
 
 def test_moe_bell_bracket_is_tight():
-    b = moe_bracket(channel(P3, BELL), samples=40)
+    b = moe_bracket(P3, BELL, samples=40)
     assert b.lower == pytest.approx(math.log(3.0), rel=1e-12)
     assert b.upper == pytest.approx(math.log(3.0), rel=1e-12)
     assert abs(b.upper - b.lower) < 1e-8
@@ -292,7 +270,7 @@ def test_moe_bell_bracket_is_tight():
 
 
 def test_moe_square_n4_frozen_lower():
-    b = moe_bracket(channel(P4, SQUARE), samples=40)
+    b = moe_bracket(P4, SQUARE, samples=40)
     assert b.lower == pytest.approx(math.log(3.5), rel=1e-12)
     assert b.upper >= b.lower - 1e-8
     assert SQUARE.r == 1
@@ -302,7 +280,7 @@ def test_moe_square_n4_frozen_lower():
 
 
 def test_moe_highest_weight_is_zero_via_separable_witness():
-    b = moe_bracket(channel(P3, HIGHEST), samples=40)
+    b = moe_bracket(P3, HIGHEST, samples=40)
     assert b.lower == pytest.approx(0.0, abs=1e-12)
     assert b.upper == pytest.approx(0.0, abs=1e-12)
     assert b.witness_entropy == pytest.approx(0.0, abs=1e-12)
@@ -317,7 +295,7 @@ def test_moe_bracket_ordering_small_sweep():
                     AdmissibleTriple(k, l, m)
                     for k in range(m - l, l + m + 1, 2)
                 ):
-                    b = moe_bracket(channel(p, t), samples=25, restarts=6)
+                    b = moe_bracket(p, t, samples=25, restarts=6)
                     assert b.lower <= b.upper + 1e-8
                     assert b.coarse_lower <= b.lower + 1e-8
 
@@ -325,7 +303,7 @@ def test_moe_bracket_ordering_small_sweep():
 @pytest.mark.parametrize("samples", [0, -1])
 def test_moe_rejects_too_few_samples(samples):
     with pytest.raises(ValueError, match="samples must be a positive integer"):
-        moe_bracket(channel(P3, MIDDLE), samples=samples)
+        moe_bracket(P3, MIDDLE, samples=samples)
 
 
 BAD_COUNTS = [
@@ -342,7 +320,7 @@ BAD_COUNTS = [
 )
 def test_channel_rejects_non_integer_counts(call, kwargs):
     calls = {
-        "moe": lambda **kw: moe_bracket(channel(P3, MIDDLE), **kw),
+        "moe": lambda **kw: moe_bracket(P3, MIDDLE, **kw),
         "choi": lambda **kw: choi_witness_value(P3, BELL, 1, 1.0, **kw),
         "threshold": lambda **kw: d_positivity_threshold(P3, BELL, **kw),
     }
@@ -353,12 +331,11 @@ def test_channel_rejects_non_integer_counts(call, kwargs):
 @pytest.mark.parametrize("tol", [True, "x", 0.0])
 def test_moe_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be a positive finite real"):
-        moe_bracket(channel(P3, MIDDLE), samples=5, tol=tol)
+        moe_bracket(P3, MIDDLE, samples=5, tol=tol)
 
 
 @needs_blas_threads
 def test_moe_sampling_on_one_blas_thread(monkeypatch):
-    ch = channel(P3, SQUARE)
     caller = blas_threads()
     sweeps, images, stacks = [], [], []
     record_blas_threads(monkeypatch, entangle, "_alpha_step", sweeps)
@@ -366,7 +343,7 @@ def test_moe_sampling_on_one_blas_thread(monkeypatch):
         monkeypatch, EquivariantIsometry, "images", images, lambda iso, x: x.ndim == 2
     )
     record_blas_threads(monkeypatch, np.linalg, "eigvalsh", stacks, lambda a, *rest: a.ndim == 3)
-    moe_bracket(ch, samples=5, restarts=3)
+    moe_bracket(P3, SQUARE, samples=5, restarts=3)
     assert sweeps and set(sweeps) == {1}
     assert images == [1] and stacks == [1]
     assert blas_threads() == caller
@@ -400,7 +377,7 @@ def test_gram_spectra_match_svd(p, t):
     )
     assert abs(rd_certificate(p, t).max_observed - float((sigma[:, 0] ** 2).max())) <= 1e-14
 
-    b = moe_bracket(channel(p, t), samples=200, restarts=2, seed=0)
+    b = moe_bracket(p, t, samples=200, restarts=2, seed=0)
     xi = max_schmidt_optimizer(p, t, restarts=2, seed=0).xi
     draws = np.random.default_rng(0).standard_normal((200, iso.basis.dim))
     cols = np.column_stack([xi, draws.T])
@@ -411,21 +388,20 @@ def test_gram_spectra_match_svd(p, t):
 
 
 def test_moe_deterministic():
-    a = moe_bracket(channel(P3, MIDDLE), samples=30, seed=42)
-    b = moe_bracket(channel(P3, MIDDLE), samples=30, seed=42)
+    a = moe_bracket(P3, MIDDLE, samples=30, seed=42)
+    b = moe_bracket(P3, MIDDLE, samples=30, seed=42)
     assert a == b
 
 
 def test_entropy_never_below_negative_log_norm():
-    ch = channel(P3, MIDDLE)
-    floor = -math.log(converged_norm(ch))
+    floor = -math.log(converged_norm(P3, MIDDLE))
     rng = np.random.default_rng(3)
     for _ in range(25):
-        rho = random_pure(rng, ch.input_dim)
-        assert von_neumann_entropy(channel_apply(ch, rho)) >= floor - 1e-8
+        rho = random_pure(rng, 3)
+        assert von_neumann_entropy(channel_apply(P3, MIDDLE, rho)) >= floor - 1e-8
     for _ in range(10):
-        rho = random_state(rng, ch.input_dim)
-        assert von_neumann_entropy(channel_apply(ch, rho)) >= floor - 1e-8
+        rho = random_state(rng, 3)
+        assert von_neumann_entropy(channel_apply(P3, MIDDLE, rho)) >= floor - 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ format switches, exit codes, and byte-level determinism."""
 from __future__ import annotations
 
 import csv
-import importlib
 import io
 import json
 import math
@@ -16,13 +15,10 @@ import sys
 import pytest
 from conftest import put_nan_legs
 
+from wenzl_lab import channel as channel_module
 from wenzl_lab import cli
 from wenzl_lab.errors import InvariantViolation
 from wenzl_lab.vertex import EquivariantIsometry
-
-
-# the package re-exports the function `channel`, which shadows the submodule
-channel_module = importlib.import_module("wenzl_lab.channel")
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -125,6 +121,22 @@ def test_moe_report(capsys):
     assert report["lower"] == pytest.approx(math.log(3.5), rel=1e-12)
     assert report["upper"] >= report["lower"] - 1e-8
     assert report["coarse_lower"] <= report["lower"] + 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("channel", "--n", "4", "--k", "1", "--l", "2", "--m", "1"),
+        ("moe", "--n", "4", "--k", "2", "--l", "2", "--m", "2", "--samples", "30"),
+    ],
+    ids=["channel", "moe"],
+)
+def test_direction_only_labels_the_report(capsys, argv):
+    # a complementary pair shares the S1 -> Sinf norm and the MOE
+    first = run_json(capsys, *argv, "--direction", "first")
+    last = run_json(capsys, *argv, "--direction", "last")
+    assert (first.pop("direction"), last.pop("direction")) == ("trace-first-l", "trace-last-m")
+    assert first == last
 
 
 def test_log_base_two_scales_entropies(capsys):

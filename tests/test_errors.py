@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wenzl_lab import jones_wenzl as jwmod
-from wenzl_lab.channel import channel, channel_apply
+from wenzl_lab.channel import channel_apply
 from wenzl_lab.entangle import rd_certificate, schmidt_spectrum
 from wenzl_lab.errors import DimensionCapError, _check_cap, _check_int, _check_real
 from wenzl_lab.jones_wenzl import clear_caches, jw_projection, onb_of_irrep, verify_jw
@@ -127,11 +127,10 @@ def test_schmidt_spectrum_refuses_complex_input():
 
 
 def test_channel_apply_refuses_complex_state():
-    ch = channel(P3, AdmissibleTriple(1, 1, 2))
     rho = np.eye(3, dtype=complex) / 3.0
     rho[0, 1], rho[1, 0] = 0.1j, -0.1j
     with pytest.raises(ValueError, match="input state must be real"):
-        channel_apply(ch, rho)
+        channel_apply(P3, AdmissibleTriple(1, 1, 2), rho)
 
 
 def test_verify_jw_refuses_complex_projection():
@@ -155,9 +154,8 @@ def test_schmidt_spectrum_refuses_object_entries():
 
 
 def test_channel_apply_refuses_object_entries():
-    ch = channel(P3, AdmissibleTriple(1, 1, 2))
     with pytest.raises(ValueError, match="input state must be real"):
-        channel_apply(ch, _with_object_entry(np.eye(3) / 3.0))
+        channel_apply(P3, AdmissibleTriple(1, 1, 2), _with_object_entry(np.eye(3) / 3.0))
 
 
 def test_verify_jw_refuses_object_entries():

@@ -1,5 +1,6 @@
 """Static checks: no package module imports a name it never uses, every
-name a module lists in `__all__` is bound in that module, each module
+name a module lists in `__all__` is bound in that module, `__init__`
+re-exports exactly the library modules' `__all__`, each module
 imports only from modules below it in LAYERS (and `channel` not from
 `jones_wenzl`, whose BLAS thread policy it reaches only through
 `entangle`), only `jones_wenzl` names OpenBLAS and the rest take only its
@@ -100,6 +101,22 @@ ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_exports_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+LIBRARY = [p for p in MODULES if p.stem != "cli"]
+
+
+def test_package_reexports_exactly_the_library_exports():
+    """`__init__` re-exports the union of the library modules' `__all__`, bar the
+    two `clear_caches`, so a name deleted from a module cannot live on there."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    reexported = [
+        alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+    ]
+    exports = {name for path in LIBRARY for name in exported(ast.parse(path.read_text()))}
+    assert sorted(reexported) == sorted(exports - {"clear_caches"})
 
 
 # the package's modules, lowest first; `__init__` sits above them all

@@ -11,8 +11,8 @@ package's leg-coordinate checks at the acceptance tolerances of
   ``OPTIMIZER_REL_TOL`` of ([k+1]/theta)^(1/2).  The losing restarts are
   not asserted: at N=3 (3;2,5) and (3;5,2), 2 of 20 run to ``max_iters``;
 * the saturation plateau, for r >= 1;
-* the MOE bracket order, in one trace direction, since complementary
-  outputs share their spectrum;
+* the MOE bracket order, which `moe_bracket` reports once for the pair,
+  since complementary outputs share their nonzero spectrum;
 * the rapid-decay certificate.
 
 From cold caches the module took 11.2-12.6 s in three runs on 2 cores
@@ -42,7 +42,6 @@ from test_acceptance import (
 
 from wenzl_lab import (
     admissible_triples,
-    channel,
     isometry,
     max_schmidt_optimizer,
     moe_bracket,
@@ -87,7 +86,7 @@ def test_edge_triple_passes_the_leg_checks(p, t):
         rep = verify_saturation(p, t)
         assert rep.plateau_ok and rep.max_rel_err <= SATURATION_REL_TOL, rep
 
-    b = moe_bracket(channel(p, t), samples=40, restarts=6, seed=0)
+    b = moe_bracket(p, t, samples=40, restarts=6, seed=0)
     assert b.lower <= b.upper + MOE_SLACK, b
     assert b.lower >= b.coarse_lower - MOE_SLACK, b
     if t.r == 0:

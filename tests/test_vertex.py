@@ -19,7 +19,7 @@ from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 import wenzl_lab.jones_wenzl as jwmod
 import wenzl_lab.vertex as vxmod
 from wenzl_lab import cli
-from wenzl_lab.channel import channel, channel_apply, choi_witness_value, moe_bracket
+from wenzl_lab.channel import channel_apply, choi_witness_value, moe_bracket
 from wenzl_lab.entangle import (
     max_schmidt_optimizer,
     rd_certificate,
@@ -219,9 +219,9 @@ def test_pipeline_never_builds_dense_objects(capsys, monkeypatch):
         isometry(p, t)
         max_schmidt_optimizer(p, t, restarts=4, seed=0)
         rd_certificate(p, t, samples=10, seed=0)
-        ch = channel(p, t)
-        moe_bracket(ch, samples=5, restarts=3, seed=0)
-        channel_apply(ch, np.eye(ch.input_dim) / ch.input_dim)
+        moe_bracket(p, t, samples=5, restarts=3, seed=0)
+        dim = isometry(p, t).basis.dim
+        channel_apply(p, t, np.eye(dim) / dim)
     # the witness family, on the index family (N=4) and beyond it (Bell, d = 2)
     p4, square = quantum_parameter(4), AdmissibleTriple(2, 2, 2)
     p3, bell = quantum_parameter(3), AdmissibleTriple(0, 1, 1)
