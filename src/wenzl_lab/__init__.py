@@ -5,6 +5,9 @@ the dimension cap), qnum (scalar quantum arithmetic), jones_wenzl
 (projections and irrep bases), vertex (equivariant isometries
 in leg coordinates), entangle (Schmidt analysis and witnesses),
 channel (equivariant quantum channels and Choi diagnostics), cli.
+
+The package re-exports each library module's `__all__`, the one place a public
+name is declared; `clear_caches` stays module-level in `jones_wenzl` and `vertex`.
 """
 
 from __future__ import annotations
@@ -28,57 +31,11 @@ if _np and _np.origin and any(_Path(_np.origin).parents[1].glob("numpy.libs/*sci
         del _os.environ["OPENBLAS_NUM_THREADS"]  # child processes see the user's environment
     jones_wenzl._pool_deferred = True
 
-from .channel import (
-    ChannelNormReport,
-    ChoiReport,
-    MoeBracket,
-    TRACE_FIRST,
-    TRACE_LAST,
-    channel_apply,
-    channel_norm_report,
-    choi_witness_value,
-    d_positivity_threshold,
-    moe_bracket,
-)
-from .entangle import (
-    MaxSchmidtResult,
-    RdCertificate,
-    SaturationReport,
-    SaturationWitness,
-    SchmidtReport,
-    max_schmidt_optimizer,
-    rd_certificate,
-    saturation_witness,
-    schmidt_spectrum,
-    verify_saturation,
-    witness_image,
-    witness_family_size,
-)
-from .errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation, WenzlLabError
-from .jones_wenzl import (
-    IrrepBasis,
-    JwVerification,
-    jw_projection,
-    onb_of_irrep,
-    verify_jw,
-)
-from .qnum import (
-    AdmissibleTriple,
-    QParams,
-    admissible_triples,
-    dim_irrep,
-    lambda_log,
-    log_dim,
-    q_int,
-    quantum_parameter,
-    rd_bound,
-    rd_constant,
-    theta_net_log,
-)
-from .vertex import (
-    EquivariantIsometry,
-    isometry,
-    reversal_permutation,
-)
+from .channel import *  # noqa: F401,F403
+from .entangle import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .jones_wenzl import *  # noqa: F401,F403
+from .qnum import *  # noqa: F401,F403
+from .vertex import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -41,7 +41,9 @@ from .entangle import (
 )
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation
 from .jones_wenzl import jw_projection, verify_jw
-from .qnum import AdmissibleTriple, dim_irrep, lambda_log, quantum_parameter, rd_bound
+from .qnum import (
+    AdmissibleTriple, admissible_triples, dim_irrep, lambda_log, quantum_parameter, rd_bound,
+)
 from .vertex import isometry
 
 SCHEMA = "wenzl-lab/1"
@@ -257,8 +259,8 @@ def _run_sweep(args: argparse.Namespace) -> dict:
         p = quantum_parameter(n)
         for l in range(1, args.max_l + 1):
             for m in range(1, args.max_m + 1):
-                for k in range(abs(l - m), l + m + 1, 2):
-                    rows.append(_sweep_row(p, AdmissibleTriple(k, l, m), args))
+                for t in reversed(admissible_triples(l, m)):  # k ascending
+                    rows.append(_sweep_row(p, t, args))
     return {
         "n_min": args.n_min,
         "n_max": args.n_max,

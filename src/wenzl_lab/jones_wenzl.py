@@ -56,7 +56,6 @@ __all__ = [
     "jw_projection",
     "verify_jw",
     "onb_of_irrep",
-    "clear_caches",
 ]
 
 IDEMPOTENCE_TOL = 1e-9

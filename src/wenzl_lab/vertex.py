@@ -35,7 +35,6 @@ __all__ = [
     "EquivariantIsometry",
     "isometry",
     "reversal_permutation",
-    "clear_caches",
 ]
 
 THETA_AGREEMENT_RTOL = 1e-6

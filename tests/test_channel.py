@@ -186,6 +186,22 @@ def test_moe_and_choi_refuse_nan_legs(monkeypatch, at):
         choi_witness_value(p, t, 1, 1.0)
 
 
+def test_moe_floor_above_the_upper_end_is_an_invariant_violation(monkeypatch):
+    # a floor of 50 nats sits far above any entropy alpha can output
+    monkeypatch.setattr(channel_module, "lambda_log", lambda p, t: -50.0)
+    with pytest.raises(InvariantViolation, match="MOE floor"):
+        moe_bracket(P3, MIDDLE, samples=5, restarts=2)
+
+
+def test_choi_negative_sample_at_or_below_the_threshold_is_an_invariant_violation(monkeypatch):
+    # at 100x the true threshold the sampled form goes negative, which a
+    # threshold of inf calls a contradiction of d-positivity
+    scale = 100.0 * d_positivity_threshold(P3, BELL, 1)
+    monkeypatch.setattr(channel_module, "d_positivity_threshold", lambda p, t, d: math.inf)
+    with pytest.raises(InvariantViolation, match="d-positivity contradicted"):
+        choi_witness_value(P3, BELL, 1, scale, samples=5)
+
+
 def test_channel_rejects_bad_direction():
     with pytest.raises(ValueError, match="direction must be one of"):
         channel_apply(P3, BELL, np.array([[1.0]]), "trace-both")

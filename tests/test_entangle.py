@@ -914,6 +914,15 @@ def test_witness_rejects_word_with_repeated_letter(monkeypatch):
         saturation_witness(p, t)
 
 
+def test_witness_rejects_a_family_of_the_wrong_size(monkeypatch):
+    # dropping (3, 2) leaves one index where (N-2)(N-1)^(r-1) counts two
+    p, t = quantum_parameter(3), AdmissibleTriple(2, 3, 3)
+    real = entangle._witness_indices
+    monkeypatch.setattr(entangle, "_witness_indices", lambda n, r: real(n, r)[:-1])
+    with pytest.raises(InvariantViolation, match="witness family size 1 != "):
+        saturation_witness(p, t)
+
+
 def test_witness_rejects_nan_basis_row(monkeypatch):
     # row 1 of B_2 is the word (1, 2); a NaN norm would pass `err > tol`
     p = quantum_parameter(3)

@@ -1,6 +1,7 @@
-"""Static checks: no package module imports a name it never uses, every
-name a module lists in `__all__` is bound in that module, `__init__`
-re-exports exactly the library modules' `__all__`, each module
+"""Static checks, and one run-time check of the package's names: no package
+module imports a name it never uses, every name a module lists in `__all__`
+is bound in that module, `__init__` re-exports the library modules' `__all__`
+by one star import each and no two modules export the same name, each module
 imports only from modules below it in LAYERS (and `channel` not from
 `jones_wenzl`, whose BLAS thread policy it reaches only through
 `entangle`), only `jones_wenzl` names OpenBLAS and the rest take only its
@@ -9,7 +10,7 @@ scope `_blas_threads`, only `cli` imports the dense Wenzl oracles, no line is wi
 only `errors` tests for `bool`, inside its one integer and real rule, and
 no check that raises InvariantViolation tests a bare `>` or `<`.
 
-`__init__` re-exports by importing, so it is exempt from the first check
+`__init__` re-exports by star imports, so it is exempt from the first check
 and the dense-oracle one; elsewhere a name listed in the module's
 `__all__` counts as used.
 """
@@ -17,9 +18,13 @@ and the dense-oracle one; elsewhere a name listed in the module's
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
+
+import wenzl_lab
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "wenzl_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -107,16 +112,39 @@ LIBRARY = [p for p in MODULES if p.stem != "cli"]
 
 
 def test_package_reexports_exactly_the_library_exports():
-    """`__init__` re-exports the union of the library modules' `__all__`, bar the
-    two `clear_caches`, so a name deleted from a module cannot live on there."""
+    """Besides the BLAS block's `from . import jones_wenzl`, `__init__`'s only relative
+    imports are one `from .<m> import *` per library module, so a public name is
+    declared once, in its module's `__all__`."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    reexported = [
-        alias.name for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level and node.module
-        for alias in node.names
+    relative = [
+        (node.module, [alias.name for alias in node.names])
+        for node in sorted(ast.walk(tree), key=lambda node: getattr(node, "lineno", 0))
+        if isinstance(node, ast.ImportFrom) and node.level
     ]
-    exports = {name for path in LIBRARY for name in exported(ast.parse(path.read_text()))}
-    assert sorted(reexported) == sorted(exports - {"clear_caches"})
+    assert relative == [(None, ["jones_wenzl"])] + [(path.stem, ["*"]) for path in LIBRARY]
+
+
+def test_no_name_is_exported_by_two_modules():
+    """A star import would let the later module's name shadow the earlier's."""
+    owners = {}
+    for path in LIBRARY:
+        for name in exported(ast.parse(path.read_text())):
+            owners.setdefault(name, []).append(path.stem)
+    assert {name: stems for name, stems in owners.items() if len(stems) > 1} == {}
+
+
+def test_package_binds_each_library_export_from_its_module():
+    """At run time, `wenzl_lab`'s public names are the library `__all__`s, each
+    the very object its module binds."""
+    modules = [importlib.import_module(f"wenzl_lab.{path.stem}") for path in LIBRARY]
+    public = {
+        name for name, value in vars(wenzl_lab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public - {"annotations"} == {name for module in modules for name in module.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(wenzl_lab, name) is getattr(module, name), name
 
 
 # the package's modules, lowest first; `__init__` sits above them all
