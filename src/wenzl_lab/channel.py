@@ -30,8 +30,9 @@ from .entangle import (
     _finite,
     _image_spectra,
     max_schmidt_optimizer,
-    saturation_witness,
     schmidt_spectrum,
+    witness_family,
+    witness_family_size,
     witness_image,
 )
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real, _check_real_array
@@ -263,9 +264,7 @@ def _choi_qform(legs: np.ndarray, scale: float, x: np.ndarray) -> float:
     return float(x @ x) - scale * float(pulled @ pulled)
 
 
-def _witness_pairs(
-    iso: EquivariantIsometry, d: int, max_dim: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _witness_pairs(iso: EquivariantIsometry, d: int) -> tuple[np.ndarray, np.ndarray]:
     """First d orthonormal witness pairs in leg coordinates, one pair per
     row of the two returned arrays: index family, then plateau pairs.
 
@@ -273,24 +272,22 @@ def _witness_pairs(
     of the alternating word, after deflating the family block; the two
     sides stay orthonormal, so the combined vector has Schmidt rank d.
     """
-    p, t = iso.params, iso.triple
-    wit = saturation_witness(p, t, max_dim=max_dim)
-    etas, zetas = wit.eta_family[:d], wit.zeta_family[:d]
-    if d <= wit.family_size:
-        return etas, zetas, wit.family_size
+    etas, zetas = witness_family(iso)
+    size = len(etas)
+    if d <= size:
+        return etas[:d], zetas[:d]
 
     root = iso.scale
     mat = witness_image(iso) - root * (etas.T @ zetas)
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     extra = int(np.sum(np.abs(s - root) <= PLATEAU_RTOL * root + 1e-12))
-    available = wit.family_size + extra
-    if d > available:
+    if d > size + extra:
         raise ValueError(
-            f"d = {d} exceeds the witness supply on {t}: index family size "
-            f"(N-2)(N-1)^(r-1) = {wit.family_size}, observed plateau {available}"
+            f"d = {d} exceeds the witness supply on {iso.triple}: index family size "
+            f"(N-2)(N-1)^(r-1) = {size}, observed plateau {size + extra}"
         )
-    more = d - wit.family_size
-    return np.vstack([etas, u[:, :more].T]), np.vstack([zetas, vt[:more]]), wit.family_size
+    more = d - size
+    return np.vstack([etas, u[:, :more].T]), np.vstack([zetas, vt[:more]])
 
 
 def choi_witness_value(
@@ -311,12 +308,8 @@ def choi_witness_value(
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     scale = _check_real("scale", scale, "a finite number", -math.inf, math.inf)
     threshold = d_positivity_threshold(p, t, d)
-    if t.r < 1:
-        raise ValueError(
-            f"triple {t} is highest weight: the Choi witness needs r >= 1"
-        )
     iso = isometry(p, t, max_dim=max_dim)
-    etas, zetas, family_size = _witness_pairs(iso, d, max_dim)
+    etas, zetas = _witness_pairs(iso, d)
     x = (etas.T @ zetas).ravel()
     witness_value = _choi_qform(iso.legs, scale, x)
     predicted = d * (1.0 - scale * d * math.exp(lambda_log(p, t)))
@@ -347,6 +340,6 @@ def choi_witness_value(
         witness_value=witness_value,
         predicted_value=predicted,
         sampled_min=sampled_min,
-        family_size=family_size,
+        family_size=witness_family_size(p, t),
         witness_rank=len(etas),
     )

@@ -41,9 +41,7 @@ from .entangle import (
 )
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation
 from .jones_wenzl import jw_projection, verify_jw
-from .qnum import (
-    AdmissibleTriple, admissible_triples, dim_irrep, lambda_log, quantum_parameter, rd_bound,
-)
+from .qnum import AdmissibleTriple, admissible_triples, dim_irrep, quantum_parameter, rd_bound
 from .vertex import isometry
 
 SCHEMA = "wenzl-lab/1"
@@ -152,9 +150,15 @@ def _run_isometry(args: argparse.Namespace) -> dict:
     }
 
 
+def _closed_form_max(p, t: AdmissibleTriple) -> float:
+    """[k+1]/theta, the largest squared Schmidt value: 1.0 at r = 0, else from
+    `rd_bound`, whose ValueError refuses N = 2, where it is not the maximum."""
+    return 1.0 if t.r == 0 else rd_bound(p, t)[0]
+
+
 def _run_schmidt(args: argparse.Namespace) -> dict:
+    lam = _closed_form_max(args.p, args.t)
     report = schmidt_spectrum(witness_image(isometry(args.p, args.t, max_dim=args.max_dim)))
-    lam = math.exp(lambda_log(args.p, args.t))
     payload = {
         **asdict(report),
         "triple": asdict(args.t),
@@ -167,11 +171,11 @@ def _run_schmidt(args: argparse.Namespace) -> dict:
 
 
 def _run_max_schmidt(args: argparse.Namespace) -> dict:
+    closed = math.sqrt(_closed_form_max(args.p, args.t))
     res = max_schmidt_optimizer(
         args.p, args.t, restarts=args.restarts, tol=args.tol, seed=args.seed,
         max_dim=args.max_dim,
     )
-    closed = math.sqrt(math.exp(lambda_log(args.p, args.t)))
     return {
         "triple": asdict(args.t),
         "value": res.value,
@@ -216,20 +220,15 @@ def _run_choi(args: argparse.Namespace) -> dict:
 
 
 def _sweep_row(p, t: AdmissibleTriple, args: argparse.Namespace) -> dict:
-    row = {
-        "n": p.n,
-        **asdict(t),
-        "skipped": True,
-        "skip_reason": "rapid-decay constant requires rank >= 3 (q < 1)",
-    }
-    if p.n < 3:
-        return row
+    row = {"n": p.n, **asdict(t), "skipped": True}
+    try:
+        lam, coarse = rd_bound(p, t)  # refuses N = 2
+    except ValueError as exc:
+        return {**row, "skip_reason": str(exc)}
     try:
         iso = isometry(p, t, max_dim=args.max_dim)  # raises before it allocates
     except DimensionCapError:
-        row["skip_reason"] = f"ambient dimension exceeds cap {args.max_dim}"
-        return row
-    lam, coarse = rd_bound(p, t)
+        return {**row, "skip_reason": f"ambient dimension exceeds cap {args.max_dim}"}
     moe = _moe(p, t, args)
     family = witness_family_size(p, t)
     row.update(

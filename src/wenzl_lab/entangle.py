@@ -16,8 +16,9 @@ on the 3-tensor alpha through its factors B_k, B_l, B_m and the cup,
 never through the dense d_l d_m x [k+1]_q `legs`, or, at highest
 weight, where alpha(H_k) fills almost all of H_l (x) H_m, exact block
 steps in eta and zeta on 1 - ||C^T (eta (x) zeta)||^2, C the other
-summands.  Witness words enter as rows of the irrep bases at their flat
-indices, and every result vector is returned in irrep-basis coordinates.
+summands.  The witness family (`witness_family`) and xi (`witness_image`)
+are read from the cached isometry's irrep bases, as rows at the words'
+flat indices, and every result vector is in irrep-basis coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_int, _check_real, _check_real_array
-from .jones_wenzl import _blas_threads, onb_of_irrep
+from .jones_wenzl import _blas_threads
 from .qnum import (
     AdmissibleTriple,
     QParams,
@@ -43,14 +44,13 @@ __all__ = [
     "SchmidtReport",
     "RdCertificate",
     "MaxSchmidtResult",
-    "SaturationWitness",
     "SaturationReport",
     "schmidt_spectrum",
     "rd_certificate",
     "max_schmidt_optimizer",
     "witness_family_size",
+    "witness_family",
     "witness_image",
-    "saturation_witness",
     "verify_saturation",
 ]
 
@@ -468,23 +468,6 @@ def witness_image(iso: EquivariantIsometry) -> np.ndarray:
     return _finite(image, f"witness image at {iso.triple}")
 
 
-@dataclass(frozen=True)
-class SaturationWitness:
-    """The alternating-word input xi and the orthonormal output families.
-
-    All in IrrepBasis coordinates: xi is a vector of H_k, and row i of
-    eta_family (|A| x d_l) and of zeta_family (|A| x d_m) are eta_i and
-    zeta_i, the product vectors whose span realizes the flat top of the
-    Schmidt spectrum of alpha(xi).
-    """
-
-    triple: AdmissibleTriple
-    xi: np.ndarray
-    family_size: int
-    eta_family: np.ndarray
-    zeta_family: np.ndarray
-
-
 def _witness_indices(n: int, r: int) -> list[tuple[int, ...]]:
     """A = {i: [r] -> [N] with i(1) >= 3 and i(s) != i(s+1)}, in lexicographic order."""
     return [
@@ -494,32 +477,29 @@ def _witness_indices(n: int, r: int) -> list[tuple[int, ...]]:
     ]
 
 
-def saturation_witness(
-    p: QParams, t: AdmissibleTriple, max_dim: int = DEFAULT_DIM_CAP
-) -> SaturationWitness:
-    """Build xi = eta_k(1,2) and the index family A of Prop-style witnesses.
+def witness_family(iso: EquivariantIsometry) -> tuple[np.ndarray, np.ndarray]:
+    """The witness index family A as IrrepBasis rows (etas, zetas), |A| x d_l and |A| x d_m.
 
     Each index i in A yields eta_i = eta_0 (x) e_{i(1)} ... e_{i(r)} and
     the mirrored zeta_i, where eta_0/zeta_0 are the first l-r / last m-r
-    letters of xi; each word is read off as a row of B_k, B_l or B_m, and
-    every family member must be fixed by its Jones-Wenzl projection.
+    letters of xi = eta_k(1,2); each word is read off as a row of the cached
+    isometry's B_l or B_m, and must be fixed by its Jones-Wenzl projection.
     """
+    p, t = iso.params, iso.triple
     if t.r < 1:
-        raise ValueError(f"triple {t} is highest weight: no witness family (r = 0)")
+        raise ValueError(f"triple {t} is highest weight: the witness family needs r >= 1")
     if p.n < 3:
         raise ValueError("witness family needs rank >= 3 (letter i(1) >= 3)")
-    n, k, l, m, r = p.n, t.k, t.l, t.m, t.r
-    bk, bl, bm = (onb_of_irrep(p, j, max_dim=max_dim).columns for j in (k, l, m))
-    word = _alternating_letters(k)
-    indices = _witness_indices(n, r)
+    indices = _witness_indices(p.n, t.r)
     want = witness_family_size(p, t)
     if len(indices) != want:
         raise InvariantViolation(
             f"witness family size {len(indices)} != (N-2)(N-1)^(r-1) = {want}"
         )
-    etas = _fixed_rows(bl, n, [word[: l - r] + list(idx) for idx in indices])
-    zetas = _fixed_rows(bm, n, [list(idx[::-1]) + word[l - r :] for idx in indices])
-    return SaturationWitness(t, _fixed_rows(bk, n, [word])[0], want, etas, zetas)
+    word, cut = _alternating_letters(t.k), t.l - t.r
+    etas = _fixed_rows(iso.basis_l.columns, p.n, [word[:cut] + list(idx) for idx in indices])
+    zetas = _fixed_rows(iso.basis_m.columns, p.n, [list(idx[::-1]) + word[cut:] for idx in indices])
+    return etas, zetas
 
 
 @dataclass(frozen=True)
@@ -546,11 +526,10 @@ def verify_saturation(
     |A|; a larger observed plateau is reported, never asserted away.
     `mass` is |A| [k+1]/theta, the weight the plateau carries.
     """
-    wit = saturation_witness(p, t, max_dim=max_dim)
     iso = isometry(p, t, max_dim=max_dim)
+    d = len(witness_family(iso)[0])
     lam = schmidt_spectrum(witness_image(iso)).coefficients
     expected = math.exp(lambda_log(p, t))
-    d = wit.family_size
     top = lam[:d]
     max_rel = float(np.abs(top - expected).max() / expected)
     observed = int(np.count_nonzero(lam >= lam[0] - PLATEAU_GAP))

@@ -18,6 +18,7 @@ from conftest import put_nan_legs
 from wenzl_lab import channel as channel_module
 from wenzl_lab import cli
 from wenzl_lab.errors import InvariantViolation
+from wenzl_lab.qnum import admissible_triples
 from wenzl_lab.vertex import EquivariantIsometry
 
 
@@ -273,6 +274,39 @@ def test_rank_two_channel_commands_exit_4(capsys, command):
     assert code == 4
     assert out == ""
     assert "rank >= 3" in err
+
+
+RANK_TWO_WEIGHTED = [
+    t for l in range(1, 6) for m in range(1, 6) for t in admissible_triples(l, m) if t.r >= 1
+]
+
+
+@pytest.mark.parametrize("command", ["schmidt", "max-schmidt"])
+def test_rank_two_closed_form_commands_exit_4(capsys, command):
+    # at N = 2, [k+1]/theta is not the largest Schmidt value once r >= 1
+    # (at (3, 2, 3) it is 1.2 against an optimum of 0.6), so both refuse
+    assert len(RANK_TWO_WEIGHTED) == 55
+    assert sum(t.r < min(t.l, t.m) for t in RANK_TWO_WEIGHTED) == 30
+    for t in RANK_TWO_WEIGHTED:
+        triple = ["--n", "2", "--k", str(t.k), "--l", str(t.l), "--m", str(t.m)]
+        code, out, err = run_cli(capsys, command, *triple)
+        assert (code, out) == (4, ""), t
+        assert "rank >= 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["saturation"], ["choi", "--d", "1", "--scale", "1.0"]], ids=["saturation", "choi"]
+)
+def test_highest_weight_witness_meets_the_cap_first(capsys, argv):
+    # the witness family is read from the isometry, so at r = 0 the
+    # N^(l+m) = 81 cap refuses (exit 3) before the family does (exit 4)
+    triple = [*argv, "--n", "3", "--k", "4", "--l", "2", "--m", "2"]
+    code, out, err = run_cli(capsys, *triple, "--max-dim", "80")
+    assert (code, out) == (3, "")
+    assert "cap" in err
+    code, out, err = run_cli(capsys, *triple, "--max-dim", "81")
+    assert (code, out) == (4, "")
+    assert "r >= 1" in err
 
 
 def test_sweep_rows_ordered_deterministically(capsys):

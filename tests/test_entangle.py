@@ -19,12 +19,13 @@ from wenzl_lab.entangle import (
     SIDE_AGREEMENT_TOL,
     max_schmidt_optimizer,
     rd_certificate,
-    saturation_witness,
     schmidt_spectrum,
     verify_saturation,
+    witness_family,
+    witness_family_size,
     witness_image,
 )
-from wenzl_lab.errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation
+from wenzl_lab.errors import DEFAULT_DIM_CAP, InvariantViolation
 from wenzl_lab.jones_wenzl import jw_projection, onb_of_irrep
 from wenzl_lab.qnum import AdmissibleTriple, admissible_triples, quantum_parameter
 from wenzl_lab.vertex import EquivariantIsometry, isometry
@@ -813,45 +814,33 @@ def test_one_blas_thread_without_the_symbol_changes_nothing(monkeypatch):
     [(3, 1, 1, 2, 1), (4, 2, 2, 2, 2), (5, 0, 1, 1, 3), (3, 2, 2, 2, 1)],
 )
 def test_witness_family_sizes(n, k, l, m, want):
-    p = quantum_parameter(n)
-    wit = saturation_witness(p, AdmissibleTriple(k, l, m))
-    assert wit.family_size == want
-    assert len(wit.eta_family) == want
-    assert len(wit.zeta_family) == want
+    p, t = quantum_parameter(n), AdmissibleTriple(k, l, m)
+    etas, zetas = witness_family(isometry(p, t))
+    assert witness_family_size(p, t) == want
+    assert len(etas) == want
+    assert len(zetas) == want
 
 
 def test_witness_families_orthonormal():
     p = quantum_parameter(4)
-    wit = saturation_witness(p, AdmissibleTriple(2, 2, 2))
-    for fam in (wit.eta_family, wit.zeta_family):
+    for fam in witness_family(isometry(p, AdmissibleTriple(2, 2, 2))):
         np.testing.assert_allclose(fam @ fam.T, np.eye(len(fam)), atol=1e-12)
 
 
 def test_witness_rejects_highest_weight_and_rank_two():
-    with pytest.raises(ValueError):
-        saturation_witness(quantum_parameter(3), AdmissibleTriple(2, 1, 1))
-    with pytest.raises(ValueError):
-        saturation_witness(quantum_parameter(2), AdmissibleTriple(0, 1, 1))
+    with pytest.raises(ValueError, match="r >= 1"):
+        witness_family(isometry(quantum_parameter(3), AdmissibleTriple(2, 1, 1)))
+    with pytest.raises(ValueError, match="rank >= 3"):
+        witness_family(isometry(quantum_parameter(2), AdmissibleTriple(0, 1, 1)))
 
 
 def test_witness_xi_is_alternating_word():
+    # alpha^* alpha = 1, so legs^T pulls the witness image back to xi
     p = quantum_parameter(3)
-    wit = saturation_witness(p, AdmissibleTriple(2, 2, 2))
+    iso = isometry(p, AdmissibleTriple(2, 2, 2))
+    xi = iso.legs.T @ witness_image(iso).ravel()
     want = alternating_vector(3, 2, 1, 2)
-    np.testing.assert_allclose(wit.xi, onb_of_irrep(p, 2).columns.T @ want, rtol=0, atol=1e-15)
-
-
-def test_witness_honours_dimension_cap():
-    # the bases of H_k, H_l and H_m are capped, and nothing else: at N = 3,
-    # (4, 3, 3) needs N^k = 81 but never the N^(l+m) = 729 of the isometry
-    p, t = quantum_parameter(3), AdmissibleTriple(4, 3, 3)
-    with pytest.raises(DimensionCapError):
-        saturation_witness(p, t, max_dim=80)
-    assert saturation_witness(p, t, max_dim=81).family_size == 1
-    p4, square = quantum_parameter(4), AdmissibleTriple(2, 2, 2)
-    with pytest.raises(DimensionCapError):
-        saturation_witness(p4, square, max_dim=15)
-    assert saturation_witness(p4, square, max_dim=16).family_size == 2
+    np.testing.assert_allclose(xi, onb_of_irrep(p, 2).columns.T @ want, rtol=0, atol=1e-15)
 
 
 def _family_words(n, t):
@@ -883,20 +872,21 @@ def test_witness_legs_match_ambient_oracle(p, t):
     assert np.abs(ambient[leg.size :]).max(initial=0.0) <= 1e-12
     # xi and every family row are B^T e_w of the dense word vector, and
     # every family word is fixed by its dense Jones-Wenzl projection
-    wit = saturation_witness(p, t)
+    etas, zetas = witness_family(iso)
     xi_word = alternating_vector(p.n, t.k, 1, 2)
-    np.testing.assert_allclose(wit.xi, iso.basis.columns.T @ xi_word, rtol=0, atol=1e-15)
+    xi = iso.legs.T @ image.ravel()  # alpha^* alpha = 1
+    np.testing.assert_allclose(xi, iso.basis.columns.T @ xi_word, rtol=0, atol=1e-15)
     words = _family_words(p.n, t)
-    assert len(words) == wit.family_size
+    assert len(words) == witness_family_size(p, t) == len(etas)
     jw_l, jw_m = jw_projection(p, t.l), jw_projection(p, t.m)
     for row, (eta_word, zeta_word) in enumerate(words):
         eta = basis_vector(p.n, eta_word)
         zeta = basis_vector(p.n, zeta_word)
         np.testing.assert_allclose(
-            wit.eta_family[row], iso.basis_l.columns.T @ eta, rtol=0, atol=1e-15
+            etas[row], iso.basis_l.columns.T @ eta, rtol=0, atol=1e-15
         )
         np.testing.assert_allclose(
-            wit.zeta_family[row], iso.basis_m.columns.T @ zeta, rtol=0, atol=1e-15
+            zetas[row], iso.basis_m.columns.T @ zeta, rtol=0, atol=1e-15
         )
         assert jw_fixes(jw_l, eta) <= 1e-9
         assert jw_fixes(jw_m, zeta) <= 1e-9
@@ -911,7 +901,7 @@ def test_witness_rejects_word_with_repeated_letter(monkeypatch):
     assert real == [(3, 1), (3, 2)]
     monkeypatch.setattr(entangle, "_witness_indices", lambda n, r: [(3, 1), (3, 3)])
     with pytest.raises(InvariantViolation, match="not fixed"):
-        saturation_witness(p, t)
+        witness_family(isometry(p, t))
 
 
 def test_witness_rejects_a_family_of_the_wrong_size(monkeypatch):
@@ -920,18 +910,31 @@ def test_witness_rejects_a_family_of_the_wrong_size(monkeypatch):
     real = entangle._witness_indices
     monkeypatch.setattr(entangle, "_witness_indices", lambda n, r: real(n, r)[:-1])
     with pytest.raises(InvariantViolation, match="witness family size 1 != "):
-        saturation_witness(p, t)
+        witness_family(isometry(p, t))
 
 
-def test_witness_rejects_nan_basis_row(monkeypatch):
-    # row 1 of B_2 is the word (1, 2); a NaN norm would pass `err > tol`
-    p = quantum_parameter(3)
-    basis = onb_of_irrep(p, 2)
+def _nan_row(iso, field, row):
+    """iso as a built record with a NaN in one row of one of its bases: the
+    isometry's theta check would meet a NaN put into the cached basis first."""
+    basis = getattr(iso, field)
     cols = basis.columns.copy()
-    cols[1, 0] = np.nan
-    monkeypatch.setitem(jones_wenzl._basis_cache, (3, 2), dataclasses.replace(basis, columns=cols))
+    cols[row, 0] = np.nan
+    return dataclasses.replace(iso, **{field: dataclasses.replace(basis, columns=cols)})
+
+
+def test_witness_rejects_nan_basis_row():
+    # row 2 of B_2 is the family word eta = (1, 3) at (2, 2, 2); a NaN norm
+    # would pass `err > tol`
+    iso = isometry(quantum_parameter(3), AdmissibleTriple(2, 2, 2))
     with pytest.raises(InvariantViolation, match="not fixed"):
-        saturation_witness(p, AdmissibleTriple(2, 2, 2))
+        witness_family(_nan_row(iso, "basis_l", 2))
+
+
+def test_witness_image_rejects_nan_xi_row():
+    # row 1 of B_2 is xi's word (1, 2)
+    iso = isometry(quantum_parameter(3), AdmissibleTriple(2, 2, 2))
+    with pytest.raises(InvariantViolation, match="not fixed"):
+        witness_image(_nan_row(iso, "basis", 1))
 
 
 @pytest.mark.parametrize(

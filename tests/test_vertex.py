@@ -23,8 +23,8 @@ from wenzl_lab.channel import channel_apply, choi_witness_value, moe_bracket
 from wenzl_lab.entangle import (
     max_schmidt_optimizer,
     rd_certificate,
-    saturation_witness,
     verify_saturation,
+    witness_family,
 )
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.jones_wenzl import jw_projection, onb_of_irrep
@@ -225,7 +225,7 @@ def test_pipeline_never_builds_dense_objects(capsys, monkeypatch):
     # the witness family, on the index family (N=4) and beyond it (Bell, d = 2)
     p4, square = quantum_parameter(4), AdmissibleTriple(2, 2, 2)
     p3, bell = quantum_parameter(3), AdmissibleTriple(0, 1, 1)
-    saturation_witness(p4, square)
+    witness_family(isometry(p4, square))
     verify_saturation(p4, square)
     choi_witness_value(p4, square, 2, 1.0, samples=3)
     choi_witness_value(p3, bell, 2, 1.0, samples=3)
@@ -239,7 +239,7 @@ def test_pipeline_never_builds_dense_objects(capsys, monkeypatch):
 
 
 def test_isometry_report_forms_no_wenzl_projection(capsys):
-    # the CLI report lifts alpha for its Gram check, but never reaches the recursion
+    # the CLI report forms legs^T legs for its Gram check and never reaches the recursion
     clear_jw()
     assert cli.main(["isometry", "--n", "3", "--k", "2", "--l", "2", "--m", "2"]) == 0
     capsys.readouterr()
