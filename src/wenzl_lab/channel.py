@@ -29,6 +29,7 @@ from .entangle import (
     _entropies,
     _finite,
     _image_spectra,
+    _pushed,
     max_schmidt_optimizer,
     schmidt_spectrum,
     witness_family,
@@ -82,7 +83,8 @@ def channel_apply(
     Conjugation by alpha and the partial trace are fused: rho is
     eigendecomposed (it is at most [k+1]_q square), each eigenvector is
     pushed through alpha, and the kept-factor Gram matrix is accumulated
-    with the eigenvalue weights.
+    with the eigenvalue weights, in chunks of `_PUSH_BYTES` of images (bytes,
+    not columns; `entangle._pushed`) that agree with one stack to rounding.
     """
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
@@ -91,10 +93,11 @@ def channel_apply(
     w, u = np.linalg.eigh(arr)
     if w[0] < -INPUT_PSD_TOL:
         raise ValueError(f"input state has negative eigenvalue {w[0]:.3e}")
-    stack = iso.images(u * np.sqrt(np.clip(w, 0.0, None)))
-    if direction == TRACE_LAST:
-        stack = stack.transpose(0, 2, 1)
-    out = np.einsum("jab,jac->bc", stack, stack)
+    u *= np.sqrt(np.clip(w, 0.0, None))
+    spec = "jba,jca->bc" if direction == TRACE_LAST else "jab,jac->bc"  # the kept factor's Gram
+    out = _pushed(
+        iso, len(w), lambda a, b: u[:, a:b], lambda c: np.einsum(spec, *[iso.images(c)] * 2), sum
+    )
     out = 0.5 * (out + out.T)
     drift = np.trace(out) - np.trace(arr)
     if not abs(drift) <= OUTPUT_TRACE_TOL:
@@ -181,15 +184,18 @@ def moe_bracket(
     and exactly separable on highest-weight triples), the argmax of the
     Schmidt optimizer, and `samples` Haar-ish random pure inputs.  An
     input's output state has the nonzero spectrum of its image's Gram on
-    either side, so the argmax's and the samples' spectra come from one
-    eigvalsh stack on the smaller side (`entangle._image_spectra`).  The
-    witness's come from `schmidt_spectrum`'s SVD, and must: over the 124
-    acceptance triples, moving it into the Gram stack raises the
-    highest-weight witness entropy from at most 8.9e-29 to 7.6e-14 and
-    flips `argmin` on 4 channels whose candidates tie exactly.  All three
-    entropies come from `entangle._entropies`, with rounding's negative
-    eigenvalues read as 0.  The optimizer's sweeps and the sampled stack
-    run in `jones_wenzl._blas_threads`, reached through `entangle`.
+    either side, so the argmax's and the samples' spectra come from
+    eigvalsh stacks on the smaller side (`entangle._image_spectra`), drawn,
+    normalized and pushed by `entangle._pushed` in chunks of `_PUSH_BYTES` of
+    images (bytes, not columns), so memory does not grow with `samples`;
+    chunks agree with one stack to rounding.  The witness's come from
+    `schmidt_spectrum`'s SVD, and must: over the 124 acceptance triples,
+    moving it into the Gram stack raises the highest-weight witness entropy
+    from at most 8.9e-29 to 7.6e-14 and flips `argmin` on 4 channels whose
+    candidates tie exactly.  All three entropies come from
+    `entangle._entropies`, with rounding's negative eigenvalues read as 0.
+    The optimizer's sweeps and the sampled chunks run in
+    `jones_wenzl._blas_threads`, reached through `entangle`.
     """
     samples, seed = _check_int("samples", samples, 1), _check_int("seed", seed, 0)
     iso = isometry(p, t, max_dim=max_dim)
@@ -200,11 +206,14 @@ def moe_bracket(
 
     res = max_schmidt_optimizer(p, t, restarts=restarts, tol=tol, seed=seed, max_dim=max_dim)
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((samples, iso.basis.dim))
-    # column 0 is the optimizer's argmax, the rest are the random inputs
-    cols = np.column_stack([res.xi, draws.T])
-    cols /= np.linalg.norm(cols, axis=0)
-    entropies = _entropies(_image_spectra(iso, cols))
+
+    def inputs(start: int, stop: int) -> np.ndarray:  # column 0 is the optimizer's argmax
+        draws = rng.standard_normal((stop - max(start, 1), iso.basis.dim))  # rows of one stream
+        return np.column_stack([res.xi] * (start == 0) + [draws.T])
+
+    entropies = np.concatenate(
+        _pushed(iso, samples + 1, inputs, lambda cols: _entropies(_image_spectra(iso, cols)))
+    )
     optimizer_entropy = float(entropies[0])
     sampled_entropy = float(entropies[1:].min())
 

@@ -59,7 +59,7 @@ PLATEAU_RTOL = 1e-8
 PLATEAU_GAP = 1e-10
 WITNESS_FIX_TOL = 1e-9
 SIDE_AGREEMENT_TOL = 1e-9
-_SPECTRA_CHUNK = 1024  # columns per image stack in `_image_spectra`
+_PUSH_BYTES = 1 << 20  # bytes of alpha's images per column chunk of `_pushed`
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -69,22 +69,26 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
-    """Squared singular values, ascending, of alpha(x) for each column x of cols.
-
-    They are the eigenvalues of each image's Gram on the smaller side,
-    M M^T or M^T M, read by eigvalsh (cheaper than an SVD) on one BLAS
-    thread, _SPECTRA_CHUNK columns at a time so memory does not grow with
-    the column count; rounding can leave vanishing ones slightly negative.
-    """
-    spectra = []
+def _pushed(iso: EquivariantIsometry, count: int, block, each, fold=list):
+    """fold(each(block(start, stop)) for consecutive column ranges covering range(count)),
+    in one `jones_wenzl._blas_threads` scope, on one thread.  block returns those columns
+    of a stack of IrrepBasis(k) vectors, each pushes them through alpha, and a range holds
+    as many as fit _PUSH_BYTES of d_l x d_m images (bytes, not columns; at least one)."""
+    width = max(1, _PUSH_BYTES // (8 * iso.basis_l.dim * iso.basis_m.dim))
     with _blas_threads():
-        for start in range(0, cols.shape[1], _SPECTRA_CHUNK):
-            stack = iso.images(cols[:, start : start + _SPECTRA_CHUNK])
-            small = stack if stack.shape[1] <= stack.shape[2] else stack.transpose(0, 2, 1)
-            gram = _finite(small @ small.transpose(0, 2, 1), f"image Gram at {iso.triple}")
-            spectra.append(np.linalg.eigvalsh(gram))
-    return np.concatenate(spectra)
+        return fold(each(block(s, min(s + width, count))) for s in range(0, count, width))
+
+
+def _image_spectra(iso: EquivariantIsometry, cols: np.ndarray) -> np.ndarray:
+    """Squared singular values, ascending (rounding can leave vanishing ones slightly negative),
+    of alpha(x) for each column x of cols, scaled to unit norm in place: eigenvalues of each
+    image's smaller-side Gram (M M^T or M^T M) by one eigvalsh stack, cheaper than an SVD.
+    Callers pass one `_pushed` chunk; chunks agree with one stack to rounding."""
+    cols /= np.linalg.norm(cols, axis=0)
+    stack = iso.images(cols)
+    small = stack if stack.shape[1] <= stack.shape[2] else stack.transpose(0, 2, 1)
+    gram = _finite(small @ small.transpose(0, 2, 1), f"image Gram at {iso.triple}")
+    return np.linalg.eigvalsh(gram)
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
@@ -162,8 +166,9 @@ def rd_certificate(
     Sampling is a falsification attempt on the closed-form bound, not a
     proof; `violated` reports whether any sample beat bound_exact + 1e-8.
     Each sample's lambda_1 is the top eigenvalue of its image's Gram on
-    the smaller side (`_image_spectra`, in a `jones_wenzl._blas_threads`
-    scope on one thread).
+    the smaller side (`_image_spectra`).  The draws (8 [k+1]_q samples bytes)
+    are made whole, then normalized and pushed by `_pushed`, in chunks of
+    `_PUSH_BYTES` of images (bytes, not columns) that agree with one stack to rounding.
     samples (at least 1) and seed (at least 0) must be integers, else
     ValueError.
     """
@@ -171,8 +176,10 @@ def rd_certificate(
     iso = isometry(p, t, max_dim=max_dim)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal((iso.basis.dim, samples))
-    x /= np.linalg.norm(x, axis=0)
-    max_observed = float(_image_spectra(iso, x)[:, -1].max())
+    top = _pushed(
+        iso, samples, lambda a, b: x[:, a:b], lambda c: _image_spectra(iso, c)[:, -1].max(), max
+    )
+    max_observed = float(top)
     exact, coarse = rd_bound(p, t)
     return RdCertificate(
         triple=t,

@@ -1,7 +1,8 @@
 """Shared pytest plumbing: collects acceptance-criterion outcomes and
 prints one PASS/FAIL line per criterion and the `src/` line and module
 count in the terminal summary, fails any test that leaves the BLAS
-thread count changed, and puts a corrupted isometry into the cache."""
+thread count changed, sets the byte budget of `entangle._pushed` in
+columns, and puts a corrupted isometry into the cache."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from wenzl_lab import AdmissibleTriple, isometry, jones_wenzl, quantum_parameter, vertex
+from wenzl_lab import AdmissibleTriple, entangle, isometry, jones_wenzl, quantum_parameter, vertex
 
 _criterion_lines: dict[int, str] = {}
 
@@ -90,6 +91,12 @@ def _blas_threads_restored():
     after = blas_threads()
     if after != before:
         pytest.fail(f"test left the BLAS thread count at {after}, found it at {before}")
+
+
+def push_budget(monkeypatch, iso, columns: int) -> None:
+    """Set `entangle._PUSH_BYTES` to the bytes of `columns` of iso's d_l x d_m
+    images, so that `entangle._pushed` chunks hold that many columns."""
+    monkeypatch.setattr(entangle, "_PUSH_BYTES", 8 * columns * iso.basis_l.dim * iso.basis_m.dim)
 
 
 def put_nan_legs(monkeypatch, at=(0, 0)):

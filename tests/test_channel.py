@@ -5,14 +5,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import blas_threads, needs_blas_threads, put_nan_legs, record_blas_threads
+from conftest import (
+    blas_threads,
+    needs_blas_threads,
+    push_budget,
+    put_nan_legs,
+    record_blas_threads,
+)
 from dense_vertex import choi_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import SWEEP_SMALL
+from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
 from wenzl_lab import channel as channel_module
 from wenzl_lab import entangle, vertex
@@ -25,7 +32,12 @@ from wenzl_lab.channel import (
     d_positivity_threshold,
     moe_bracket,
 )
-from wenzl_lab.entangle import max_schmidt_optimizer, rd_certificate
+from wenzl_lab.entangle import (
+    max_schmidt_optimizer,
+    rd_certificate,
+    schmidt_spectrum,
+    witness_image,
+)
 from wenzl_lab.errors import DimensionCapError, InvariantViolation
 from wenzl_lab.qnum import AdmissibleTriple, quantum_parameter, rd_constant
 from wenzl_lab.vertex import EquivariantIsometry, isometry
@@ -401,6 +413,81 @@ def test_gram_spectra_match_svd(p, t):
     entropies = _entropy_by_svd((iso.legs @ cols).T.reshape(shape))
     assert b.optimizer_entropy == pytest.approx(entropies[0], rel=0, abs=1e-12)
     assert b.sampled_entropy == pytest.approx(min(entropies[1:]), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_moe_bracket_chunks_match_one_stack(monkeypatch, chunk):
+    # 11 columns (argmax and 10 samples) against chunks of 1 and 3: the draws
+    # must be the same rows of the one stream, block by block
+    whole = moe_bracket(P3, SQUARE, samples=10, restarts=2, seed=3)
+    push_budget(monkeypatch, isometry(P3, SQUARE), chunk)
+    chunked = moe_bracket(P3, SQUARE, samples=10, restarts=2, seed=3)
+    for field in ("upper", "witness_entropy", "optimizer_entropy", "sampled_entropy"):
+        assert abs(getattr(chunked, field) - getattr(whole, field)) <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_channel_apply_chunks_match_one_stack(monkeypatch, chunk):
+    rho = random_state(np.random.default_rng(6), 8)  # [3]_q = 8 eigenvectors at N=3 (2;2,2)
+    whole = [channel_apply(P3, SQUARE, rho, direction) for direction in (TRACE_FIRST, TRACE_LAST)]
+    push_budget(monkeypatch, isometry(P3, SQUARE), chunk)
+    for direction, want in zip((TRACE_FIRST, TRACE_LAST), whole):
+        np.testing.assert_allclose(channel_apply(P3, SQUARE, rho, direction), want, atol=1e-12)
+
+
+def _traced_peak(call) -> int:
+    """Bytes of traced memory call() held at its peak past what was held before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_sampled_checks_memory_does_not_grow_with_samples():
+    """numpy reports its allocations to tracemalloc.  At N=4 (4;3,3), 200 -> 2000
+    samples may add to the peak only the draws a check keeps whole (rd_certificate's
+    8 [k+1]_q samples bytes; moe_bracket streams its own) and SLACK; the maximally
+    mixed state's channel holds the push budget, the input's eigendecomposition
+    (a few [k+1]_q^2 arrays) and O(d_l^2).  Without the byte budget the peaks were
+    10.5 -> 77.8 MiB (rd), 10.9 -> 81.0 MiB (moe) and 6.0 MiB (channel)."""
+    slack = 1 << 17
+    t = AdmissibleTriple(4, 3, 3)
+    iso = isometry(P4, t)
+    d_k, d_l = iso.basis.dim, iso.basis_l.dim
+    moe_bracket(P4, t, samples=1, restarts=1)  # warm every cache first
+    rd = [_traced_peak(lambda: rd_certificate(P4, t, samples=s)) for s in (200, 2000)]
+    assert rd[1] - rd[0] <= 8 * d_k * 1800 + slack
+    moe = [_traced_peak(lambda: moe_bracket(P4, t, samples=s, restarts=1)) for s in (200, 2000)]
+    assert moe[1] - moe[0] <= slack
+    mixed = np.eye(d_k) / d_k
+    budget = entangle._PUSH_BYTES + 8 * (4 * d_k * d_k + 4 * d_l * d_l) + slack
+    assert _traced_peak(lambda: channel_apply(P4, t, mixed)) <= budget
+
+
+K_ONE = [(p, t) for p, t in SWEEP_FULL if t.k == 1]
+
+
+@pytest.mark.parametrize("p,t", K_ONE, ids=[f"N{p.n}-{t.k}{t.l}{t.m}" for p, t in K_ONE])
+def test_every_real_input_of_h1_has_the_witness_spectrum(p, t):
+    """alpha is built from Temperley-Lieb diagrams, so it intertwines O(N) (inside
+    O_N^+), and O(N) is transitive on the unit sphere of H_1 = R^N: every real unit
+    input has the witness's Schmidt spectrum, and every sampled and optimized
+    entropy is the witness's.  argmin is not asserted: its three candidates tie."""
+    iso = isometry(p, t)
+    want = schmidt_spectrum(witness_image(iso)).coefficients
+    x = np.random.default_rng(np.random.SeedSequence(1)).standard_normal((iso.basis.dim, 20))
+    got = entangle._image_spectra(iso, x / np.linalg.norm(x, axis=0))[:, ::-1]
+    np.testing.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=0, atol=1e-12)
+    b = moe_bracket(p, t, samples=20)
+    assert abs(b.sampled_entropy - b.witness_entropy) <= 1e-12
+    assert abs(b.optimizer_entropy - b.witness_entropy) <= 1e-12
 
 
 def test_moe_deterministic():

@@ -10,7 +10,13 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import blas_threads, needs_blas_threads, put_nan_legs, record_blas_threads
+from conftest import (
+    blas_threads,
+    needs_blas_threads,
+    push_budget,
+    put_nan_legs,
+    record_blas_threads,
+)
 from dense_vertex import alternating_vector, basis_vector, jw_fixes
 from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
@@ -170,12 +176,20 @@ def test_rd_certificate_rejects_non_integer_counts(kwargs):
 
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_image_spectra_chunks_match_one_stack(monkeypatch, chunk):
-    iso = isometry(quantum_parameter(3), AdmissibleTriple(2, 2, 2))
+    # the budget is in bytes: one byte short of `chunk` images leaves chunk - 1 columns
+    p, t = quantum_parameter(3), AdmissibleTriple(2, 2, 2)
+    iso = isometry(p, t)
     x = np.random.default_rng(4).standard_normal((iso.basis.dim, 7))
-    monkeypatch.setattr(entangle, "_SPECTRA_CHUNK", 7)
     whole = entangle._image_spectra(iso, x)
-    monkeypatch.setattr(entangle, "_SPECTRA_CHUNK", chunk)
-    np.testing.assert_allclose(entangle._image_spectra(iso, x), whole, rtol=0, atol=1e-12)
+    one_rd = rd_certificate(p, t, samples=20, seed=5).max_observed
+    push_budget(monkeypatch, iso, chunk)
+    block = lambda a, b: x[:, a:b]  # noqa: E731
+    spectra = entangle._pushed(iso, 7, block, lambda cols: entangle._image_spectra(iso, cols))
+    assert [len(s) for s in spectra] == [chunk] * (7 // chunk) + [7 % chunk] * (7 % chunk > 0)
+    np.testing.assert_allclose(np.concatenate(spectra), whole, rtol=0, atol=1e-12)
+    assert abs(rd_certificate(p, t, samples=20, seed=5).max_observed - one_rd) <= 1e-12
+    monkeypatch.setattr(entangle, "_PUSH_BYTES", entangle._PUSH_BYTES - 1)
+    assert entangle._pushed(iso, 7, block, lambda cols: cols.shape[1])[0] == max(1, chunk - 1)
 
 
 def test_rd_certificate_highest_weight_attains_one():
