@@ -20,7 +20,7 @@ from pathlib import Path as _Path
 # OpenBLAS starts its worker pool when numpy loads it, and the idle worker spins
 # about 0.1 s of CPU that builds below SPLIT_FLOPS never use.  So if this import
 # loads numpy, the user set no count, and numpy bundles scipy-openblas64 (numpy >= 2,
-# with the calls `jones_wenzl._blas_threads` makes), it loads on one thread till then.
+# with the calls `jones_wenzl._blas_threads` makes), it loads on one thread, the count at rest.
 _BLAS_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
 _np = None if "numpy" in _sys.modules or _BLAS_VARS & _os.environ.keys() else _find_spec("numpy")
 if _np and _np.origin and any(_Path(_np.origin).parents[1].glob("numpy.libs/*scipy_openblas64_*")):

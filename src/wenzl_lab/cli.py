@@ -40,7 +40,7 @@ from .entangle import (
     witness_image,
 )
 from .errors import DEFAULT_DIM_CAP, DimensionCapError, InvariantViolation
-from .jones_wenzl import jw_projection, verify_jw
+from .jones_wenzl import _blas_threads, jw_projection, verify_jw
 from .qnum import AdmissibleTriple, admissible_triples, dim_irrep, quantum_parameter, rd_bound
 from .vertex import isometry
 
@@ -140,7 +140,8 @@ def _run_jw_verify(args: argparse.Namespace) -> dict:
 
 def _run_isometry(args: argparse.Namespace) -> dict:
     iso = isometry(args.p, args.t, max_dim=args.max_dim)
-    gram = iso.legs.T @ iso.legs  # B_l (x) B_m has orthonormal columns: no lift needed
+    with _blas_threads(2 * iso.legs.shape[0] * iso.legs.shape[1] ** 2):
+        gram = iso.legs.T @ iso.legs  # B_l (x) B_m has orthonormal columns: no lift needed
     return {
         "triple": asdict(args.t),
         "scale": iso.scale,

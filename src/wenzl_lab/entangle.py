@@ -311,7 +311,8 @@ def _complement_legs(iso: EquivariantIsometry, max_dim: int) -> np.ndarray | Non
         if other.k != t.k
     ]
     comp = np.hstack([np.empty((d_l * d_m, 0)), *parts])
-    gram = comp.T @ comp
+    with _blas_threads(2 * comp.shape[1] ** 2 * d_l * d_m):
+        gram = comp.T @ comp
     gram[np.diag_indices_from(gram)] -= 1.0
     off = float(np.abs(gram).max()) if gram.size else 0.0
     if comp.shape[1] != d_l * d_m - d_k or not off <= SIDE_AGREEMENT_TOL:

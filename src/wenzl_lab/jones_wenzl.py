@@ -25,8 +25,8 @@ optimizer's sweeps and sampling stacks, which pass no count) is too small
 to split and runs on one thread; a larger one keeps the caller's count.
 numpy's OpenBLAS applies the count process-wide, so a one-thread scope
 also holds other Python threads' BLAS work to one thread.  When the package
-imports numpy first, OpenBLAS loads on one thread (`wenzl_lab/__init__`),
-and the first scope of SPLIT_FLOPS or more starts its pool.
+imports numpy first, OpenBLAS loads on one thread (`wenzl_lab/__init__`) and
+stays there at rest: its pool lives only inside scopes of SPLIT_FLOPS or more.
 
 Operators are plain float64 arrays in the standard product basis,
 row-major with the leftmost leg slowest; everything the calculus builds
@@ -111,7 +111,9 @@ def _openblas(name: str):
 
 
 _blas_lock = threading.Lock()
-_blas_scopes = [0, 0]  # open one-thread scopes, and the count the last one to close restores
+# open scopes, those of them that hold the count at 1, the count the last of those
+# restores, and whether a pool started by the outermost scope runs (`_pool_deferred` only)
+_blas_scopes = {"open": 0, "one": 0, "restore": 0, "pool": False}
 _pool_deferred = False  # set by `wenzl_lab/__init__` when OpenBLAS loaded on one thread
 
 
@@ -123,29 +125,36 @@ def _blas_threads(flops: float = 0.0):
     `openblas_set_num_threads_local` acts on the whole process, so the first
     one-thread scope to open sets 1 and the last to close restores what that
     call returned: nested scopes, and scopes in other Python threads, leave
-    the count as they found it.  A larger scope first starts the deferred
-    pool, once, at the count OpenBLAS picks at load; if one-thread scopes are
-    open, the last to close starts it.  Without the symbol this does nothing.
+    the count as they found it.  Where OpenBLAS loaded on one thread
+    (`_pool_deferred`), 1 is the count at rest, and a one-thread scope at rest
+    makes no call (any call re-creates a pool that was shut down); a larger
+    scope opened with no scope open starts the pool at OpenBLAS's own count,
+    and the last scope to close sets 1 and shuts it down, so no idle worker
+    spins between scopes.  Without the symbol this does nothing.
     """
-    global _pool_deferred
     set_threads = _openblas("openblas_set_num_threads_local")
-    one = set_threads is not None and flops < SPLIT_FLOPS  # a one-thread scope
+    state = _blas_scopes
     with _blas_lock:
-        if _pool_deferred and flops >= SPLIT_FLOPS:
-            _pool_deferred = False
-            _blas_scopes[1] = _openblas("scipy_openblas_get_num_procs64_")()
-            if _blas_scopes[0] == 0:
-                set_threads(_blas_scopes[1])
-        if one and _blas_scopes[0] == 0:
-            _blas_scopes[1] = set_threads(1)
-        _blas_scopes[0] += one
+        if _pool_deferred and flops >= SPLIT_FLOPS and not state["open"]:
+            set_threads(_openblas("scipy_openblas_get_num_procs64_")())
+            state["pool"] = True
+        one = flops < SPLIT_FLOPS and (state["pool"] if _pool_deferred else set_threads is not None)
+        if one and not state["one"]:
+            state["restore"] = set_threads(1)
+        state["open"] += 1
+        state["one"] += one
     try:
         yield
     finally:
         with _blas_lock:
-            _blas_scopes[0] -= one
-            if one and _blas_scopes[0] == 0:
-                set_threads(_blas_scopes[1])
+            state["open"] -= 1
+            state["one"] -= one
+            if state["pool"] and not state["open"]:
+                set_threads(1)
+                _openblas("blas_thread_shutdown_")()
+                state["pool"] = False
+            elif one and not state["one"]:
+                set_threads(state["restore"])
 
 
 def clear_caches() -> None:

@@ -16,8 +16,8 @@ Kauffman-Lins on Wenzl's fusion bases).  Since B_l B_l^T = p_l, the
 projections p_l, p_m are never formed: the cup is a row gather of B_m
 and two matmuls do the rest.  The ambient N^{l+m} x [k+1]_q `reduced`
 is lifted on each read, never cached, for the checks that need it.
-The two products and the theta trace run in `jones_wenzl._blas_threads`
-with their flop count.
+The two products and the theta trace, and the lift's two products, run in
+`jones_wenzl._blas_threads` with their flop counts.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class EquivariantIsometry:
     def lift(self, x: np.ndarray) -> np.ndarray:
         """(B_l (x) B_m) x: leg coordinates (d_l d_m[, c]) to the ambient N^{l+m}[, c]."""
         bl, bm = self.basis_l.columns, self.basis_m.columns
-        half = (bl @ x.reshape(bl.shape[1], -1)).reshape(bl.shape[0], bm.shape[1], -1)
-        return (bm @ half).reshape(bl.shape[0] * bm.shape[0], *x.shape[1:])
+        with _blas_threads(2 * x.size // bl.shape[1] * bl.shape[0] * (bl.shape[1] + bm.shape[0])):
+            half = (bl @ x.reshape(bl.shape[1], -1)).reshape(bl.shape[0], bm.shape[1], -1)
+            return (bm @ half).reshape(bl.shape[0] * bm.shape[0], *x.shape[1:])
 
     reduced = _LiftedOnRead()
 

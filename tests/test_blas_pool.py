@@ -1,11 +1,13 @@
 """The deferred OpenBLAS pool: a process that imports wenzl_lab before numpy
-loads OpenBLAS on one thread, and the first build of SPLIT_FLOPS flops or more
-starts the pool at OpenBLAS's own default count.
+loads OpenBLAS on one thread and stays there at rest.  The pool lives only
+inside a scope of SPLIT_FLOPS flops or more opened with no scope open: it starts
+at OpenBLAS's own default count when that scope opens and is shut down when the
+last scope closes, so no idle worker spins between builds.
 
-Every case runs a fresh interpreter, since the pool is started only once per
-process and this one imported numpy first (conftest).  Each child prints one
-JSON line: its OS thread count, the live BLAS count, OpenBLAS's
-`get_num_procs`, and `OPENBLAS_NUM_THREADS` as its `os.environ` holds it.
+Every case runs a fresh interpreter, since this one imported numpy first
+(conftest).  Each child prints one JSON line: its OS thread count, the live
+BLAS count, OpenBLAS's `get_num_procs`, and `OPENBLAS_NUM_THREADS` as its
+`os.environ` holds it.
 """
 
 from __future__ import annotations
@@ -35,14 +37,26 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Imports wenzl_lab (before numpy, unless the case's prelude imported it) and
 # defines state(**extra), which prints the child's JSON line.
 STATE = """
-import json, os
-from wenzl_lab import AdmissibleTriple, isometry, jones_wenzl, quantum_parameter
+import json, os, time
+from wenzl_lab import AdmissibleTriple, isometry, jones_wenzl, quantum_parameter, vertex
 
 def big_build():  # the N=4 (6,4,2) leg vertex, 5.3e9 flops
     return isometry(quantum_parameter(4), AdmissibleTriple(6, 4, 2))
 
+def live():
+    return jones_wenzl._openblas("scipy_openblas_get_num_threads64_")()
+
+def leg_vertex_counts():  # a list that gets the live count at each later leg vertex
+    seen, real = [], vertex._leg_vertex
+    vertex._leg_vertex = lambda *args: seen.append(live()) or real(*args)
+    return seen
+
+def sleep_cpu():  # CPU seconds the whole process spends over a 0.3 s sleep
+    start = time.process_time()
+    time.sleep(0.3)
+    return time.process_time() - start
+
 def state(**extra):
-    live = jones_wenzl._openblas("scipy_openblas_get_num_threads64_")
     procs = jones_wenzl._openblas("scipy_openblas_get_num_procs64_")
     print(json.dumps(dict(
         os_threads=len(os.listdir("/proc/self/task")), blas=live(), procs=procs(),
@@ -71,11 +85,17 @@ def test_import_before_numpy_loads_openblas_on_one_thread():
 
 
 def test_first_large_build_starts_the_pool_with_the_same_legs(tmp_path):
-    body = "np.save({!r}, big_build().legs)\nstate(deferred=jones_wenzl._pool_deferred)"
+    """The leg vertex runs at OpenBLAS's own count, as in the numpy-first child, and
+    the build shuts the pool down as it returns: one OS thread and a count of 1."""
+    body = (
+        "seen = leg_vertex_counts()\nnp.save({!r}, big_build().legs)\n"
+        "state(during=seen, deferred=jones_wenzl._pool_deferred)"
+    )
     deferred = run_child("import numpy as np\n" + body.format(str(tmp_path / "deferred.npy")))
     first = run_child(body.format(str(tmp_path / "first.npy")), prelude="import numpy as np\n")
-    assert deferred["blas"] == deferred["procs"] and not deferred["deferred"]
-    assert first["blas"] == first["procs"]
+    assert deferred["during"] == [deferred["procs"]] and deferred["deferred"]
+    assert (deferred["os_threads"], deferred["blas"]) == (1, 1)
+    assert first["during"] == [first["procs"]] and first["blas"] == first["procs"]
     legs = [np.load(tmp_path / name) for name in ("deferred.npy", "first.npy")]
     assert legs[0].shape == legs[1].shape
     assert float(np.abs(legs[0] - legs[1]).max()) <= 1e-14
@@ -92,9 +112,9 @@ def test_no_deferral_when_the_user_set_a_count_or_imported_numpy(prelude, env_va
     assert (got["blas"], got["env"], got["deferred"]) == (want_blas, want_env, False)
 
 
-def test_pool_started_under_another_threads_scope_is_the_count_it_restores():
-    """While a second thread holds `_blas_threads()`, the large build leaves the
-    live count at 1 (the scope is process-wide); the scope's close starts the pool."""
+def test_large_build_under_another_threads_scope_starts_no_pool():
+    """While a second thread holds `_blas_threads()`, the large build runs on one
+    thread and starts nothing, and the scope's close starts nothing either."""
     body = """
 import threading
 held, release = threading.Event(), threading.Event()
@@ -107,15 +127,48 @@ def hold():
 worker = threading.Thread(target=hold)
 worker.start()
 assert held.wait(60)
+seen = leg_vertex_counts()
 big_build()
-during = jones_wenzl._openblas("scipy_openblas_get_num_threads64_")()
 release.set()
 worker.join(60)
-state(during=during, alive=worker.is_alive(), deferred=jones_wenzl._pool_deferred)
+state(during=seen, alive=worker.is_alive(), deferred=jones_wenzl._pool_deferred)
 """
     got = run_child(body)
-    assert (got["during"], got["alive"]) == (1, False)
-    assert got["blas"] == got["procs"] and not got["deferred"]
+    assert (got["during"], got["alive"], got["deferred"]) == ([1], False, True)
+    assert (got["os_threads"], got["blas"]) == (1, 1)
+
+
+def test_second_large_build_restarts_the_pool_inside_its_scope():
+    """Each large build starts the pool at OpenBLAS's count and shuts it down: the
+    N=4 (4,3,3) leg vertex (1.1e8 flops) after big_build runs on the pool again."""
+    body = """
+seen = leg_vertex_counts()
+big_build()
+after_first = [len(os.listdir("/proc/self/task")), live()]
+isometry(quantum_parameter(4), AdmissibleTriple(4, 3, 3))
+state(during=seen, after_first=after_first)
+"""
+    got = run_child(body)
+    assert got["during"] == [got["procs"]] * 2
+    assert got["after_first"] == [1, 1] and (got["os_threads"], got["blas"]) == (1, 1)
+
+
+def test_optimize_pattern_leaves_no_worker_spinning():
+    """`optimize`'s set-up build, then the optimizer and the rd certificate on one
+    thread: no scope re-creates the pool, so the process idles on one OS thread and
+    a 0.3 s sleep, after the build or after the checks, costs no CPU."""
+    body = """
+from wenzl_lab import max_schmidt_optimizer, rd_certificate
+p, t = quantum_parameter(4), AdmissibleTriple(4, 3, 3)
+isometry(p, t)
+after_build = [len(os.listdir("/proc/self/task")), sleep_cpu()]
+max_schmidt_optimizer(p, t)
+rd_certificate(p, t)
+state(after_build=after_build, after_checks=sleep_cpu())
+"""
+    got = run_child(body)
+    assert got["after_build"][0] == 1 and got["after_build"][1] <= 0.02
+    assert (got["os_threads"], got["blas"]) == (1, 1) and got["after_checks"] <= 0.02
 
 
 def test_small_sweep_starts_no_blas_thread():

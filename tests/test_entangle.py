@@ -752,6 +752,27 @@ def test_optimizer_sweeps_on_one_blas_thread(monkeypatch, k, l, m, sweep):
 
 
 @needs_blas_threads
+def test_complement_gram_on_one_blas_thread(monkeypatch):
+    """N=3 (4;2,2)'s C^T C (64 x 9 complement columns, 1.0e4 flops) runs in its own
+    scope, so on one thread whatever count its caller holds; the optimizer calls
+    `_complement_legs` before it opens its own scope."""
+    iso = isometry(quantum_parameter(3), AdmissibleTriple(4, 2, 2))
+    caller = blas_threads()
+    grams = []
+
+    class Recorded(np.ndarray):  # `comp`, whose `@` records the count in force
+        def __matmul__(self, other):
+            grams.append(blas_threads())
+            return np.asarray(self) @ np.asarray(other)
+
+    hstack = np.hstack
+    monkeypatch.setattr(np, "hstack", lambda arrays: hstack(arrays).view(Recorded))
+    comp = entangle._complement_legs(iso, DEFAULT_DIM_CAP)
+    assert comp.shape == (64, 9) and grams == [1]
+    assert blas_threads() == caller
+
+
+@needs_blas_threads
 def test_rd_certificate_samples_on_one_blas_thread(monkeypatch):
     caller = blas_threads()
     stacks = []
