@@ -18,6 +18,12 @@ formed: Q = I - V T V^T in compact-WY form (Schreiber-Van Loan 1989), so
 applying it costs two thin products.  The dense p_k stays the oracle that
 B_k B_k^T is checked against.
 
+p_k commutes with O(N), so with the 2^N diagonal sign matrices: it is block
+diagonal over the sectors of words, the parity masks XOR_j 2^(w_j).  The
+fusion step keeps each Householder pivot inside its column's sector, so every
+column of B_k lies in one sector (`IrrepBasis.sectors`), exactly 0 elsewhere,
+and a level of SPLIT_FLOPS or more applies Q one sector block at a time.
+
 This module also owns the package's one BLAS thread policy, the scope
 `_blas_threads(flops)` around every BLAS product: a product of fewer than
 SPLIT_FLOPS flops (a small fusion level, leg vertex or Wenzl level, and the
@@ -88,15 +94,46 @@ class JwVerification:
 
 @dataclass(frozen=True)
 class IrrepBasis:
-    """Orthonormal columns spanning range(p_k); shape N^k x round([k+1]_q)."""
+    """Orthonormal columns spanning range(p_k); shape N^k x round([k+1]_q).
+
+    Column c lies in sector `sectors[c]`: it is exactly 0 on every word w
+    whose sector XOR_j 2^(w_j) differs.  `sectors` ascends, so each sector's
+    columns are one slice.
+    """
 
     params: QParams
     k: int
     columns: np.ndarray
+    sectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
+
+    @property
+    def blocks(self) -> dict[int, tuple[np.ndarray, slice]]:
+        """{sector: (the rows of its words, the slice of its columns)}."""
+        words = _word_sectors(self.params.n, self.k)
+        return {s: (np.flatnonzero(words == s), cols) for s, cols in _slices(self.sectors)}
+
+
+@functools.cache
+def _word_sectors(n: int, k: int) -> np.ndarray:
+    """XOR_j 2^(w_j) for each w in [N]^k, leftmost leg slowest.  Past 64 letters,
+    the last ones share bit 63: a coarser grading, in which they flip sign together."""
+    letters = np.uint64(1) << np.minimum(np.arange(n), 63).astype(np.uint64)
+    out = np.zeros(1, dtype=np.uint64)
+    for _ in range(k):
+        out = (out[:, None] ^ letters).reshape(-1)
+    out.flags.writeable = False
+    return out
+
+
+def _slices(sectors: np.ndarray) -> list[tuple[int, slice]]:
+    """(sector, slice of its entries) for each sector of an ascending array."""
+    values, starts = np.unique(sectors, return_index=True)
+    ends = [*starts[1:], len(sectors)]
+    return [(int(s), slice(lo, hi)) for s, lo, hi in zip(values, starts, ends)]
 
 
 @functools.cache
@@ -254,17 +291,36 @@ def _householder_wy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
-def _fusion_step(p: QParams, k: int, up: np.ndarray, down: np.ndarray) -> np.ndarray:
+def _pivot_order(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The row order of M for its QR: row j < len(cols) is the first unused row of
+    column j's sector, and the rest follow grouped by sector; ties keep row order."""
+    by_sector = np.argsort(rows, kind="stable")
+    grouped = rows[by_sector]
+    taken = np.searchsorted(grouped, cols) + np.arange(len(cols)) - np.searchsorted(cols, cols)
+    rest = np.ones(len(rows), dtype=bool)
+    rest[taken] = False
+    return np.concatenate([by_sector[taken], by_sector[rest]])
+
+
+def _fusion_step(
+    p: QParams, k: int, up: IrrepBasis, down: IrrepBasis, flops: float
+) -> IrrepBasis:
     """B_k from B_{k-1} (up) and B_{k-2} (down) via H_1 (x) H_{k-1} = H_k + H_{k-2}.
 
     M holds the coordinates of the embedded H_{k-2}, (iota (x) p_{k-1})
-    (T_1 (x) B_{k-2}), in the basis I_N (x) B_{k-1}; B_k spans the rest.
-    With X = I_N (x) B_{k-1} and Q = I - V T V^T the Householder Q of M,
-    B_k = X Q[:, p:] = X[:, p:] - (X V)(T V[p:]^T), p = d_{k-2}.
+    (T_1 (x) B_{k-2}), in the basis X = I_N (x) B_{k-1}; B_k spans the rest.
+    Row (a, x) of M lies in sector 2^a XOR sectors[x], and M is block diagonal
+    over sectors.  With its rows in `_pivot_order` and Q = I - V T V^T their
+    Householder Q, B_k = X Q[:, p:] = X[:, p:] - (X V)(T V[p:]^T), p = d_{k-2}:
+    each reflector, and so each column of B_k, lies in one sector.  Below
+    SPLIT_FLOPS `flops` that is two products over every row; at or above it,
+    one product per letter a and sector: B_{k-1} on the words and columns of
+    one sector, times the rows (a, x) of Q in it.
     """
-    n, d_up, d_down = p.n, up.shape[1], down.shape[1]
-    cube = up.reshape(n, n ** (k - 2), d_up)
-    m = (cube.transpose(0, 2, 1) @ down).reshape(n * d_up, d_down)
+    n, d_up, d_down = p.n, up.dim, down.dim
+    cube = up.columns.reshape(n, n ** (k - 2), d_up)
+    m = (cube.transpose(0, 2, 1) @ down.columns).reshape(n * d_up, d_down)
+    rows = (_word_sectors(n, 1)[:, None] ^ up.sectors).reshape(-1)
     gram = m.T @ m
     gram[np.diag_indices_from(gram)] -= q_int(p, k) / q_int(p, k - 1)
     want = round(dim_irrep(p, k))
@@ -272,23 +328,44 @@ def _fusion_step(p: QParams, k: int, up: np.ndarray, down: np.ndarray) -> np.nda
         raise InvariantViolation(
             f"fusion step at (n={p.n}, k={k}): M^T M != [{k}]/[{k - 1}] I or not {want} columns"
         )
+    if np.any(m, where=rows[:, None] != down.sectors):
+        raise InvariantViolation(f"fusion step at (n={p.n}, k={k}): M has an entry off its sectors")
+    order = _pivot_order(rows, down.sectors)
     with _blas_threads():  # a QR is many small level-2 calls: faster on one thread
-        v, t = _householder_wy(m)
-    xv = (up @ v.reshape(n, d_up, d_down)).reshape(n**k, d_down)
-    out = (xv @ (t @ -v[d_down:].T)).reshape(n, n ** (k - 1), want)
-    # X[:, p:]: block a of X holds B_{k-1} in columns a d_up .. (a+1) d_up
-    for a in range(n):
-        lo = max(a * d_up, d_down)
-        out[a, :, lo - d_down : (a + 1) * d_up - d_down] += up[:, lo - a * d_up :]
-    return out.reshape(n**k, want)
+        v, t = _householder_wy(m[order])
+    placed = np.empty_like(v)
+    placed[order] = v  # V's rows back in the row order of X
+    placed, rest, sectors = placed.reshape(n, d_up, d_down), order[d_down:], rows[order[d_down:]]
+    if flops < SPLIT_FLOPS:  # two products over every row, as many Python steps as letters
+        xv = (up.columns @ placed).reshape(n**k, d_down)
+        out = (xv @ (t @ -v[d_down:].T)).reshape(n, n ** (k - 1), want)
+        for a in range(n):  # X[:, rest]: column (a, x) of X is B_{k-1}[:, x] on block a
+            j = np.flatnonzero(rest // d_up == a)
+            out[a][:, j] += up.columns[:, rest[j] % d_up]
+        return IrrepBasis(p, k, out.reshape(n**k, want), sectors)
+    # B_k[(a, w), c] = sum_x B_{k-1}[w, x] Q[(a, x), c], with w, x and c in one sector each
+    out = np.zeros((n, n ** (k - 1), want))
+    bits, reflectors = _word_sectors(n, 1), dict(_slices(down.sectors))
+    words = {s: (w, x, up.columns[w, x]) for s, (w, x) in up.blocks.items()}
+    for s, cols in _slices(sectors):
+        at, mine = reflectors.get(s, slice(0)), np.flatnonzero(rows == s)
+        q = placed.reshape(n * d_up, d_down)[mine, at] @ (t[at, at] @ -v[d_down:][cols, at].T)
+        q[np.searchsorted(mine, rest[cols]), np.arange(q.shape[1])] += 1.0  # Q[mine, cols]
+        lo = 0  # rows (a, x) of the sector, a slowest
+        for a in range(n):
+            if int(bits[a]) ^ s in words:
+                w, x, block = words[int(bits[a]) ^ s]
+                out[a, w, cols] = block @ q[lo : lo + block.shape[1]]
+                lo += block.shape[1]
+    return IrrepBasis(p, k, out.reshape(n**k, want), sectors)
 
 
 def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBasis:
     """Orthonormal basis of H_k = range(p_k), built (and cached) bottom-up.
 
     B_0 = [[1]], B_1 = I_N and B_k from `_fusion_step`; no dense p_k is formed.
-    Each step costs 2 N^k d_{k-2} (d_{k-1} + d_k) flops, which picks its
-    BLAS thread count (`_blas_threads`).
+    Each step costs 2 N^k d_{k-2} (d_{k-1} + d_k) flops over every row, which
+    picks its BLAS thread count (`_blas_threads`) and whether it takes sector blocks.
     """
     k = _check_int("k", k, 0)
     _check_cap(p.n, k, max_dim)
@@ -296,15 +373,14 @@ def onb_of_irrep(p: QParams, k: int, max_dim: int = DEFAULT_DIM_CAP) -> IrrepBas
         if (p.n, level) in _basis_cache:
             continue
         if level < 2:
-            cols = np.eye(p.n**level)
+            basis = IrrepBasis(p, level, np.eye(p.n**level), _word_sectors(p.n, level))
         else:
-            up = _basis_cache[(p.n, level - 1)].columns
-            down = _basis_cache[(p.n, level - 2)].columns
-            d_up, d_down = up.shape[1], down.shape[1]
-            flops = 2 * p.n**level * d_down * (d_up + p.n * d_up - d_down)
+            up, down = _basis_cache[(p.n, level - 1)], _basis_cache[(p.n, level - 2)]
+            flops = 2 * p.n**level * down.dim * (up.dim + p.n * up.dim - down.dim)
             with _blas_threads(flops):
-                cols = _fusion_step(p, level, up, down)
-        cols.flags.writeable = False
-        _basis_cache[(p.n, level)] = IrrepBasis(p, level, cols)
+                basis = _fusion_step(p, level, up, down, flops)
+        basis.columns.flags.writeable = False
+        basis.sectors.flags.writeable = False
+        _basis_cache[(p.n, level)] = basis
     return _basis_cache[(p.n, k)]
 

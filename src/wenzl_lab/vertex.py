@@ -18,6 +18,11 @@ and two matmuls do the rest.  The ambient N^{l+m} x [k+1]_q `reduced`
 is lifted on each read, never cached, for the checks that need it.
 The two products and the theta trace, and the lift's two products, run in
 `jones_wenzl._blas_threads` with their flop counts.
+
+alpha commutes with the diagonal sign matrices, and each basis column lies
+in one sector (`IrrepBasis.sectors`), so legs[(x, y), c] is exactly 0 unless
+sector(x) XOR sector(y) = sector(c).  At r = 0 and SPLIT_FLOPS or more, the
+vertex is built from those blocks alone, each on its sectors' words.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DEFAULT_DIM_CAP, InvariantViolation, _check_cap
-from .jones_wenzl import IrrepBasis, _blas_threads, onb_of_irrep
+from .jones_wenzl import SPLIT_FLOPS, IrrepBasis, _blas_threads, onb_of_irrep
 from .qnum import AdmissibleTriple, QParams, lambda_log, theta_net_log
 
 __all__ = [
@@ -114,11 +119,22 @@ def _cup_gather(n: int, t: AdmissibleTriple, bm: np.ndarray) -> np.ndarray:
 
 
 def _leg_vertex(
-    n: int, t: AdmissibleTriple, bk: np.ndarray, bl: np.ndarray, bm: np.ndarray
+    n: int, t: AdmissibleTriple, flops: float, bk: IrrepBasis, bl: IrrepBasis, bm: IrrepBasis
 ) -> np.ndarray:
     """(B_l^T (x) B_m^T)(iota^{(x) l-r} (x) T_r (x) iota^{(x) m-r}) B_k, (d_l d_m) x d_k.
 
-    raw[x, y, c] = sum_{a,i,b} B_l[(a,i),x] B_m[(rev i,b),y] B_k[(a,b),c]
+    A build of `flops` two-stage flops at r = 0 and at or above SPLIT_FLOPS
+    takes its sector blocks (`_sector_vertex`); any other, `_two_stage_vertex`.
+    """
+    if t.r == 0 and flops >= SPLIT_FLOPS:
+        return _sector_vertex(bk, bl, bm)
+    return _two_stage_vertex(n, t, bk.columns, bl.columns, bm.columns)
+
+
+def _two_stage_vertex(
+    n: int, t: AdmissibleTriple, bk: np.ndarray, bl: np.ndarray, bm: np.ndarray
+) -> np.ndarray:
+    """raw[x, y, c] = sum_{a,i,b} B_l[(a,i),x] B_m[(rev i,b),y] B_k[(a,b),c]
     over a in N^{l-r}, i in N^r, b in N^{m-r}, in 2 d_l d_k i b (a + d_m) flops.
     """
     a, i, b = n ** (t.l - t.r), n**t.r, n ** (t.m - t.r)
@@ -127,6 +143,23 @@ def _leg_vertex(
     inner = (left @ bk.reshape(a, b * dk)).reshape(dl, i * b, dk)  # [x, (i, b), c]
     flipped = _cup_gather(n, t, bm).reshape(i * b, dm)
     return (flipped.T @ inner).reshape(dl * dm, dk)  # one product per x
+
+
+def _sector_vertex(bk: IrrepBasis, bl: IrrepBasis, bm: IrrepBasis) -> np.ndarray:
+    """raw at r = 0 block by block: raw[x, y, c] = sum_{a,b} B_l[a,x] B_m[b,y] B_k[(a,b),c]
+    needs sector(x) XOR sector(y) = sector(c), and then only the words a of x's
+    sector and b of y's.  Every other entry is exactly 0.0.
+    """
+    raw = np.zeros((bl.dim, bm.dim, bk.dim))
+    cube = bk.columns.reshape(bl.columns.shape[0], bm.columns.shape[0], bk.dim)
+    lefts, rights = bl.blocks, bm.blocks
+    for s, (_, c) in bk.blocks.items():
+        for sx, (a, x) in lefts.items():
+            if sx ^ s in rights:
+                b, y = rights[sx ^ s]
+                inner = bl.columns[a, x].T @ cube[a[:, None], b, c].reshape(len(a), -1)
+                raw[x, y, c] = bm.columns[b, y].T @ inner.reshape(-1, len(b), c.stop - c.start)
+    return raw.reshape(bl.dim * bm.dim, bk.dim)
 
 
 def isometry(
@@ -149,7 +182,7 @@ def isometry(
     flops = 2 * dl * dk * p.n**t.m * (p.n ** (t.l - t.r) + dm)
     theta_closed = math.exp(theta_net_log(p, t))
     with _blas_threads(flops):
-        raw = _leg_vertex(p.n, t, *(b.columns for b in bases))
+        raw = _leg_vertex(p.n, t, flops, *bases)
         # B_l (x) B_m is an isometry on range(p_l (x) p_m), so this is Tr(A^* A)
         theta_trace = float(np.einsum("ij,ij->", raw, raw))
         if not abs(theta_trace - theta_closed) <= THETA_AGREEMENT_RTOL * theta_closed:

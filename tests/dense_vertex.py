@@ -7,12 +7,16 @@ fancy-indexed scatter and the two projections act leg-wise.  The package
 builds the same map in leg coordinates without any p; the tests compare
 the two.  The elementary tensors of words, the cup vectors T_r and the
 Choi matrix are the other ambient N^legs objects the tests check against;
-jw_fixes measures ||p_k v - v|| with the dense p_k.
+jw_fixes measures ||p_k v - v|| with the dense p_k, and word_parities labels
+each word with its sector under the diagonal sign matrices of O(N).
 All vectors are flat arrays in row-major leg order, leftmost leg slowest.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +52,13 @@ def alternating_vector(
         raise ValueError("alternating word needs two distinct letters")
     word = [i if s % 2 == 0 else j for s in range(legs)]
     return basis_vector(n, word, max_dim=max_dim)
+
+
+def word_parities(n: int, k: int) -> np.ndarray:
+    """The sector XOR_j 2^(w_j) of each word w of k letters (0-based), leftmost
+    letter slowest: the character by which diag(s_1..s_N)^{(x) k} scales e_w."""
+    words = itertools.product(range(n), repeat=k)
+    return np.array([functools.reduce(operator.xor, (1 << a for a in w), 0) for w in words])
 
 
 def jw_fixes(pk: np.ndarray, v: np.ndarray) -> float:

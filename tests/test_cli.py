@@ -214,7 +214,7 @@ def test_golden_command(capsys, case):
 # ---------------------------------------------------------------------------
 
 def test_sweep_prints_no_signed_zero(capsys):
-    """Its 12 highest-weight MOE floors and 3 pure-output entropies print as 0.0."""
+    """Its 12 highest-weight MOE floors and 9 pure-output entropies print as 0.0."""
     code, out, _ = run_cli(
         capsys, "sweep", "--n-min", "3", "--n-max", "5", "--max-l", "2", "--max-m", "2",
         "--seed", "0",
@@ -223,7 +223,7 @@ def test_sweep_prints_no_signed_zero(capsys):
     assert SIGNED_ZERO.findall(out) == []
     rows = json.loads(out)["rows"]
     assert sum(row["moe_lower"] == 0.0 for row in rows) == 12
-    assert sum(row["moe_upper"] == 0.0 for row in rows) == 3
+    assert sum(row["moe_upper"] == 0.0 for row in rows) == 9
 
 
 def test_sweep_mass_column(capsys):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from conftest import blas_threads, needs_blas_threads, record_blas_threads
-from dense_vertex import alternating_vector, basis_vector, cup_vector, jw_fixes
+from dense_vertex import alternating_vector, basis_vector, cup_vector, jw_fixes, word_parities
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,7 +204,7 @@ def test_onb_level_zero():
 def test_onb_fusion_step_rejects_non_orthonormal_basis():
     p = quantum_parameter(3)
     good = onb_of_irrep(p, 2)
-    jwmod._basis_cache[(3, 2)] = IrrepBasis(p, 2, 1.01 * good.columns)
+    jwmod._basis_cache[(3, 2)] = IrrepBasis(p, 2, 1.01 * good.columns, good.sectors)
     with pytest.raises(InvariantViolation, match="fusion step"):
         onb_of_irrep(p, 3)
 
@@ -212,10 +212,25 @@ def test_onb_fusion_step_rejects_non_orthonormal_basis():
 def test_onb_fusion_step_rejects_nan_basis(monkeypatch):
     # a NaN Gram entry would pass `err > tol` and leave level 3 full of NaNs
     p = quantum_parameter(3)
-    cols = onb_of_irrep(p, 2).columns.copy()
+    good = onb_of_irrep(p, 2)
+    cols = good.columns.copy()
     cols[0, 0] = np.nan
-    monkeypatch.setitem(jwmod._basis_cache, (3, 2), IrrepBasis(p, 2, cols))
+    monkeypatch.setitem(jwmod._basis_cache, (3, 2), IrrepBasis(p, 2, cols, good.sectors))
     with pytest.raises(InvariantViolation, match="fusion step"):
+        onb_of_irrep(p, 3)
+
+
+def test_onb_fusion_step_rejects_basis_off_its_sectors(monkeypatch):
+    # a rotation of two columns of different sectors leaves an orthonormal basis of
+    # H_2, which passes the Gram check, under labels that no longer hold
+    p = quantum_parameter(3)
+    good = onb_of_irrep(p, 2)
+    first, last = good.sectors[0], good.sectors[-1]
+    assert first != last
+    cols = good.columns.copy()
+    cols[:, [0, -1]] = good.columns[:, [0, -1]] @ (np.array([[1.0, 1.0], [-1.0, 1.0]]) / 2**0.5)
+    monkeypatch.setitem(jwmod._basis_cache, (3, 2), IrrepBasis(p, 2, cols, good.sectors))
+    with pytest.raises(InvariantViolation, match="fusion step.*off its sectors"):
         onb_of_irrep(p, 3)
 
 
@@ -234,13 +249,27 @@ def test_onb_spans_range_of_projection(n, k):
 def _fusion_step_complete_qr(p, k, up, down):
     """The fusion step through the complete Q of a QR: the oracle of `_fusion_step`.
 
-    Forms the whole N d_{k-1} x N d_{k-1} Q, keeps the columns past the
-    embedded H_{k-2} as W and returns (I_N (x) B_{k-1}) W.
+    Labels each column of B_{k-1} and B_{k-2} with the parity of the word at
+    its largest entry, and orders the rows (a, x) of the embedded H_{k-2},
+    of sector 2^a XOR sector(x): first, for each column in turn, the first
+    unused row of its sector, then the rest grouped by sector, each group in
+    row order.  Forms the whole N d_{k-1} x N d_{k-1} Q of the rows in that
+    order, keeps the columns past the embedded H_{k-2} as W and returns
+    (I_N (x) B_{k-1}) W.
     """
     n, d_up, d_down = p.n, up.shape[1], down.shape[1]
     cube = up.reshape(n, n ** (k - 2), d_up)
     m = (cube.transpose(0, 2, 1) @ down).reshape(n * d_up, d_down)
-    w = np.linalg.qr(m, mode="complete")[0][:, d_down:]
+    up_sectors = word_parities(n, k - 1)[np.abs(up).argmax(axis=0)]
+    rows = [(1 << a) ^ int(s) for a in range(n) for s in up_sectors]
+    pivots, used = [], set()
+    for s in word_parities(n, k - 2)[np.abs(down).argmax(axis=0)]:
+        pivots.append(next(i for i, r in enumerate(rows) if r == s and i not in used))
+        used.add(pivots[-1])
+    order = pivots + sorted((i for i in range(len(rows)) if i not in used), key=rows.__getitem__)
+    q = np.linalg.qr(m[order], mode="complete")[0]
+    w = np.empty((n * d_up, n * d_up - d_down))
+    w[order] = q[:, d_down:]  # W's rows back in the order of the columns of I_N (x) B_{k-1}
     return (up @ w.reshape(n, d_up, -1)).reshape(n**k, -1)
 
 

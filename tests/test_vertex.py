@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 from conftest import blas_threads, needs_blas_threads, record_blas_threads
-from dense_vertex import _vertex_columns, cup_vector, theta_by_trace, three_vertex
+from dense_vertex import _vertex_columns, cup_vector, theta_by_trace, three_vertex, word_parities
 from test_acceptance import SWEEP_FULL, SWEEP_SMALL
 
 import wenzl_lab.jones_wenzl as jwmod
@@ -32,6 +32,7 @@ from wenzl_lab.jones_wenzl import clear_caches as clear_jw
 from wenzl_lab.qnum import (
     AdmissibleTriple,
     admissible_triples,
+    dim_irrep,
     q_int,
     quantum_parameter,
     theta_net_log,
@@ -204,6 +205,49 @@ def test_legs_match_dense_vertex(p, t):
     legs = np.tensordot(bm, half, axes=(0, 1)).transpose(1, 0, 2).reshape(iso.legs.shape)
     assert np.abs(iso.legs - legs).max() <= 1e-12
     assert np.abs(iso.reduced - dense).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sign sectors: p_k, the bases and alpha commute with the diagonal sign matrices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "p,t", SWEEP_FULL, ids=[f"{p.n}-{t.k}-{t.l}-{t.m}" for p, t in SWEEP_FULL]
+)
+def test_bases_and_legs_keep_their_sectors(p, t):
+    # compared with 0.0, no tolerance: each entry off the sectors sums products that
+    # all have an exact 0.0 factor
+    iso = isometry(p, t)
+    for basis in (iso.basis, iso.basis_l, iso.basis_m):
+        words = word_parities(p.n, basis.k)
+        assert not np.any(basis.columns[words[:, None] != basis.sectors]), basis.k
+    pairs = (iso.basis_l.sectors[:, None] ^ iso.basis_m.sectors).reshape(-1)
+    assert not np.any(iso.legs[pairs[:, None] != iso.basis.sectors])
+
+
+def test_projections_vanish_off_their_sector_blocks():
+    for n, k in sorted({(p.n, t.k) for p, t in SWEEP_FULL}):
+        words = word_parities(n, k)
+        assert not np.any(jw_projection(quantum_parameter(n), k)[words[:, None] != words]), (n, k)
+
+
+SECTOR_BUILDS = [  # r = 0 and the flops of `isometry`'s scope at or above SPLIT_FLOPS
+    (p, t) for p, t in SWEEP_FULL
+    if t.r == 0 and 2 * round(dim_irrep(p, t.l)) * round(dim_irrep(p, t.k)) * p.n**t.m
+    * (p.n**t.l + round(dim_irrep(p, t.m))) >= jwmod.SPLIT_FLOPS
+]
+
+
+@pytest.mark.parametrize(
+    "p,t", SECTOR_BUILDS, ids=[f"{p.n}-{t.k}-{t.l}-{t.m}" for p, t in SECTOR_BUILDS]
+)
+def test_sector_vertex_matches_two_stage_product(p, t):
+    # the builds that take the sector blocks, against the product over every word
+    iso = isometry(p, t)
+    bk, bl, bm = iso.basis, iso.basis_l, iso.basis_m
+    want = vxmod._two_stage_vertex(p.n, t, bk.columns, bl.columns, bm.columns)
+    assert np.abs(vxmod._sector_vertex(bk, bl, bm) - want).max() <= 1e-14
+    assert np.abs(iso.legs - want).max() <= 1e-14
 
 
 def test_pipeline_never_builds_dense_objects(capsys, monkeypatch):
